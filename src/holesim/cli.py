@@ -54,6 +54,8 @@ from .evolve import EvolutionConfig, Potential, evolve
 from .grid import Grid, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
+    DEFAULT_SCENARIO,
+    SWEEP_PARAMETERS,
     HoleExperimentConfig,
     HoleReport,
     Region,
@@ -95,30 +97,13 @@ EXIT_CODES = {
     UnderdeterminedFit: 11,
 }
 
-# Documented defaults: the committed weak-coupling scenario plus the
-# standard sweep, recovery, and harmonic settings.
+# Documented defaults: the default scenario of hole_experiment plus the
+# bump-map, sweep, recovery and harmonic settings.
 DEFAULTS = {
     "formats": ["csv", "json"],
-    "grid": {"points": 1024, "extent": 40.0},
-    "packet": {"center": -1.0, "width": 1.0, "momentum": 0.0},
-    "potentials": {
-        "left_position": -2.5,
-        "right_position": 2.5,
-        "coupling": 0.1,
-        "softening": 1.0,
-    },
-    "evolution": {"dt": 0.02, "t_end": 4.0, "mass": 4.0, "snapshot_stride": 20},
-    "diffeo": {
-        "kind": "translation_ramp",
-        "shift": 17.5,
-        "t0": 0.8,
-        "t1": 1.6,
-        "center": 0.0,
-        "radius": 5.0,
-        "peak_shift": 1.0,
-        "two_sided": False,
-    },
-    "support": {"lower": -9.0, "upper": 7.0},
+    **DEFAULT_SCENARIO,
+    "diffeo": {**DEFAULT_SCENARIO["diffeo"], "center": 0.0, "radius": 5.0,
+               "peak_shift": 1.0, "two_sided": False},
     "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.1, 0.2]},
     "recover": {
         "points": 256,
@@ -276,7 +261,7 @@ def load_config(path) -> RunConfig:
         two_sided = bool(sections["diffeo"].get("two_sided", False))
     if experiment == "sweep":
         parameter = sections["sweep"].get("parameter")
-        if parameter not in ("coupling", "displacement", "mass"):
+        if parameter not in SWEEP_PARAMETERS:
             errors.append(f"sweep.parameter: unknown parameter {parameter!r}")
         else:
             sweep_parameter = parameter
@@ -520,8 +505,16 @@ def _execute_hole(config: RunConfig) -> ResultBundle:
     return ResultBundle("hole", data, files)
 
 
+def _sweep_threads() -> int:
+    """Worker count from HOLESIM_THREADS: unset or empty means 1."""
+    raw = os.environ.get(THREADS_ENV, "") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"{THREADS_ENV}: must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def _execute_sweep(config: RunConfig) -> ResultBundle:
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
+    threads = _sweep_threads()
     values = config.sweep_values
     if threads > 1:
         def job(value):
@@ -570,25 +563,18 @@ def _execute_recover(config: RunConfig) -> ResultBundle:
     grid = Grid(settings["points"], settings["extent"])
     basis_g = localized_basis(grid, settings["n"])
     basis_eta = translate_basis(basis_g, settings["translation_cells"])
-    if settings["oracle"] == "static":
-        oracle = inner_product
-    else:
-        pot = DEFAULTS["potentials"]
-        ev = DEFAULTS["evolution"]
-        branch = Potential.point_mass(grid, (pot["left_position"],), pot["coupling"],
+    if settings["oracle"] == "evolved":
+        # Branch states evolve in the default scenario's left potential,
+        # reference states freely, for a fixed 0.2 time units.
+        pot, ev = DEFAULT_SCENARIO["potentials"], DEFAULT_SCENARIO["evolution"]
+        branch = Potential.point_mass(grid, pot["left_position"], pot["coupling"],
                                       pot["softening"])
         free = Potential.tabulated(grid, np.zeros(grid.shape))
         evo = EvolutionConfig(dt=ev["dt"], t_end=0.2, mass=ev["mass"],
                               snapshot_stride=10**9)
-        evolved_g = [evolve(e, branch, evo).final_state for e in basis_g]
-        evolved_eta = [evolve(f, free, evo).final_state for f in basis_eta]
-        lookup = {id(e): ge for e, ge in zip(basis_g, evolved_g)}
-        lookup.update({id(f): fe for f, fe in zip(basis_eta, evolved_eta)})
-
-        def oracle(e, f):
-            return inner_product(lookup[id(e)], lookup[id(f)])
-
-    sample = sample_form(basis_g, basis_eta, oracle)
+        basis_g = [evolve(e, branch, evo).final_state for e in basis_g]
+        basis_eta = [evolve(f, free, evo).final_state for f in basis_eta]
+    sample = sample_form(basis_g, basis_eta, inner_product)
     background = recover_background(sample, coordinate_projectors(settings["n"]))
     indices = [localization_index(p) for p in background.recovered_projectors]
     stride = settings["points"] // settings["n"]

@@ -15,6 +15,7 @@ point with no back-reaction.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -203,14 +204,21 @@ class Trajectory:
         return int(np.argmin(np.abs(np.asarray(self.times) - t)))
 
 
-def _kinetic_phase(grid: Grid, dt: float, mass: float) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _squared_wavenumbers(grid: Grid) -> np.ndarray:
+    """|k|^2 over the FFT layout of the grid, read-only and cached per grid."""
     ks = grid.wavenumbers()
     k2 = np.zeros(grid.shape)
     for axis in range(grid.dim):
         shape = [1] * grid.dim
         shape[axis] = grid.shape[axis]
         k2 = k2 + (ks[axis] ** 2).reshape(shape)
-    return np.exp(-0.5j * k2 * dt / mass)
+    k2.flags.writeable = False
+    return k2
+
+
+def _kinetic_phase(grid: Grid, dt: float, mass: float) -> np.ndarray:
+    return np.exp(-0.5j * _squared_wavenumbers(grid) * dt / mass)
 
 
 def _check_compatible(psi: WaveFunction, potential: Potential) -> np.ndarray:
@@ -274,12 +282,7 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
 def energy_expectation(psi: WaveFunction, potential: Potential, mass: float) -> float:
     """Expectation of the discretized Hamiltonian (spectral kinetic + V)."""
     values = _check_compatible(psi, potential)
-    ks = psi.grid.wavenumbers()
-    k2 = np.zeros(psi.grid.shape)
-    for axis in range(psi.grid.dim):
-        shape = [1] * psi.grid.dim
-        shape[axis] = psi.grid.shape[axis]
-        k2 = k2 + (ks[axis] ** 2).reshape(shape)
+    k2 = _squared_wavenumbers(psi.grid)
     kin_amps = np.fft.ifftn(0.5 * k2 / mass * np.fft.fftn(psi.amplitudes))
     kinetic = np.vdot(psi.amplitudes, kin_amps).real * psi.grid.cell_volume
     pot = float(np.sum(values * psi.probability_density()) * psi.grid.cell_volume)

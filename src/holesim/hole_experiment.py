@@ -25,7 +25,7 @@ from .diffeo import (
     pushforward_potential,
     pushforward_wavefunction,
 )
-from .errors import DomainError, InsufficientDisplacement, SupportViolation
+from .errors import DomainError, HolesimError, InsufficientDisplacement, SupportViolation
 from .evolve import EvolutionConfig, Potential, Trajectory, evolve
 from .grid import Grid, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
 from .observable import DecoherenceObservable, theta_time_series
@@ -44,6 +44,21 @@ __all__ = [
 SUPPORT_TAIL_TOL = 1e-10     # mass allowed outside the declared region U
 OVERLAP_MASS_TOL = 1e-6      # displaced-branch mass allowed back inside U after t1
 SWEEP_PARAMETERS = ("coupling", "displacement", "mass")
+
+# The committed weak-coupling 1D scenario in the section layout of a run
+# config: default_config() builds it, the CLI fills omitted keys from it.
+# The softening is deliberately wider than the grid-resolution default: a
+# marginally resolved well radiates a high-wavenumber tail that breaks the
+# 1e-10 support budget over the run. The shift is grid-aligned (448 cells).
+DEFAULT_SCENARIO = {
+    "grid": {"points": 1024, "extent": 40.0},
+    "packet": {"center": -1.0, "width": 1.0, "momentum": 0.0},
+    "potentials": {"left_position": -2.5, "right_position": 2.5,
+                   "coupling": 0.1, "softening": 1.0},
+    "evolution": {"dt": 0.02, "t_end": 4.0, "mass": 4.0, "snapshot_stride": 20},
+    "diffeo": {"kind": "translation_ramp", "shift": 17.5, "t0": 0.8, "t1": 1.6},
+    "support": {"lower": -9.0, "upper": 7.0},
+}
 
 
 @dataclass(frozen=True)
@@ -88,8 +103,9 @@ class Region:
         return mask
 
 
-def mass_in_region(psi: WaveFunction, region: Region) -> float:
-    inside = psi.probability_density()[region.mask(psi.grid)]
+def mass_in_region(psi: WaveFunction, mask: np.ndarray) -> float:
+    """Probability mass on the grid points of a region's ``mask``."""
+    inside = psi.probability_density()[mask]
     return float(np.sum(inside) * psi.grid.cell_volume)
 
 
@@ -188,44 +204,37 @@ class HoleReport:
 
 
 def default_config(**overrides) -> HoleExperimentConfig:
-    """The committed weak-coupling 1D scenario.
+    """DEFAULT_SCENARIO as an experiment config.
 
-    1024 points over 40 length units (packet width 1), sources at -2.5 and
-    +2.5, coupling 0.1 with softening 1.0, and a translation ramp of 17.5
-    units (448 cells, grid-aligned) between t = 0.8 and t = 1.6. The
-    softening is deliberately wider than the grid-resolution default: a
-    marginally resolved well radiates a high-wavenumber tail that breaks
-    the 1e-10 support budget over the run. Keyword overrides replace
-    individual fields; ``shift``, ``t0``, ``t1`` rebuild the default
-    translation ramp.
+    Keyword overrides replace individual fields; ``shift``, ``t0``, ``t1``
+    rebuild the default translation ramp.
     """
-    grid = overrides.pop("grid", Grid(1024, 40.0))
-    shift = overrides.pop("shift", 17.5)
-    t0 = overrides.pop("t0", 0.8)
-    t1 = overrides.pop("t1", 1.6)
+    scenario = DEFAULT_SCENARIO
+    packet, pot = scenario["packet"], scenario["potentials"]
+    grid = overrides.pop("grid", Grid(scenario["grid"]["points"], scenario["grid"]["extent"]))
+    ramp = {key: overrides.pop(key, scenario["diffeo"][key]) for key in ("shift", "t0", "t1")}
     base = dict(
         grid=grid,
-        packet_center=-1.0,
-        packet_width=1.0,
-        packet_momentum=0.0,
-        source_left=-2.5,
-        source_right=2.5,
-        coupling=0.1,
-        softening=1.0,
-        evolution=EvolutionConfig(dt=0.02, t_end=4.0, mass=4.0, snapshot_stride=20),
-        diffeo=make_translation_ramp(shift, t0, t1, extent=grid.extent),
-        support=Region(-9.0, 7.0),
+        packet_center=packet["center"],
+        packet_width=packet["width"],
+        packet_momentum=packet["momentum"],
+        source_left=pot["left_position"],
+        source_right=pot["right_position"],
+        coupling=pot["coupling"],
+        softening=pot["softening"],
+        evolution=EvolutionConfig(**scenario["evolution"]),
+        diffeo=make_translation_ramp(**ramp, extent=grid.extent),
+        support=Region(**scenario["support"]),
     )
     base.update(overrides)
     return HoleExperimentConfig(**base)
 
 
-def _check_support(config: HoleExperimentConfig,
-                   trajectories: tuple[Trajectory, ...]) -> float:
+def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> float:
     worst = 0.0
     for traj in trajectories:
         for t, psi in zip(traj.times, traj.states):
-            outside = max(0.0, norm(psi) ** 2 - mass_in_region(psi, config.support))
+            outside = max(0.0, norm(psi) ** 2 - mass_in_region(psi, mask))
             worst = max(worst, outside)
             if outside > SUPPORT_TAIL_TOL:
                 raise SupportViolation(
@@ -235,20 +244,16 @@ def _check_support(config: HoleExperimentConfig,
     return worst
 
 
-def _evolve_branches(config: HoleExperimentConfig) -> tuple[Trajectory, Trajectory]:
+def _baseline(config: HoleExperimentConfig, mask: np.ndarray):
+    """Evolve both branches, check them against the support ``mask`` and
+    report theta(t); also returns the trajectories and the left potential."""
     psi0 = config.initial_packet()
     v_left, v_right = config.branch_potentials()
     left = evolve(psi0.with_label("psi_l"), v_left, config.evolution)
     right = evolve(psi0.with_label("psi_r"), v_right, config.evolution)
-    return left, right
-
-
-def run_baseline(config: HoleExperimentConfig) -> HoleReport:
-    """Evolve both branches and report theta(t) at every snapshot."""
-    left, right = _evolve_branches(config)
-    worst_tail = _check_support(config, (left, right))
+    worst_tail = _check_support((left, right), mask)
     times, thetas = theta_time_series(left, right)
-    return HoleReport(
+    report = HoleReport(
         times=times,
         theta_baseline=thetas,
         theta_hole=None,
@@ -257,6 +262,12 @@ def run_baseline(config: HoleExperimentConfig) -> HoleReport:
         diagnostics={"max_mass_outside_support": worst_tail,
                      "softening": config.resolved_softening},
     )
+    return left, right, v_left, report
+
+
+def run_baseline(config: HoleExperimentConfig) -> HoleReport:
+    """Evolve both branches and report theta(t) at every snapshot."""
+    return _baseline(config, config.support.mask(config.grid))[-1]
 
 
 def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
@@ -271,9 +282,8 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     back inside U at most 1e-6 after t1); sweeps over sub-threshold
     displacements disable it deliberately.
     """
-    left, right = _evolve_branches(config)
-    worst_tail = _check_support(config, (left, right))
-    times, thetas_base = theta_time_series(left, right)
+    mask = config.support.mask(config.grid)
+    left, right, v_left, baseline = _baseline(config, mask)
 
     # Identity maps (including zero shifts) displace nothing and are exempt
     # from the displacement gate: they reproduce the baseline exactly.
@@ -282,18 +292,16 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     )
     if check_displacement and config.diffeo.kind == "translation_ramp":
         displaced = config.displaced_support()
-        if np.any(config.support.mask(config.grid) & displaced.mask(config.grid)):
+        if np.any(mask & displaced.mask(config.grid)):
             raise InsufficientDisplacement(
                 "declared support and its displaced image overlap on the grid"
             )
 
     phi = config.diffeo
-    v_left, _ = config.branch_potentials()
     thetas_hole = []
     overlap_masses = {}
     drift_max = 0.0
-    transformed_source = None
-    for i, t in enumerate(times):
+    for i, t in enumerate(baseline.times):
         raw = pushforward_wavefunction(left.states[i], phi, t, renormalize=False)
         if raw is left.states[i]:
             pushed_l = raw  # identity fast path: keep the snapshot bit-exact
@@ -301,15 +309,12 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
             drift = abs(norm(raw) - 1.0)
             drift_max = max(drift_max, drift)
             pushed_l = WaveFunction(config.grid, raw.amplitudes / norm(raw), "psi_l'")
-        v_transformed = pushforward_potential(v_left, phi, t)
-        if v_transformed.kind == "point_mass":
-            transformed_source = v_transformed.source_position
         other = right.states[i]
         if two_sided:
             pushed_r = pushforward_wavefunction(right.states[i], phi, t)
             other = pushed_r.with_label("psi_r'")
         elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
-            back_inside = mass_in_region(pushed_l, config.support)
+            back_inside = mass_in_region(pushed_l, mask)
             overlap_masses[float(t)] = back_inside
             if check_displacement and back_inside > OVERLAP_MASS_TOL:
                 raise InsufficientDisplacement(
@@ -319,18 +324,19 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
         theta = DecoherenceObservable(inner_product(pushed_l, other))
         thetas_hole.append(theta.theta)
 
-    return HoleReport(
-        times=times,
-        theta_baseline=thetas_base,
+    # The transformed source is defined only while the pushed potential is
+    # still a point mass: always for translations, not for a bump map.
+    v_final = pushforward_potential(v_left, phi, baseline.times[-1])
+    return dataclasses.replace(
+        baseline,
         theta_hole=np.asarray(thetas_hole, dtype=complex),
         two_sided=two_sided,
-        config=config,
         diagnostics={
-            "max_mass_outside_support": worst_tail,
+            **baseline.diagnostics,
             "max_pushforward_norm_drift": drift_max,
             "overlap_mass_after_ramp": overlap_masses,
-            "transformed_source_final": transformed_source,
-            "softening": config.resolved_softening,
+            "transformed_source_final": (v_final.source_position
+                                         if v_final.kind == "point_mass" else None),
         },
     )
 
@@ -368,8 +374,9 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
     """Independent hole runs across one swept parameter.
 
-    Per-run errors are collected into the entries instead of aborting the
-    sweep; runs are deterministic, so the entry order matches ``values``.
+    Per-run HolesimErrors are collected into the entries instead of
+    aborting the sweep; any other exception is a bug and propagates. Runs
+    are deterministic, so the entry order matches ``values``.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
@@ -379,6 +386,6 @@ def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEnt
             derived, strict = _config_for(config, parameter, float(value))
             report = run_hole(derived, strict=strict)
             entries.append(SweepEntry(float(value), report, None))
-        except Exception as exc:  # collected, not raised
+        except HolesimError as exc:  # collected, not raised
             entries.append(SweepEntry(float(value), None, f"{type(exc).__name__}: {exc}"))
     return entries

@@ -134,7 +134,9 @@ def theta_time_series(left: Trajectory, right: Trajectory) -> tuple[np.ndarray, 
     ):
         raise DomainError("trajectories are not snapshot-aligned")
     thetas = np.array(
-        [compute_theta(left, right, t).theta for t in left.times], dtype=complex
+        [DecoherenceObservable(inner_product(a, b)).theta
+         for a, b in zip(left.states, right.states)],
+        dtype=complex,
     )
     return np.asarray(left.times, dtype=float), thetas
 

@@ -278,3 +278,32 @@ def test_runtime_error_exit_codes(tmp_path):
     from holesim import SupportViolation
 
     assert main(["run", "--config", str(path)]) == EXIT_CODES[SupportViolation]
+
+
+def test_default_scenario_has_one_source(tmp_path):
+    """A config that sets nothing reproduces default_config()."""
+    from holesim import default_config
+
+    path = write_config(tmp_path, "defaults.yaml", {"experiment": "hole"})
+    loaded = load_config(path).hole_config
+    expected = default_config()
+    for name in ("grid", "packet_center", "packet_width", "packet_momentum",
+                 "source_left", "source_right", "coupling", "softening",
+                 "evolution", "support"):
+        assert getattr(loaded, name) == getattr(expected, name), name
+    assert loaded.diffeo.kind == expected.diffeo.kind == "translation_ramp"
+    assert np.array_equal(loaded.diffeo.shift, expected.diffeo.shift)
+    assert (loaded.diffeo.t0, loaded.diffeo.t1) == (expected.diffeo.t0, expected.diffeo.t1)
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    path = write_config(tmp_path, "threads.yaml", {
+        "experiment": "sweep",
+        "output_dir": str(tmp_path / "threads_out"),
+        "sweep": {"parameter": "coupling", "values": [0.1]},
+    })
+    monkeypatch.setenv("HOLESIM_THREADS", value)
+    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert "HOLESIM_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "threads_out").exists()

@@ -179,3 +179,29 @@ def test_config_validation():
         default_config(support=Region(-30.0, 30.0))  # wider than the domain
     with pytest.raises(DomainError):
         default_config(t0=-1.0, t1=0.5)
+
+
+def test_transformed_source_final_for_translation():
+    report = run_hole(default_config())
+    # -2.5 + 17.5 = 15.0, exact for the point-mass source.
+    assert report.diagnostics["transformed_source_final"] == (15.0,)
+
+
+def test_bump_map_reports_no_transformed_source():
+    """A bump map turns the point mass into a tabulated potential, so no
+    source position is reported (not the pre-onset one)."""
+    bump = make_bump_displacement(center=-1.0, radius=5.0, peak_shift=1.5,
+                                  t0=0.8, t1=1.6)
+    report = run_hole(default_config(diffeo=bump), strict=False)
+    assert report.diagnostics["transformed_source_final"] is None
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    import holesim.hole_experiment as hole_experiment
+
+    def broken(config, strict=True):
+        raise TypeError("bug, not a sweep outcome")
+
+    monkeypatch.setattr(hole_experiment, "run_hole", broken)
+    with pytest.raises(TypeError):
+        sweep(default_config(), "coupling", [0.1])

@@ -233,3 +233,22 @@ def test_theta_series_alignment(grid256):
     assert times[0] == 0.0
     assert abs(thetas[0] - 1.0) < 1e-12
     assert np.all(np.abs(thetas) <= 1.0 + 1e-9)
+
+
+def test_theta_series_matches_compute_theta(grid256):
+    psi0 = gaussian_packet(grid256, -1.0, 1.0)
+    config = EvolutionConfig(dt=0.05, t_end=1.0, mass=1.0, snapshot_stride=4)
+    left = evolve(psi0, Potential.point_mass(grid256, -1.5, 0.2), config)
+    right = evolve(psi0, Potential.point_mass(grid256, 1.5, 0.2), config)
+    times, thetas = theta_time_series(left, right)
+    expected = [compute_theta(left, right, t).theta for t in times]
+    assert np.array_equal(thetas, np.asarray(expected, dtype=complex))
+
+
+def test_theta_series_keeps_magnitude_guard(grid256):
+    """Each entry still passes the |theta| <= 1 check of the observable."""
+    psi = gaussian_packet(grid256, 0.0, 1.0)
+    heavy = WaveFunction(grid256, psi.amplitudes * (1.0 + 5e-9))
+    branch = Trajectory((0.0,), (heavy,))
+    with pytest.raises(NormViolation):
+        theta_time_series(branch, branch)
