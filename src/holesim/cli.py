@@ -50,20 +50,20 @@ from .errors import (
     UnderdeterminedFit,
     ZeroNormError,
 )
-from .evolve import EvolutionConfig, Potential, evolve
-from .grid import Grid, inner_product
+from .evolve import Potential, evolve
+from .grid import Grid, _as_tuple, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
     DEFAULT_SCENARIO,
     SWEEP_PARAMETERS,
     HoleExperimentConfig,
     HoleReport,
-    Region,
+    config_from_sections,
+    default_config,
     run_baseline,
     run_hole,
     sweep,
 )
-from .diffeo import identity_map, make_bump_displacement, make_translation_ramp
 from .observable import density_matrix
 
 __all__ = [
@@ -178,12 +178,6 @@ def _check_finite(node, path):
     raise DomainError(f"non-serializable value of type {type(node).__name__} at {path}")
 
 
-def _as_float_list(value):
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(v) for v in value]
-
-
 def _merge_section(name, user, errors):
     base = dict(DEFAULTS[name])
     if user is None:
@@ -257,8 +251,12 @@ def load_config(path) -> RunConfig:
     metric_path = None
 
     if experiment in ("baseline", "hole", "sweep"):
-        hole_config = _build_hole_config(sections, experiment, errors)
-        two_sided = bool(sections["diffeo"].get("two_sided", False))
+        diffeo = {"kind": "identity"} if experiment == "baseline" else sections["diffeo"]
+        try:
+            hole_config = config_from_sections({**sections, "diffeo": diffeo})
+        except ConfigError as exc:
+            errors.extend(exc.messages)
+        two_sided = bool(diffeo.get("two_sided", False))
     if experiment == "sweep":
         parameter = sections["sweep"].get("parameter")
         if parameter not in SWEEP_PARAMETERS:
@@ -266,7 +264,7 @@ def load_config(path) -> RunConfig:
         else:
             sweep_parameter = parameter
         try:
-            sweep_values = tuple(_as_float_list(sections["sweep"].get("values", [])))
+            sweep_values = _as_tuple(sections["sweep"].get("values", []))
             if not sweep_values:
                 errors.append("sweep.values: need at least one value")
         except (TypeError, ValueError) as exc:
@@ -298,86 +296,6 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _build_grid(section, errors, prefix="grid"):
-    try:
-        return Grid(tuple(int(p) for p in _as_float_list(section["points"])),
-                    tuple(_as_float_list(section["extent"])))
-    except (HolesimError, ValueError, TypeError) as exc:
-        errors.append(f"{prefix}: {exc}")
-        return None
-
-
-def _build_hole_config(sections, experiment, errors) -> HoleExperimentConfig | None:
-    grid = _build_grid(sections["grid"], errors)
-    evolution = None
-    try:
-        ev = sections["evolution"]
-        evolution = EvolutionConfig(
-            dt=float(ev["dt"]),
-            t_end=float(ev["t_end"]),
-            mass=float(ev["mass"]),
-            snapshot_stride=int(ev["snapshot_stride"]),
-        )
-        if evolution.dt <= 0:
-            errors.append("evolution.dt: must be positive for runs")
-            evolution = None
-    except (HolesimError, ValueError, TypeError, KeyError) as exc:
-        errors.append(f"evolution: {exc}")
-    diffeo = identity_map(grid.dim if grid else 1)
-    if experiment in ("hole", "sweep") and grid is not None:
-        diffeo = _build_diffeo(sections["diffeo"], grid, errors)
-    if grid is None or evolution is None or diffeo is None:
-        return None
-    try:
-        pot = sections["potentials"]
-        softening = pot.get("softening")
-        return HoleExperimentConfig(
-            grid=grid,
-            packet_center=tuple(_as_float_list(sections["packet"]["center"])),
-            packet_width=float(sections["packet"]["width"]),
-            packet_momentum=tuple(_as_float_list(sections["packet"]["momentum"])),
-            source_left=tuple(_as_float_list(pot["left_position"])),
-            source_right=tuple(_as_float_list(pot["right_position"])),
-            coupling=float(pot["coupling"]),
-            softening=None if softening is None else float(softening),
-            evolution=evolution,
-            diffeo=diffeo,
-            support=Region(
-                tuple(_as_float_list(sections["support"]["lower"])),
-                tuple(_as_float_list(sections["support"]["upper"])),
-            ),
-        )
-    except (HolesimError, ValueError, TypeError, KeyError) as exc:
-        errors.append(f"experiment config: {exc}")
-        return None
-
-
-def _build_diffeo(section, grid, errors):
-    kind = section.get("kind")
-    try:
-        if kind == "identity":
-            return identity_map(grid.dim)
-        if kind == "translation_ramp":
-            return make_translation_ramp(
-                tuple(_as_float_list(section["shift"])),
-                float(section["t0"]),
-                float(section["t1"]),
-                extent=grid.extent,
-            )
-        if kind == "bump_displacement":
-            return make_bump_displacement(
-                tuple(_as_float_list(section["center"])),
-                float(section["radius"]),
-                tuple(_as_float_list(section["peak_shift"])),
-                float(section["t0"]),
-                float(section["t1"]),
-            )
-        errors.append(f"diffeo.kind: unknown kind {kind!r}")
-    except (HolesimError, ValueError, TypeError, KeyError) as exc:
-        errors.append(f"diffeo: {exc}")
-    return None
-
-
 def _validate_recover(section, errors):
     out = dict(section)
     try:
@@ -389,7 +307,11 @@ def _validate_recover(section, errors):
             errors.append(f"recover.oracle: must be 'static' or 'evolved', got {section['oracle']!r}")
         if out["n"] < 2 or out["points"] % out["n"] != 0:
             errors.append(f"recover.n: {out['n']} must be >= 2 and divide points {out['points']}")
-    except (ValueError, TypeError, KeyError) as exc:
+        out["grid"] = Grid(out["points"], out["extent"])
+        if out["oracle"] == "evolved":
+            # Branch states evolve in the default scenario on the recovery grid.
+            out["scenario"] = default_config(grid=out["grid"])
+    except (HolesimError, ValueError, TypeError, KeyError) as exc:
         errors.append(f"recover: {exc}")
         return None
     return out
@@ -560,18 +482,17 @@ def _execute_sweep(config: RunConfig) -> ResultBundle:
 
 def _execute_recover(config: RunConfig) -> ResultBundle:
     settings = config.recover
-    grid = Grid(settings["points"], settings["extent"])
+    grid = settings["grid"]
     basis_g = localized_basis(grid, settings["n"])
     basis_eta = translate_basis(basis_g, settings["translation_cells"])
     if settings["oracle"] == "evolved":
         # Branch states evolve in the default scenario's left potential,
         # reference states freely, for a fixed 0.2 time units.
-        pot, ev = DEFAULT_SCENARIO["potentials"], DEFAULT_SCENARIO["evolution"]
-        branch = Potential.point_mass(grid, pot["left_position"], pot["coupling"],
-                                      pot["softening"])
+        scenario = settings["scenario"]
+        branch = Potential.point_mass(grid, scenario.source_left, scenario.coupling,
+                                      scenario.resolved_softening)
         free = Potential.tabulated(grid, np.zeros(grid.shape))
-        evo = EvolutionConfig(dt=ev["dt"], t_end=0.2, mass=ev["mass"],
-                              snapshot_stride=10**9)
+        evo = dataclasses.replace(scenario.evolution, t_end=0.2, snapshot_stride=10**9)
         basis_g = [evolve(e, branch, evo).final_state for e in basis_g]
         basis_eta = [evolve(f, free, evo).final_state for f in basis_eta]
     sample = sample_form(basis_g, basis_eta, inner_product)

@@ -21,11 +21,12 @@ import numpy as np
 from .diffeo import (
     SpatialDiffeomorphism,
     identity_map,
+    make_bump_displacement,
     make_translation_ramp,
     pushforward_potential,
     pushforward_wavefunction,
 )
-from .errors import DomainError, HolesimError, InsufficientDisplacement, SupportViolation
+from .errors import ConfigError, DomainError, HolesimError, InsufficientDisplacement, SupportViolation
 from .evolve import EvolutionConfig, Potential, Trajectory, evolve
 from .grid import Grid, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
 from .observable import DecoherenceObservable, theta_time_series
@@ -35,6 +36,7 @@ __all__ = [
     "HoleExperimentConfig",
     "HoleReport",
     "SweepEntry",
+    "config_from_sections",
     "default_config",
     "run_baseline",
     "run_hole",
@@ -46,7 +48,8 @@ OVERLAP_MASS_TOL = 1e-6      # displaced-branch mass allowed back inside U after
 SWEEP_PARAMETERS = ("coupling", "displacement", "mass")
 
 # The committed weak-coupling 1D scenario in the section layout of a run
-# config: default_config() builds it, the CLI fills omitted keys from it.
+# config: default_config() builds it, the CLI fills omitted keys from it,
+# and config_from_sections() is the one reader of that layout.
 # The softening is deliberately wider than the grid-resolution default: a
 # marginally resolved well radiates a high-wavenumber tail that breaks the
 # 1e-10 support budget over the run. The shift is grid-aligned (448 cells).
@@ -203,31 +206,97 @@ class HoleReport:
         return abs(self.final_theta_baseline) - abs(self.final_theta_hole)
 
 
+def _forward_evolution(section) -> EvolutionConfig:
+    evolution = EvolutionConfig(float(section["dt"]), float(section["t_end"]),
+                                float(section["mass"]), section["snapshot_stride"])
+    if evolution.dt <= 0:
+        raise DomainError("dt must be positive for runs")
+    return evolution
+
+
+def _diffeo_from_section(section, vector, extent) -> SpatialDiffeomorphism:
+    kind = section["kind"]
+    if kind == "identity":
+        return identity_map(len(extent))
+    if kind == "translation_ramp":
+        return make_translation_ramp(vector(section["shift"]), section["t0"], section["t1"],
+                                     extent=extent)
+    if kind == "bump_displacement":
+        return make_bump_displacement(vector(section["center"]), section["radius"],
+                                      vector(section["peak_shift"]), section["t0"],
+                                      section["t1"])
+    raise DomainError(f"unknown kind {kind!r}")
+
+
+def config_from_sections(sections) -> HoleExperimentConfig:
+    """The experiment config that sections in the DEFAULT_SCENARIO layout
+    describe; the diffeo section may be of any kind, and its other keys
+    (``two_sided``) are ignored.
+
+    A scalar where a vector is expected is that value on every grid axis.
+    The evolution must step forward. Every failing part is reported in one
+    ConfigError.
+    """
+    errors: list[str] = []
+
+    def part(name, build):
+        try:
+            return build()
+        except (HolesimError, ValueError, TypeError, KeyError) as exc:
+            errors.append(f"{name}: {exc}")
+
+    grid = part("grid", lambda: Grid(sections["grid"]["points"], sections["grid"]["extent"]))
+    evolution = part("evolution", lambda: _forward_evolution(sections["evolution"]))
+    if grid is None:
+        raise ConfigError(errors)
+
+    def vector(value):
+        return _as_tuple(value, n=grid.dim)
+
+    packet, pot, support = sections["packet"], sections["potentials"], sections["support"]
+    parts = [
+        part("diffeo", lambda: {
+            "diffeo": _diffeo_from_section(sections["diffeo"], vector, grid.extent)}),
+        part("packet", lambda: {
+            "packet_center": vector(packet["center"]),
+            "packet_width": float(packet["width"]),
+            "packet_momentum": vector(packet["momentum"])}),
+        part("potentials", lambda: {
+            "source_left": vector(pot["left_position"]),
+            "source_right": vector(pot["right_position"]),
+            "coupling": float(pot["coupling"]),
+            "softening": None if pot["softening"] is None else float(pot["softening"])}),
+        part("support", lambda: {
+            "support": Region(vector(support["lower"]), vector(support["upper"]))}),
+    ]
+    if errors:
+        raise ConfigError(errors)
+    fields = {key: value for built in parts for key, value in built.items()}
+    try:
+        return HoleExperimentConfig(grid=grid, evolution=evolution, **fields)
+    except HolesimError as exc:
+        raise ConfigError([f"experiment config: {exc}"]) from None
+
+
 def default_config(**overrides) -> HoleExperimentConfig:
     """DEFAULT_SCENARIO as an experiment config.
 
-    Keyword overrides replace individual fields; ``shift``, ``t0``, ``t1``
-    rebuild the default translation ramp.
+    A ``grid`` override replaces the grid section, so the scenario's
+    scalars apply on every axis of that grid (its other sections must
+    hold there). ``shift``, ``t0``, ``t1`` rebuild the translation ramp;
+    any other keyword replaces that field.
     """
-    scenario = DEFAULT_SCENARIO
-    packet, pot = scenario["packet"], scenario["potentials"]
-    grid = overrides.pop("grid", Grid(scenario["grid"]["points"], scenario["grid"]["extent"]))
-    ramp = {key: overrides.pop(key, scenario["diffeo"][key]) for key in ("shift", "t0", "t1")}
-    base = dict(
-        grid=grid,
-        packet_center=packet["center"],
-        packet_width=packet["width"],
-        packet_momentum=packet["momentum"],
-        source_left=pot["left_position"],
-        source_right=pot["right_position"],
-        coupling=pot["coupling"],
-        softening=pot["softening"],
-        evolution=EvolutionConfig(**scenario["evolution"]),
-        diffeo=make_translation_ramp(**ramp, extent=grid.extent),
-        support=Region(**scenario["support"]),
-    )
-    base.update(overrides)
-    return HoleExperimentConfig(**base)
+    sections = dict(DEFAULT_SCENARIO)
+    if "grid" in overrides:
+        grid = overrides.pop("grid")
+        sections["grid"] = {"points": grid.shape, "extent": grid.extent}
+    config = config_from_sections(sections)
+    ramp = {key: overrides.pop(key) for key in ("shift", "t0", "t1") if key in overrides}
+    if ramp:
+        phi = config.diffeo
+        ramp = {"shift": phi.shift, "t0": phi.t0, "t1": phi.t1, **ramp}
+        overrides["diffeo"] = make_translation_ramp(**ramp, extent=config.grid.extent)
+    return dataclasses.replace(config, **overrides)
 
 
 def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> float:
@@ -298,21 +367,24 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
             )
 
     phi = config.diffeo
+    drift_max = 0.0
+
+    def push(psi: WaveFunction, t: float, label: str) -> WaveFunction:
+        nonlocal drift_max
+        raw = pushforward_wavefunction(psi, phi, t, renormalize=False)
+        if raw is psi:
+            return raw  # identity fast path: keep the snapshot bit-exact
+        size = norm(raw)
+        drift_max = max(drift_max, abs(size - 1.0))
+        return WaveFunction(config.grid, raw.amplitudes / size, label)
+
     thetas_hole = []
     overlap_masses = {}
-    drift_max = 0.0
     for i, t in enumerate(baseline.times):
-        raw = pushforward_wavefunction(left.states[i], phi, t, renormalize=False)
-        if raw is left.states[i]:
-            pushed_l = raw  # identity fast path: keep the snapshot bit-exact
-        else:
-            drift = abs(norm(raw) - 1.0)
-            drift_max = max(drift_max, drift)
-            pushed_l = WaveFunction(config.grid, raw.amplitudes / norm(raw), "psi_l'")
+        pushed_l = push(left.states[i], t, "psi_l'")
         other = right.states[i]
         if two_sided:
-            pushed_r = pushforward_wavefunction(right.states[i], phi, t)
-            other = pushed_r.with_label("psi_r'")
+            other = push(other, t, "psi_r'")
         elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
             back_inside = mass_in_region(pushed_l, mask)
             overlap_masses[float(t)] = back_inside
@@ -325,8 +397,11 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
         thetas_hole.append(theta.theta)
 
     # The transformed source is defined only while the pushed potential is
-    # still a point mass: always for translations, not for a bump map.
-    v_final = pushforward_potential(v_left, phi, baseline.times[-1])
+    # still a point mass: under a translation or an identity, not a bump.
+    t_final = baseline.times[-1]
+    source_final = None
+    if phi.kind == "translation_ramp" or phi.is_identity_at(t_final):
+        source_final = pushforward_potential(v_left, phi, t_final).source_position
     return dataclasses.replace(
         baseline,
         theta_hole=np.asarray(thetas_hole, dtype=complex),
@@ -335,8 +410,7 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
             **baseline.diagnostics,
             "max_pushforward_norm_drift": drift_max,
             "overlap_mass_after_ramp": overlap_masses,
-            "transformed_source_final": (v_final.source_position
-                                         if v_final.kind == "point_mass" else None),
+            "transformed_source_final": source_final,
         },
     )
 

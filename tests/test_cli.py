@@ -2,6 +2,7 @@
 contracts, and byte determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from holesim.cli import (
     write_metric_field,
 )
 from oracles import sinusoidal_metric_family
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 def write_config(tmp_path, name, payload):
@@ -44,6 +47,16 @@ def test_negative_mass_error_names_the_key(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert any("mass" in message for message in info.value.messages)
+
+
+def test_fractional_snapshot_stride_is_rejected(tmp_path):
+    path = write_config(tmp_path, "stride.yaml", {
+        "experiment": "baseline",
+        "evolution": {"snapshot_stride": 2.5},
+    })
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert any("snapshot_stride" in message for message in info.value.messages)
 
 
 def test_validation_errors_aggregate(tmp_path):
@@ -294,6 +307,50 @@ def test_default_scenario_has_one_source(tmp_path):
     assert loaded.diffeo.kind == expected.diffeo.kind == "translation_ramp"
     assert np.array_equal(loaded.diffeo.shift, expected.diffeo.shift)
     assert (loaded.diffeo.t0, loaded.diffeo.t1) == (expected.diffeo.t0, expected.diffeo.t1)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_committed_config_loads(path):
+    assert load_config(path).experiment == yaml.safe_load(path.read_text())["experiment"]
+
+
+def test_scalar_sections_apply_on_every_grid_axis(tmp_path):
+    """A 2D config that sets only the grid points, the support and the
+    shift reads the scalar defaults as they are read by default_config."""
+    from holesim import Grid, Region, default_config
+
+    support = {"lower": [-9.0, -9.0], "upper": [7.0, 7.0]}
+    path = write_config(tmp_path, "plane.yaml", {
+        "experiment": "hole",
+        "grid": {"points": [64, 64]},
+        "support": support,
+        "diffeo": {"shift": [17.5, 0.0]},
+    })
+    assert main(["validate", "--config", str(path)]) == 0
+    loaded = load_config(path).hole_config
+    expected = default_config(grid=Grid((64, 64), 40.0),
+                              support=Region(support["lower"], support["upper"]),
+                              shift=(17.5, 0.0))
+    for name in ("grid", "packet_center", "packet_width", "packet_momentum",
+                 "source_left", "source_right", "coupling", "softening",
+                 "evolution", "support"):
+        assert getattr(loaded, name) == getattr(expected, name), name
+    assert loaded.packet_center == (-1.0, -1.0)
+    assert np.array_equal(loaded.diffeo.shift, expected.diffeo.shift)
+    assert (loaded.diffeo.t0, loaded.diffeo.t1) == (expected.diffeo.t0, expected.diffeo.t1)
+
+
+@pytest.mark.parametrize("recover", [
+    {"points": 100, "n": 10},  # not a power of two
+    {"extent": 20.0, "oracle": "evolved"},  # default ramp exceeds half the extent
+], ids=["points", "evolved_extent"])
+def test_recovery_grid_is_validated(tmp_path, capsys, recover):
+    path = write_config(tmp_path, "recover.yaml", {
+        "experiment": "recover-background",
+        "recover": recover,
+    })
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert "config error: recover:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["two", "0"])

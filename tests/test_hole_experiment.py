@@ -7,6 +7,9 @@ import pytest
 from holesim import (
     DomainError,
     Grid,
+    evolve,
+    norm,
+    pushforward_wavefunction,
     InsufficientDisplacement,
     Region,
     SupportViolation,
@@ -74,6 +77,21 @@ def test_default_hole_contrast():
 def test_two_sided_control_preserves_theta():
     report = run_hole(default_config(), two_sided=True)
     assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
+
+
+def test_two_sided_drift_covers_both_branches():
+    """The reported pushforward drift is the largest over both branches."""
+    config = default_config()
+    report = run_hole(config, two_sided=True)
+    psi0 = config.initial_packet()
+    drifts = []
+    for potential in config.branch_potentials():
+        trajectory = evolve(psi0, potential, config.evolution)
+        for t, psi in zip(trajectory.times, trajectory.states):
+            raw = pushforward_wavefunction(psi, config.diffeo, t, renormalize=False)
+            if raw is not psi:
+                drifts.append(abs(norm(raw) - 1.0))
+    assert report.diagnostics["max_pushforward_norm_drift"] == max(drifts)
 
 
 def test_time_gating_before_onset():
