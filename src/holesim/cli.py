@@ -51,7 +51,7 @@ from .errors import (
     ZeroNormError,
 )
 from .evolve import Potential, evolve
-from .grid import Grid, _as_tuple, inner_product
+from .grid import Grid, _as_tuple, check_packet_width, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
     DEFAULT_SCENARIO,
@@ -256,6 +256,14 @@ def load_config(path) -> RunConfig:
             hole_config = config_from_sections({**sections, "diffeo": diffeo})
         except ConfigError as exc:
             errors.extend(exc.messages)
+        # A width the config sets must fit its grid, as gaussian_packet
+        # will check at run time.
+        packet = raw.get("packet")
+        if hole_config is not None and isinstance(packet, dict) and "width" in packet:
+            try:
+                check_packet_width(hole_config.grid, hole_config.packet_width)
+            except ResolutionError as exc:
+                errors.append(f"packet: {exc}")
         two_sided = bool(diffeo.get("two_sided", False))
     if experiment == "sweep":
         parameter = sections["sweep"].get("parameter")
@@ -296,13 +304,22 @@ def load_config(path) -> RunConfig:
     )
 
 
+def _integer(section, key):
+    """section[key] as an int; a fractional number is refused, not truncated."""
+    value = section[key]
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{key} must be an integer, got {value}")
+    return number
+
+
 def _validate_recover(section, errors):
     out = dict(section)
     try:
-        out["points"] = int(section["points"])
+        out["points"] = _integer(section, "points")
         out["extent"] = float(section["extent"])
-        out["n"] = int(section["n"])
-        out["translation_cells"] = int(section["translation_cells"])
+        out["n"] = _integer(section, "n")
+        out["translation_cells"] = _integer(section, "translation_cells")
         if out["oracle"] not in ("static", "evolved"):
             errors.append(f"recover.oracle: must be 'static' or 'evolved', got {section['oracle']!r}")
         if out["n"] < 2 or out["points"] % out["n"] != 0:

@@ -22,6 +22,7 @@ __all__ = [
     "inner_product",
     "norm",
     "normalize",
+    "check_packet_width",
     "gaussian_packet",
     "spectral_sample",
 ]
@@ -29,6 +30,11 @@ __all__ = [
 # Tail mass threshold realizing "finite support" on a periodic domain:
 # amplitudes must fall below this fraction of the peak at the boundary.
 BOUNDARY_TAIL = 1e-12
+
+# Bytes of complex temporaries spectral_sample holds at once: it evaluates
+# its points in chunks sized so that the per-axis plane-wave tables and the
+# contraction intermediate stay within this budget.
+SAMPLE_CHUNK_BYTES = 32 * 2**20
 
 
 def _as_tuple(value, n=None, cast=float):
@@ -188,22 +194,11 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(psi.grid, psi.amplitudes / n, psi.label)
 
 
-def gaussian_packet(
-    grid: Grid,
-    center,
-    width: float,
-    momentum=None,
-    label: str = "",
-) -> WaveFunction:
-    """Normalized Gaussian packet exp(-|x-c|^2/(4 w^2) + i p.x).
-
-    The envelope uses minimal-image displacements, so shifting the center
-    by a full extent reproduces the packet exactly. Preconditions: the
-    width resolves the grid (w >= 3*max spacing) and the envelope tail at
-    half the extent of every axis is below BOUNDARY_TAIL of the peak.
-    """
-    center = _as_tuple(center, n=grid.dim)
-    momentum = (0.0,) * grid.dim if momentum is None else _as_tuple(momentum, n=grid.dim)
+def check_packet_width(grid: Grid, width) -> float:
+    """The width as a float if a Gaussian packet of that width fits the
+    grid: it resolves the grid (w >= 3*max spacing) and its envelope tail
+    at half the extent of every axis is below BOUNDARY_TAIL of the peak.
+    Raises ResolutionError otherwise."""
     width = float(width)
     if width <= 0:
         raise ResolutionError(f"width must be positive, got {width}")
@@ -217,6 +212,25 @@ def gaussian_packet(
         raise ResolutionError(
             f"envelope tail {tail:.3e} at the domain boundary exceeds {BOUNDARY_TAIL:.0e}"
         )
+    return width
+
+
+def gaussian_packet(
+    grid: Grid,
+    center,
+    width: float,
+    momentum=None,
+    label: str = "",
+) -> WaveFunction:
+    """Normalized Gaussian packet exp(-|x-c|^2/(4 w^2) + i p.x).
+
+    The envelope uses minimal-image displacements, so shifting the center
+    by a full extent reproduces the packet exactly. The width must pass
+    :func:`check_packet_width`.
+    """
+    center = _as_tuple(center, n=grid.dim)
+    momentum = (0.0,) * grid.dim if momentum is None else _as_tuple(momentum, n=grid.dim)
+    width = check_packet_width(grid, width)
 
     mesh = grid.coordinate_mesh()
     r2 = np.zeros(grid.shape)
@@ -235,7 +249,8 @@ def spectral_sample(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.nd
     ``points`` has shape (P, dim); the result is complex of shape (P,).
     The interpolant is the band-limited function whose FFT coefficients
     match the samples, evaluated exactly; it is periodic, so points need
-    not be wrapped into the domain.
+    not be wrapped into the domain. Points are evaluated in chunks whose
+    temporaries fit in SAMPLE_CHUNK_BYTES.
     """
     values = np.asarray(values)
     if values.shape != grid.shape:
@@ -244,6 +259,17 @@ def spectral_sample(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.nd
     if points.shape[1] != grid.dim:
         raise GridMismatch(f"points have {points.shape[1]} components, grid dim is {grid.dim}")
     coeffs = np.fft.fftn(values) / values.size
+    # Per point: one row of each (P, N_axis) table and the (N0, P) or
+    # (N0, N1, P) intermediate, complex128 throughout.
+    point_bytes = 16 * (sum(grid.shape) + int(np.prod(grid.shape[:-1])))
+    chunk = max(1, SAMPLE_CHUNK_BYTES // point_bytes)
+    out = np.empty(len(points), dtype=complex)
+    for start in range(0, len(points), chunk):
+        out[start:start + chunk] = _sample_chunk(grid, coeffs, points[start:start + chunk])
+    return out
+
+
+def _sample_chunk(grid: Grid, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     ks = grid.wavenumbers()
     # Per-axis plane-wave factors exp(i k (x - origin)), shape (P, N_axis).
     factors = []

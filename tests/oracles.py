@@ -76,6 +76,20 @@ def pushforward_gaussian_direct(points, diffeo, t, center, width):
     return analytic_gaussian(preimages[:, 0], center, width) * weights
 
 
+def trigonometric_interpolant_direct(grid, values, points):
+    """The band-limited interpolant of a gridded field at each point, one
+    point at a time: the full sum over every FFT mode, with no per-axis
+    tables and no contraction order."""
+    coeffs = np.fft.fftn(np.asarray(values)) / np.size(values)
+    ks = np.meshgrid(*grid.wavenumbers(), indexing="ij")
+    origin = [-0.5 * L for L in grid.extent]
+    out = np.empty(len(points), dtype=complex)
+    for i, point in enumerate(np.asarray(points, dtype=float)):
+        phase = sum(k * (x - o) for k, x, o in zip(ks, point, origin))
+        out[i] = np.sum(coeffs * np.exp(1j * phase))
+    return out
+
+
 def random_wavefunction(grid, rng, label=""):
     """Normalized wavefunction with smooth random amplitudes (band-limited
     noise so interpolation-based code paths stay meaningful)."""

@@ -364,3 +364,34 @@ def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
     assert "HOLESIM_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "threads_out").exists()
+
+
+@pytest.mark.parametrize("recover", [
+    {"points": 256.7},
+    {"n": 32.9},
+    {"translation_cells": 24.5},
+], ids=["points", "n", "translation_cells"])
+def test_fractional_recovery_sizes_are_rejected(tmp_path, capsys, recover):
+    path = write_config(tmp_path, "recover.yaml", {
+        "experiment": "recover-background",
+        "recover": recover,
+    })
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    key = next(iter(recover))
+    assert f"recover: {key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width, message", [
+    (0.05, "width 0.05 under-resolved"),
+    (5.0, "envelope tail"),
+], ids=["narrow", "wide"])
+def test_unresolved_packet_is_a_config_error(tmp_path, capsys, width, message):
+    """A packet narrower than 3 cells of the default grid, or one whose
+    tail reaches the boundary, fails at load time under packet:, instead
+    of at run time."""
+    path = write_config(tmp_path, "packet.yaml", {
+        "experiment": "baseline",
+        "packet": {"width": width},
+    })
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert f"packet: {message}" in capsys.readouterr().err

@@ -17,8 +17,10 @@ from holesim import (
     pushforward_potential,
     pushforward_wavefunction,
 )
+from holesim import diffeo
 from holesim.diffeo import _BUMP_SLOPE_MAX, _bump_slope
-from oracles import analytic_gaussian, pushforward_gaussian_direct
+from holesim.grid import spectral_sample
+from oracles import analytic_gaussian, pushforward_gaussian_direct, random_wavefunction
 
 RAMP = dict(t0=0.0, t1=1.0)
 
@@ -243,3 +245,69 @@ def test_2d_pushforward_translation_and_joint_invariance():
     assert abs(joint - base) <= 1e-6
     # one-sided displacement by several widths kills the overlap
     assert abs(inner_product(pushed_a, psi_b)) <= 1e-3
+
+
+def grid_points(grid):
+    return np.stack([m.ravel() for m in grid.coordinate_mesh()], axis=-1)
+
+
+@pytest.mark.parametrize("grid, shift", [
+    (Grid(256, 20.0), 3.3),
+    (Grid((32, 32), (12.0, 10.0)), (1.7, -2.45)),
+    (Grid((16, 16, 16), (8.0, 8.0, 8.0)), (0.9, 1.3, -2.2)),
+], ids=["1d", "2d", "3d"])
+def test_offgrid_translation_matches_interpolant_at_preimages(grid, shift, rng):
+    """The Fourier-shift pushforward is the spectral interpolant sampled at
+    y - shift, at every grid point y."""
+    psi = random_wavefunction(grid, rng)
+    phi = make_translation_ramp(shift, extent=grid.extent, **RAMP)
+    pushed = pushforward_wavefunction(psi, phi, 2.0, renormalize=False)
+    preimages = grid_points(grid) - np.asarray(shift, dtype=float)
+    expected = spectral_sample(grid, psi.amplitudes, preimages).reshape(grid.shape)
+    assert np.max(np.abs(pushed.amplitudes - expected)) <= 1e-12
+
+
+def test_translations_do_not_sample_off_grid(grid1024, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("translation sampled the interpolant")
+
+    monkeypatch.setattr(diffeo, "spectral_sample", refuse)
+    psi = gaussian_packet(grid1024, 0.0, 1.0)
+    for shift in (4.0, 4.01):  # grid-aligned, then not
+        pushforward_wavefunction(psi, make_translation_ramp(shift, **RAMP), 2.0)
+
+
+def bump_2d_case():
+    grid = Grid((128, 128), (40.0, 40.0))
+    psi = gaussian_packet(grid, (-1.0, 0.3), 1.0)
+    phi = make_bump_displacement((0.0, 0.0), 5.0, (1.0, 0.4), **RAMP)
+    return grid, psi, phi
+
+
+def test_bump_pushforward_matches_dense_evaluation():
+    """Sampling only the moved targets gives what sampling every grid point
+    through the interpolant gives."""
+    grid, psi, phi = bump_2d_case()
+    t = 0.6
+    pushed = pushforward_wavefunction(psi, phi, t, renormalize=False)
+    preimages = phi.inverse(grid_points(grid), t)
+    weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
+    dense = spectral_sample(grid, psi.amplitudes, preimages) * weights
+    assert np.max(np.abs(pushed.amplitudes.ravel() - dense)) <= 1e-12
+
+
+def test_bump_pushforward_samples_only_moved_points(monkeypatch):
+    grid, psi, phi = bump_2d_case()
+    counts = []
+
+    def counted(grid, values, points):
+        counts.append(len(points))
+        return spectral_sample(grid, values, points)
+
+    monkeypatch.setattr(diffeo, "spectral_sample", counted)
+    pushed = pushforward_wavefunction(psi, phi, 1.0, renormalize=False)
+    r = np.hypot(*(grid_points(grid) - np.asarray(phi.center)).T)
+    inside = r < phi.radius
+    assert counts == [int(np.sum(inside))] and counts[0] < grid.size // 5
+    # Outside the ball the map is the identity with Jacobian 1: bit-equal.
+    assert np.array_equal(pushed.amplitudes.ravel()[~inside], psi.amplitudes.ravel()[~inside])

@@ -217,3 +217,26 @@ def test_spectral_sample_2d():
     direct = np.exp(-d2 / (4 * 1.5**2))
     # same shape up to the shared normalization constant
     assert np.max(np.abs(vals / vals[0] - direct / direct[0])) < 1e-8
+
+
+def test_spectral_sample_3d_memory_is_bounded(rng):
+    """A 3D 64^3 evaluation at thousands of points runs in chunks: the
+    traced allocation peak stays far below the 16 * 64^2 * P bytes of an
+    unchunked (N0, N1, P) intermediate (336 MB here)."""
+    import tracemalloc
+
+    from oracles import random_wavefunction, trigonometric_interpolant_direct
+
+    grid = Grid((64, 64, 64), (24.0, 24.0, 24.0))
+    psi = random_wavefunction(grid, rng)
+    points = rng.uniform(-12.0, 12.0, size=(5120, 3))
+    tracemalloc.start()
+    try:
+        sampled = spectral_sample(grid, psi.amplitudes, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    check = np.linspace(0, len(points) - 1, 16).astype(int)
+    direct = trigonometric_interpolant_direct(grid, psi.amplitudes, points[check])
+    assert np.max(np.abs(sampled[check] - direct)) < 1e-12
