@@ -14,10 +14,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,7 +76,6 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("baseline", "hole", "sweep", "recover-background", "check-harmonic")
-THREADS_ENV = "HOLESIM_THREADS"
 
 EXIT_CODES = {
     ConfigError: 2,
@@ -254,16 +251,12 @@ def load_config(path) -> RunConfig:
         diffeo = {"kind": "identity"} if experiment == "baseline" else sections["diffeo"]
         try:
             hole_config = config_from_sections({**sections, "diffeo": diffeo})
+            # The packet width, set or default, must fit the grid.
+            check_packet_width(hole_config.grid, hole_config.packet_width)
         except ConfigError as exc:
             errors.extend(exc.messages)
-        # A width the config sets must fit its grid, as gaussian_packet
-        # will check at run time.
-        packet = raw.get("packet")
-        if hole_config is not None and isinstance(packet, dict) and "width" in packet:
-            try:
-                check_packet_width(hole_config.grid, hole_config.packet_width)
-            except ResolutionError as exc:
-                errors.append(f"packet: {exc}")
+        except ResolutionError as exc:
+            errors.append(f"packet: {exc}")
         two_sided = bool(diffeo.get("two_sided", False))
     if experiment == "sweep":
         parameter = sections["sweep"].get("parameter")
@@ -444,24 +437,8 @@ def _execute_hole(config: RunConfig) -> ResultBundle:
     return ResultBundle("hole", data, files)
 
 
-def _sweep_threads() -> int:
-    """Worker count from HOLESIM_THREADS: unset or empty means 1."""
-    raw = os.environ.get(THREADS_ENV, "") or "1"
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"{THREADS_ENV}: must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
 def _execute_sweep(config: RunConfig) -> ResultBundle:
-    threads = _sweep_threads()
-    values = config.sweep_values
-    if threads > 1:
-        def job(value):
-            return sweep(config.hole_config, config.sweep_parameter, [value])[0]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(job, values))
-    else:
-        entries = sweep(config.hole_config, config.sweep_parameter, values)
+    entries = sweep(config.hole_config, config.sweep_parameter, config.sweep_values)
     rows = []
     per_value = []
     for entry in entries:

@@ -313,9 +313,10 @@ def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> fl
     return worst
 
 
-def _baseline(config: HoleExperimentConfig, mask: np.ndarray):
-    """Evolve both branches, check them against the support ``mask`` and
-    report theta(t); also returns the trajectories and the left potential."""
+def _baseline(config: HoleExperimentConfig):
+    """Evolve both branches, check them against the declared support and
+    report theta(t): returns (left, right, v_left, support mask, report)."""
+    mask = config.support.mask(config.grid)
     psi0 = config.initial_packet()
     v_left, v_right = config.branch_potentials()
     left = evolve(psi0.with_label("psi_l"), v_left, config.evolution)
@@ -331,16 +332,16 @@ def _baseline(config: HoleExperimentConfig, mask: np.ndarray):
         diagnostics={"max_mass_outside_support": worst_tail,
                      "softening": config.resolved_softening},
     )
-    return left, right, v_left, report
+    return left, right, v_left, mask, report
 
 
 def run_baseline(config: HoleExperimentConfig) -> HoleReport:
     """Evolve both branches and report theta(t) at every snapshot."""
-    return _baseline(config, config.support.mask(config.grid))[-1]
+    return _baseline(config)[-1]
 
 
 def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
-             strict: bool = True) -> HoleReport:
+             strict: bool = True, *, branches=None) -> HoleReport:
     """Baseline run plus the transformed-branch series.
 
     One-sided (the hole construction proper): stored left-branch snapshots
@@ -349,10 +350,11 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     control. ``strict`` enforces that the displaced support clears the
     original region (mask disjointness up front, displaced-branch mass
     back inside U at most 1e-6 after t1); sweeps over sub-threshold
-    displacements disable it deliberately.
+    displacements disable it deliberately. ``branches`` is what _baseline
+    returned for a config that differs from ``config`` in its map only;
+    a displacement sweep passes it so that its branches evolve once.
     """
-    mask = config.support.mask(config.grid)
-    left, right, v_left, baseline = _baseline(config, mask)
+    left, right, v_left, mask, baseline = branches or _baseline(config)
 
     # Identity maps (including zero shifts) displace nothing and are exempt
     # from the displacement gate: they reproduce the baseline exactly.
@@ -406,6 +408,7 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
         baseline,
         theta_hole=np.asarray(thetas_hole, dtype=complex),
         two_sided=two_sided,
+        config=config,
         diagnostics={
             **baseline.diagnostics,
             "max_pushforward_norm_drift": drift_max,
@@ -446,19 +449,35 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
 
 
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
-    """Independent hole runs across one swept parameter.
+    """Hole runs across one swept parameter; a displacement changes only
+    the map, so a displacement sweep evolves its branches once.
 
-    Per-run HolesimErrors are collected into the entries instead of
-    aborting the sweep; any other exception is a bug and propagates. Runs
-    are deterministic, so the entry order matches ``values``.
+    Per-run HolesimErrors, one from the shared branches included, are
+    collected into the entries instead of aborting the sweep; any other
+    exception is a bug and propagates. The entry order matches ``values``.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
+    shared = []  # a displacement sweep's branches, or the error evolving them
+
+    def shared_branches():
+        if not shared:
+            try:
+                shared.append(_baseline(config))
+            except HolesimError as exc:
+                shared.append(exc)
+        if isinstance(shared[0], HolesimError):
+            raise shared[0]
+        return shared[0]
+
     entries = []
     for value in values:
         try:
             derived, strict = _config_for(config, parameter, float(value))
-            report = run_hole(derived, strict=strict)
+            if parameter == "displacement":
+                report = run_hole(derived, strict=strict, branches=shared_branches())
+            else:
+                report = run_hole(derived, strict=strict)
             entries.append(SweepEntry(float(value), report, None))
         except HolesimError as exc:  # collected, not raised
             entries.append(SweepEntry(float(value), None, f"{type(exc).__name__}: {exc}"))

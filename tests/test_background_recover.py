@@ -144,6 +144,18 @@ def test_pvm_validation():
         pull_back_position_measure(background, overlapping)
 
 
+def test_pvm_names_the_first_non_orthogonal_pair():
+    """Rank-one projectors that are exact except for a 1e-6 overlap
+    between directions 1 and 2: the orthogonality check names that pair."""
+    background = riesz_isomorphism(make_sample(np.eye(4, dtype=complex)))
+    vectors = np.eye(4, dtype=complex)
+    vectors[2] += 1e-6 * vectors[1]
+    vectors[2] /= np.linalg.norm(vectors[2])
+    tilted = tuple(np.outer(v, v.conj()) for v in vectors)
+    with pytest.raises(InvalidMeasure, match=r"projectors 1 and 2 are not orthogonal"):
+        pull_back_position_measure(background, tilted)
+
+
 def test_commutation_identity_zero():
     sample = make_sample(np.eye(8, dtype=complex))
     background = recover_background(sample)

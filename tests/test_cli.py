@@ -264,22 +264,29 @@ def test_write_bundle_meta_separate(tmp_path):
     assert "wall_time" not in report
 
 
-def test_thread_override_does_not_change_results(tmp_path, monkeypatch):
+def test_sweep_rows_do_not_depend_on_batch_size(tmp_path):
+    """A displacement sweep shares its branches across values: the rows of
+    one 3-value sweep are byte-equal to those of three 1-value sweeps."""
+    values = [0.0, 7.3, 17.5]  # identity, off-grid and grid-aligned shifts
     payload = {
         "experiment": "sweep",
         "grid": {"points": 512, "extent": 40.0},
         "evolution": {"dt": 0.04, "t_end": 2.4, "mass": 4.0, "snapshot_stride": 20},
-        "sweep": {"parameter": "coupling", "values": [0.0, 0.1, 0.2]},
     }
-    payload["output_dir"] = str(tmp_path / "serial")
-    serial = write_config(tmp_path, "serial.yaml", payload)
-    assert main(["run", "--config", str(serial)]) == 0
-    payload["output_dir"] = str(tmp_path / "threaded")
-    threaded = write_config(tmp_path, "threaded.yaml", payload)
-    monkeypatch.setenv("HOLESIM_THREADS", "3")
-    assert main(["run", "--config", str(threaded)]) == 0
-    assert (tmp_path / "serial" / "sweep.csv").read_bytes() \
-        == (tmp_path / "threaded" / "sweep.csv").read_bytes()
+
+    def rows(name, batch):
+        out = tmp_path / name
+        path = write_config(tmp_path, f"{name}.yaml", {
+            **payload, "output_dir": str(out),
+            "sweep": {"parameter": "displacement", "values": batch}})
+        assert main(["run", "--config", str(path)]) == 0
+        return (out / "sweep.csv").read_bytes().splitlines()[1:]
+
+    batched = rows("batched", values)
+    single = [row for i, value in enumerate(values) for row in rows(f"single_{i}", [value])]
+    assert len(batched) == len(values)
+    assert all(row.endswith(b",ok") for row in batched)
+    assert batched == single
 
 
 def test_runtime_error_exit_codes(tmp_path):
@@ -316,19 +323,20 @@ def test_committed_config_loads(path):
 
 def test_scalar_sections_apply_on_every_grid_axis(tmp_path):
     """A 2D config that sets only the grid points, the support and the
-    shift reads the scalar defaults as they are read by default_config."""
+    shift reads the scalar defaults as they are read by default_config.
+    At 128 points on extent 40 the default packet width resolves the grid."""
     from holesim import Grid, Region, default_config
 
     support = {"lower": [-9.0, -9.0], "upper": [7.0, 7.0]}
     path = write_config(tmp_path, "plane.yaml", {
         "experiment": "hole",
-        "grid": {"points": [64, 64]},
+        "grid": {"points": [128, 128]},
         "support": support,
         "diffeo": {"shift": [17.5, 0.0]},
     })
     assert main(["validate", "--config", str(path)]) == 0
     loaded = load_config(path).hole_config
-    expected = default_config(grid=Grid((64, 64), 40.0),
+    expected = default_config(grid=Grid((128, 128), 40.0),
                               support=Region(support["lower"], support["upper"]),
                               shift=(17.5, 0.0))
     for name in ("grid", "packet_center", "packet_width", "packet_momentum",
@@ -353,19 +361,6 @@ def test_recovery_grid_is_validated(tmp_path, capsys, recover):
     assert "config error: recover:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["two", "0"])
-def test_malformed_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys, value):
-    path = write_config(tmp_path, "threads.yaml", {
-        "experiment": "sweep",
-        "output_dir": str(tmp_path / "threads_out"),
-        "sweep": {"parameter": "coupling", "values": [0.1]},
-    })
-    monkeypatch.setenv("HOLESIM_THREADS", value)
-    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
-    assert "HOLESIM_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "threads_out").exists()
-
-
 @pytest.mark.parametrize("recover", [
     {"points": 256.7},
     {"n": 32.9},
@@ -381,17 +376,15 @@ def test_fractional_recovery_sizes_are_rejected(tmp_path, capsys, recover):
     assert f"recover: {key} must be an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("width, message", [
-    (0.05, "width 0.05 under-resolved"),
-    (5.0, "envelope tail"),
-], ids=["narrow", "wide"])
-def test_unresolved_packet_is_a_config_error(tmp_path, capsys, width, message):
-    """A packet narrower than 3 cells of the default grid, or one whose
-    tail reaches the boundary, fails at load time under packet:, instead
-    of at run time."""
-    path = write_config(tmp_path, "packet.yaml", {
-        "experiment": "baseline",
-        "packet": {"width": width},
-    })
+@pytest.mark.parametrize("sections, message", [
+    ({"experiment": "baseline", "packet": {"width": 0.05}}, "width 0.05 under-resolved"),
+    ({"experiment": "baseline", "packet": {"width": 5.0}}, "envelope tail"),
+    ({"experiment": "hole", "grid": {"points": [64, 64]}}, "width 1.0 under-resolved"),
+], ids=["narrow", "wide", "default_width_on_64x64"])
+def test_unresolved_packet_is_a_config_error(tmp_path, capsys, sections, message):
+    """A packet narrower than 3 cells of its grid, or one whose tail
+    reaches the boundary, fails at load time under packet:, instead of at
+    run time; the default width is checked as well as a set one."""
+    path = write_config(tmp_path, "packet.yaml", sections)
     assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
     assert f"packet: {message}" in capsys.readouterr().err

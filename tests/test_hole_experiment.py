@@ -139,11 +139,49 @@ def test_determinism_bit_identical():
 
 def test_sweep_single_element_matches_direct_run():
     config = default_config()
-    entry = sweep(config, "coupling", [config.coupling])[0]
     direct = run_hole(config)
-    assert entry.error is None
-    assert np.array_equal(entry.report.theta_baseline, direct.theta_baseline)
-    assert np.array_equal(entry.report.theta_hole, direct.theta_hole)
+    # The default ramp shifts by 17.5, so both entries reproduce it.
+    for parameter, value in (("coupling", config.coupling), ("displacement", 17.5)):
+        entry = sweep(config, parameter, [value])[0]
+        assert entry.error is None, parameter
+        assert np.array_equal(entry.report.theta_baseline, direct.theta_baseline), parameter
+        assert np.array_equal(entry.report.theta_hole, direct.theta_hole), parameter
+
+
+@pytest.mark.parametrize("parameter, values, evolves", [
+    ("displacement", [0.0, 8.0, 17.5], 2),
+    ("coupling", [0.0, 0.1, 0.2], 6),
+], ids=["displacement", "coupling"])
+def test_sweep_evolves_each_distinct_branch_once(monkeypatch, parameter, values, evolves):
+    """A displacement changes only the map, so a displacement sweep evolves
+    its two branches once; a coupling changes the dynamics of each run."""
+    import holesim.hole_experiment as hole_experiment
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(hole_experiment, "evolve", counting)
+    entries = sweep(default_config(), parameter, values)
+    assert all(e.error is None for e in entries)
+    assert len(calls) == evolves
+
+
+def test_displacement_sweep_entries_carry_their_own_config():
+    entries = sweep(default_config(), "displacement", [0.0, 8.0])
+    assert entries[0].report.config.diffeo.kind == "identity"
+    assert np.array_equal(entries[1].report.config.diffeo.shift, [8.0])
+
+
+def test_displacement_sweep_support_violation_reaches_every_entry():
+    """The shared branches leave a too-narrow support: every value
+    records that error, none aborts the sweep."""
+    config = default_config(support=Region(-3.0, 3.0))
+    entries = sweep(config, "displacement", [0.0, 5.0, 10.0])
+    assert all(e.report is None for e in entries)
+    assert all(e.error.startswith("SupportViolation") for e in entries)
 
 
 def test_sweep_coupling_monotone():
