@@ -7,7 +7,10 @@ The stepper is symmetric Strang splitting with a spectral kinetic step:
     psi -> exp(-i V dt/2) psi
 
 Each factor is a pure phase, so the norm is preserved to roundoff per
-step. The point-mass potential is the softened attractive Coulomb form
+step. A step runs in place in two buffers allocated once per evolution
+(amplitudes and spectrum) with the phase factor always the first operand,
+so its bits never hang on numpy's size-dependent reuse of temporaries.
+The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
 gravitational field sourced at x_s; the heavy source is a fixed classical
 point with no back-reaction.
@@ -227,10 +230,14 @@ def _check_compatible(psi: WaveFunction, potential: Potential) -> np.ndarray:
     return potential.values
 
 
-def _advance(amps: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> np.ndarray:
-    amps = half_v * amps
-    amps = np.fft.ifftn(kinetic * np.fft.fftn(amps))
-    return half_v * amps
+def _advance(amps: np.ndarray, spectrum: np.ndarray, half_v: np.ndarray,
+             kinetic: np.ndarray) -> None:
+    """One Strang step on ``amps`` in place; ``spectrum`` is scratch."""
+    np.multiply(half_v, amps, out=amps)
+    np.fft.fftn(amps, out=spectrum)
+    np.multiply(kinetic, spectrum, out=spectrum)
+    np.fft.ifftn(spectrum, out=amps)
+    np.multiply(half_v, amps, out=amps)
 
 
 def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> WaveFunction:
@@ -238,7 +245,8 @@ def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> Wa
     values = _check_compatible(psi, potential)
     half_v = np.exp(-0.5j * values * config.dt)
     kinetic = _kinetic_phase(psi.grid, config.dt, config.mass)
-    amps = _advance(psi.amplitudes, half_v, kinetic)
+    amps = psi.amplitudes.copy()
+    _advance(amps, np.empty_like(amps), half_v, kinetic)
     if not np.isfinite(amps.view(np.float64)).all():
         raise NumericalBlowup("step produced non-finite amplitudes")
     return WaveFunction(psi.grid, amps, psi.label)
@@ -268,9 +276,10 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
         return Trajectory(tuple(times), tuple(states))
     half_v = np.exp(-0.5j * values * config.dt)
     kinetic = _kinetic_phase(psi0.grid, config.dt, config.mass)
-    amps = psi0.amplitudes
+    amps = psi0.amplitudes.copy()
+    spectrum = np.empty_like(amps)
     for k in range(1, n_steps + 1):
-        amps = _advance(amps, half_v, kinetic)
+        _advance(amps, spectrum, half_v, kinetic)
         if not np.isfinite(amps.view(np.float64)).all():
             raise NumericalBlowup(f"evolution blew up at step {k}")
         if k % config.snapshot_stride == 0 or k == n_steps:

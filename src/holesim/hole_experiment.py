@@ -315,12 +315,16 @@ def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> fl
 
 def _baseline(config: HoleExperimentConfig):
     """Evolve both branches, check them against the declared support and
-    report theta(t): returns (left, right, v_left, support mask, report)."""
+    report theta(t): returns (left, right, v_left, support mask, report).
+    Branches in equal potentials (zero coupling) are evolved once."""
     mask = config.support.mask(config.grid)
     psi0 = config.initial_packet()
     v_left, v_right = config.branch_potentials()
     left = evolve(psi0.with_label("psi_l"), v_left, config.evolution)
-    right = evolve(psi0.with_label("psi_r"), v_right, config.evolution)
+    if np.array_equal(v_left.values, v_right.values):
+        right = Trajectory(left.times, tuple(s.with_label("psi_r") for s in left.states))
+    else:
+        right = evolve(psi0.with_label("psi_r"), v_right, config.evolution)
     worst_tail = _check_support((left, right), mask)
     times, thetas = theta_time_series(left, right)
     report = HoleReport(

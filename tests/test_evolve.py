@@ -1,6 +1,8 @@
 """Propagator contracts: unitarity, accuracy against the dense oracle,
 analytic free-packet behavior, reversibility, energy drift."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from holesim import (
     EvolutionConfig,
     Grid,
     GridMismatch,
+    NumericalBlowup,
     Potential,
     StabilityWarning,
     Trajectory,
@@ -251,3 +254,46 @@ def test_2d_evolution_norm_and_branch_overlap():
     overlap = inner_product(left.final_state, right.final_state)
     assert 0.9 <= abs(overlap) <= 1.0 + 1e-12
     assert overlap.imag != 0.0
+
+
+@pytest.mark.parametrize("grid", [Grid(1024, 40.0), Grid((128, 128), (30.0, 30.0))],
+                         ids=["1d_1024", "2d_128sq"])
+def test_step_and_evolve_share_one_kernel(grid):
+    """Repeated steps reproduce evolve bit for bit, below and above the
+    16384-point size where numpy starts reusing temporaries in place."""
+    psi = gaussian_packet(grid, (0.5,) * grid.dim, 1.4)
+    potential = Potential.point_mass(grid, (-1.0,) * grid.dim, 0.3)
+    config = EvolutionConfig(dt=0.05, t_end=0.25, mass=1.0)
+    trajectory = evolve(psi, potential, config)
+    for _ in range(len(trajectory.times) - 1):
+        psi = step(psi, potential, config)
+    assert np.array_equal(psi.amplitudes, trajectory.final_state.amplitudes)
+
+
+def test_evolve_reports_blowup_step_from_kinetic_factor(grid256, monkeypatch):
+    evolve_module = importlib.import_module("holesim.evolve")
+    real = evolve_module._kinetic_phase
+
+    def poisoned(*args):
+        kinetic = real(*args).copy()
+        kinetic[3] = np.nan
+        return kinetic
+
+    monkeypatch.setattr(evolve_module, "_kinetic_phase", poisoned)
+    psi0 = gaussian_packet(grid256, 0.0, 1.0)
+    potential = Potential.point_mass(grid256, 1.0, 0.3)
+    with pytest.raises(NumericalBlowup, match="at step 1"):
+        evolve(psi0, potential, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
+
+
+def test_snapshots_never_alias_the_working_buffer(grid256):
+    psi0 = gaussian_packet(grid256, 0.0, 1.0)
+    potential = Potential.point_mass(grid256, 1.0, 0.3)
+    trajectory = evolve(psi0, potential, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
+    states = trajectory.states
+    assert len(states) == 11
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            assert not np.shares_memory(a.amplitudes, b.amplitudes)
+    for state in states[1:]:
+        assert not np.shares_memory(state.amplitudes, psi0.amplitudes)

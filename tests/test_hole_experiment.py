@@ -19,6 +19,7 @@ from holesim import (
     run_baseline,
     run_hole,
     sweep,
+    theta_time_series,
 )
 
 # Regression pin for the committed default config (first validated run).
@@ -46,6 +47,30 @@ def test_zero_coupling_theta_one():
     config = default_config(coupling=0.0)
     report = run_baseline(config)
     assert np.max(np.abs(report.theta_baseline - 1.0)) < 1e-12
+
+
+def test_zero_coupling_baseline_evolves_once(monkeypatch):
+    """Equal branch potentials share one evolution; theta is the same, bit
+    for bit, as from two separate evolves."""
+    import holesim.hole_experiment as hole_experiment
+
+    config = default_config(coupling=0.0)
+    psi0 = config.initial_packet()
+    v_left, v_right = config.branch_potentials()
+    left = evolve(psi0, v_left, config.evolution)
+    right = evolve(psi0, v_right, config.evolution)
+    _, separate = theta_time_series(left, right)
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(hole_experiment, "evolve", counting)
+    report = run_baseline(config)
+    assert len(calls) == 1
+    assert np.array_equal(report.theta_baseline, separate)
 
 
 def test_default_baseline_weak_coupling_regime():
@@ -150,11 +175,12 @@ def test_sweep_single_element_matches_direct_run():
 
 @pytest.mark.parametrize("parameter, values, evolves", [
     ("displacement", [0.0, 8.0, 17.5], 2),
-    ("coupling", [0.0, 0.1, 0.2], 6),
+    ("coupling", [0.0, 0.1, 0.2], 5),
 ], ids=["displacement", "coupling"])
 def test_sweep_evolves_each_distinct_branch_once(monkeypatch, parameter, values, evolves):
     """A displacement changes only the map, so a displacement sweep evolves
-    its two branches once; a coupling changes the dynamics of each run."""
+    its two branches once; a coupling changes the dynamics of each run,
+    and at zero coupling the two branches are one evolution."""
     import holesim.hole_experiment as hole_experiment
 
     calls = []
