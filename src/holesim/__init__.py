@@ -47,6 +47,7 @@ from .evolve import (
     Trajectory,
     energy_expectation,
     evolve,
+    evolve_branches,
     step,
 )
 from .grid import (

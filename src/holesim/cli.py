@@ -48,7 +48,8 @@ from .errors import (
     UnderdeterminedFit,
     ZeroNormError,
 )
-from .evolve import Potential, evolve
+# evolve stays importable here: bench/layers.py wraps it by name.
+from .evolve import Potential, evolve, evolve_branches  # noqa: F401
 from .grid import Grid, _as_tuple, check_packet_width, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
@@ -389,7 +390,7 @@ def _diagnostics_block(report: HoleReport) -> dict:
 # --- experiment pipelines ---------------------------------------------------
 
 
-def _execute_baseline(config: RunConfig) -> ResultBundle:
+def _execute_baseline(config: RunConfig) -> tuple[str, dict, dict]:
     report = run_baseline(config.hole_config)
     final = report.final_theta_baseline
     data = {
@@ -405,10 +406,10 @@ def _execute_baseline(config: RunConfig) -> ResultBundle:
         "diagnostics": _diagnostics_block(report),
     }
     files = {"theta_baseline.csv": _theta_csv(report.times, report.theta_baseline)}
-    return ResultBundle("baseline", data, files)
+    return "baseline", data, files
 
 
-def _execute_hole(config: RunConfig) -> ResultBundle:
+def _execute_hole(config: RunConfig) -> tuple[str, dict, dict]:
     report = run_hole(config.hole_config, two_sided=config.two_sided)
     final_b = report.final_theta_baseline
     final_h = report.final_theta_hole
@@ -434,10 +435,10 @@ def _execute_hole(config: RunConfig) -> ResultBundle:
         "theta_baseline.csv": _theta_csv(report.times, report.theta_baseline),
         "theta_hole.csv": _theta_csv(report.times, report.theta_hole),
     }
-    return ResultBundle("hole", data, files)
+    return "hole", data, files
 
 
-def _execute_sweep(config: RunConfig) -> ResultBundle:
+def _execute_sweep(config: RunConfig) -> tuple[str, dict, dict]:
     entries = sweep(config.hole_config, config.sweep_parameter, config.sweep_values)
     rows = []
     per_value = []
@@ -471,10 +472,10 @@ def _execute_sweep(config: RunConfig) -> ResultBundle:
             rows,
         )
     }
-    return ResultBundle("sweep", data, files)
+    return "sweep", data, files
 
 
-def _execute_recover(config: RunConfig) -> ResultBundle:
+def _execute_recover(config: RunConfig) -> tuple[str, dict, dict]:
     settings = config.recover
     grid = settings["grid"]
     basis_g = localized_basis(grid, settings["n"])
@@ -487,8 +488,9 @@ def _execute_recover(config: RunConfig) -> ResultBundle:
                                       scenario.resolved_softening)
         free = Potential.tabulated(grid, np.zeros(grid.shape))
         evo = dataclasses.replace(scenario.evolution, t_end=0.2, snapshot_stride=10**9)
-        basis_g = [evolve(e, branch, evo).final_state for e in basis_g]
-        basis_eta = [evolve(f, free, evo).final_state for f in basis_eta]
+        n = settings["n"]
+        basis_g = [t.final_state for t in evolve_branches(basis_g, [branch] * n, evo)]
+        basis_eta = [t.final_state for t in evolve_branches(basis_eta, [free] * n, evo)]
     sample = sample_form(basis_g, basis_eta, inner_product)
     background = recover_background(sample, coordinate_projectors(settings["n"]))
     indices = [localization_index(p) for p in background.recovered_projectors]
@@ -504,10 +506,10 @@ def _execute_recover(config: RunConfig) -> ResultBundle:
         "localization_cells": [int(i * stride) for i in indices],
         "planted_translation_cells": settings["translation_cells"],
     }
-    return ResultBundle("recover-background", data)
+    return "recover-background", data, {}
 
 
-def _execute_harmonic(config: RunConfig) -> ResultBundle:
+def _execute_harmonic(config: RunConfig) -> tuple[str, dict, dict]:
     metric = read_metric_field(config.metric_path)
     residual = harmonic_residual(metric)
     per_index = [float(np.max(np.abs(residual[..., nu]))) for nu in range(metric.dim)]
@@ -525,7 +527,7 @@ def _execute_harmonic(config: RunConfig) -> ResultBundle:
             "residual", tuple(metric.spacings), residual
         )
     }
-    return ResultBundle("check-harmonic", data, files)
+    return "check-harmonic", data, files
 
 
 _PIPELINES = {
@@ -538,10 +540,11 @@ _PIPELINES = {
 
 
 def execute(config: RunConfig) -> ResultBundle:
-    """Dispatch a validated config to its pipeline; deterministic output."""
+    """Dispatch a validated config to its pipeline and validate its result
+    once, as one ResultBundle; deterministic output."""
     start = time.perf_counter()
-    bundle = _PIPELINES[config.experiment](config)
-    return dataclasses.replace(bundle, wall_time_s=time.perf_counter() - start)
+    experiment, data, files = _PIPELINES[config.experiment](config)
+    return ResultBundle(experiment, data, files, time.perf_counter() - start)
 
 
 def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list[Path]:
@@ -578,7 +581,7 @@ def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list
 def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray) -> str:
     """Self-describing text format: header keys, then row-major rows of the
     trailing components per grid point."""
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=float)
     grid_shape = values.shape[: len(spacings)]
     comp_shape = values.shape[len(spacings):]
     lines = [
@@ -591,8 +594,7 @@ def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray
         "data:",
     ]
     flat = values.reshape(int(np.prod(grid_shape)), -1)
-    for row in flat:
-        lines.append(" ".join(_fmt(v) for v in row))
+    lines += (" ".join(map(repr, row.tolist())) for row in flat)
     return "\n".join(lines) + "\n"
 
 

@@ -7,9 +7,12 @@ The stepper is symmetric Strang splitting with a spectral kinetic step:
     psi -> exp(-i V dt/2) psi
 
 Each factor is a pure phase, so the norm is preserved to roundoff per
-step. A step runs in place in two buffers allocated once per evolution
-(amplitudes and spectrum) with the phase factor always the first operand,
-so its bits never hang on numpy's size-dependent reuse of temporaries.
+step. The branches of a run, each in its own potential, step in lockstep
+as one (B, *grid) stack of at most STACK_BYTES (a larger branch is a stack
+of one), in place in two buffers allocated once per stack (amplitudes and
+spectrum). The phase factor is always the first operand, so the bits never
+hang on numpy's size-dependent reuse of temporaries, and the FFTs run axis
+by axis within each branch, so a stacked branch has the bits of a lone one.
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
 gravitational field sourced at x_s; the heavy source is a fixed classical
@@ -39,11 +42,16 @@ __all__ = [
     "Trajectory",
     "step",
     "evolve",
+    "evolve_branches",
     "energy_expectation",
 ]
 
 # Warn when a single step rotates the potential phase by more than this.
 PHASE_PER_STEP_BOUND = np.pi / 4
+
+# Amplitude bytes of branches stepped as one stack: stacking saves per-call
+# overhead on small grids; on large ones the FFTs dominate and it only costs memory.
+STACK_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +136,6 @@ class Potential:
                 r2 = r2 + d * d
             return -self.coupling / np.sqrt(r2 + self.softening**2)
         return spectral_sample(self.grid, self.values, points).real
-
-    def values_on(self, grid: Grid) -> np.ndarray:
-        if grid != self.grid:
-            raise GridMismatch("potential bound to a different grid")
-        return self.values
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -230,14 +233,21 @@ def _check_compatible(psi: WaveFunction, potential: Potential) -> np.ndarray:
     return potential.values
 
 
-def _advance(amps: np.ndarray, spectrum: np.ndarray, half_v: np.ndarray,
+def _advance(stack: np.ndarray, spectrum: np.ndarray, half_v: np.ndarray,
              kinetic: np.ndarray) -> None:
-    """One Strang step on ``amps`` in place; ``spectrum`` is scratch."""
-    np.multiply(half_v, amps, out=amps)
-    np.fft.fftn(amps, out=spectrum)
+    """One Strang step on a (B, *grid) ``stack`` in place; ``spectrum`` is
+    scratch. Each transform chains 1D FFTs from the last axis to the
+    first, as ``fftn`` does, without its per-call argument handling."""
+    axes = range(stack.ndim - 1, 0, -1)
+    np.multiply(half_v, stack, out=stack)
+    source = stack
+    for axis in axes:
+        source = np.fft.fft(source, axis=axis, out=spectrum)
     np.multiply(kinetic, spectrum, out=spectrum)
-    np.fft.ifftn(spectrum, out=amps)
-    np.multiply(half_v, amps, out=amps)
+    source = spectrum
+    for axis in axes:
+        source = np.fft.ifft(source, axis=axis, out=stack)
+    np.multiply(half_v, stack, out=stack)
 
 
 def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> WaveFunction:
@@ -245,11 +255,11 @@ def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> Wa
     values = _check_compatible(psi, potential)
     half_v = np.exp(-0.5j * values * config.dt)
     kinetic = _kinetic_phase(psi.grid, config.dt, config.mass)
-    amps = psi.amplitudes.copy()
-    _advance(amps, np.empty_like(amps), half_v, kinetic)
-    if not np.isfinite(amps.view(np.float64)).all():
+    stack = psi.amplitudes[np.newaxis].copy()
+    _advance(stack, np.empty_like(stack), half_v, kinetic)
+    if not np.isfinite(stack.view(np.float64)).all():
         raise NumericalBlowup("step produced non-finite amplitudes")
-    return WaveFunction(psi.grid, amps, psi.label)
+    return WaveFunction(psi.grid, stack[0], psi.label)
 
 
 def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) -> Trajectory:
@@ -258,34 +268,60 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
     The final step is always snapshotted, so the trajectory ends within
     dt/2 of t_end regardless of stride alignment.
     """
-    values = _check_compatible(psi0, potential)
+    return _evolve_stacked((psi0,), (potential,), config)[0]
+
+
+def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
+    """:func:`evolve` of each state in its own potential, all on one grid,
+    stepped in stacks of at most STACK_BYTES of amplitudes; each trajectory
+    has the bits of its lone evolve, in the order of ``states``."""
+    return _evolve_stacked(states, potentials, config)
+
+
+def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
+    """The engine behind both public entry points; warnings name their caller."""
     if config.dt < 0:
         raise DomainError("evolve requires a forward (dt > 0) config")
-    phase_per_step = abs(config.dt) * potential.max_abs()
-    if phase_per_step > PHASE_PER_STEP_BOUND:
-        warnings.warn(
-            f"potential phase per step {phase_per_step:.3f} exceeds {PHASE_PER_STEP_BOUND:.3f};"
-            " reduce dt or the coupling",
-            StabilityWarning,
-            stacklevel=2,
-        )
+    for psi, potential in zip(states, potentials, strict=True):
+        _check_compatible(psi, potential)
+        if psi.grid != states[0].grid:
+            raise GridMismatch("stacked branches must share one grid")
+        phase_per_step = abs(config.dt) * potential.max_abs()
+        if phase_per_step > PHASE_PER_STEP_BOUND:
+            warnings.warn(
+                f"potential phase per step {phase_per_step:.3f} exceeds {PHASE_PER_STEP_BOUND:.3f};"
+                " reduce dt or the coupling",
+                StabilityWarning,
+                stacklevel=3,
+            )
+    group = max(1, STACK_BYTES // (16 * states[0].grid.size))
+    trajectories = []
+    for start in range(0, len(states), group):
+        end = start + group
+        trajectories += _evolve_group(states[start:end], potentials[start:end], config)
+    return tuple(trajectories)
+
+
+def _evolve_group(states, potentials, config: EvolutionConfig) -> list[Trajectory]:
+    grid = states[0].grid
+    stack = np.array([psi.amplitudes for psi in states])
+    half_v = np.empty_like(stack)
+    for b, potential in enumerate(potentials):
+        np.exp(-0.5j * potential.values * config.dt, out=half_v[b])
+    kinetic = _kinetic_phase(grid, config.dt, config.mass)
+    spectrum = np.empty_like(stack)
     n_steps = int(round(config.t_end / config.dt))
     times = [0.0]
-    states = [psi0]
-    if n_steps == 0:
-        return Trajectory(tuple(times), tuple(states))
-    half_v = np.exp(-0.5j * values * config.dt)
-    kinetic = _kinetic_phase(psi0.grid, config.dt, config.mass)
-    amps = psi0.amplitudes.copy()
-    spectrum = np.empty_like(amps)
+    snapshots = [[psi0] for psi0 in states]
     for k in range(1, n_steps + 1):
-        _advance(amps, spectrum, half_v, kinetic)
-        if not np.isfinite(amps.view(np.float64)).all():
+        _advance(stack, spectrum, half_v, kinetic)
+        if not np.isfinite(stack.view(np.float64)).all():
             raise NumericalBlowup(f"evolution blew up at step {k}")
         if k % config.snapshot_stride == 0 or k == n_steps:
             times.append(k * config.dt)
-            states.append(WaveFunction(psi0.grid, amps, psi0.label))
-    return Trajectory(tuple(times), tuple(states))
+            for branch, amps in zip(snapshots, stack):
+                branch.append(WaveFunction(grid, amps, branch[0].label))
+    return [Trajectory(tuple(times), tuple(branch)) for branch in snapshots]
 
 
 def energy_expectation(psi: WaveFunction, potential: Potential, mass: float) -> float:

@@ -163,7 +163,12 @@ class WaveFunction:
         return f"WaveFunction(grid={self.grid.shape}, label={self.label!r})"
 
     def with_label(self, label: str) -> "WaveFunction":
-        return WaveFunction(self.grid, self.amplitudes, label)
+        """The same state under another label; shares the read-only amplitudes."""
+        relabelled = object.__new__(WaveFunction)
+        object.__setattr__(relabelled, "grid", self.grid)
+        object.__setattr__(relabelled, "amplitudes", self.amplitudes)
+        object.__setattr__(relabelled, "label", str(label))
+        return relabelled
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

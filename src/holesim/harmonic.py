@@ -77,7 +77,8 @@ class MetricField:
             raise SignatureError("metric must have exactly one negative eigenvalue")
         inverse = np.linalg.inv(g)
         eye = np.eye(d)
-        residual = np.max(np.abs(np.einsum("...ij,...jk->...ik", g, inverse) - eye))
+        residual = g @ inverse - eye
+        residual = np.max(np.abs(residual, out=residual))
         if residual > INVERSE_RESIDUAL_TOL:
             raise DomainError(
                 f"metric inverse residual {residual:.3e} exceeds {INVERSE_RESIDUAL_TOL:.0e}"

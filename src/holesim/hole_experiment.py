@@ -27,7 +27,8 @@ from .diffeo import (
     pushforward_wavefunction,
 )
 from .errors import ConfigError, DomainError, HolesimError, InsufficientDisplacement, SupportViolation
-from .evolve import EvolutionConfig, Potential, Trajectory, evolve
+# evolve stays importable here: bench/layers.py wraps it by name.
+from .evolve import EvolutionConfig, Potential, Trajectory, evolve, evolve_branches  # noqa: F401
 from .grid import Grid, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
 from .observable import DecoherenceObservable, theta_time_series
 
@@ -314,17 +315,19 @@ def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> fl
 
 
 def _baseline(config: HoleExperimentConfig):
-    """Evolve both branches, check them against the declared support and
-    report theta(t): returns (left, right, v_left, support mask, report).
-    Branches in equal potentials (zero coupling) are evolved once."""
+    """Evolve both branches as one stack, check them against the declared
+    support and report theta(t): returns (left, right, v_left, support
+    mask, report). Branches in equal potentials (zero coupling) are
+    evolved once."""
     mask = config.support.mask(config.grid)
     psi0 = config.initial_packet()
     v_left, v_right = config.branch_potentials()
-    left = evolve(psi0.with_label("psi_l"), v_left, config.evolution)
     if np.array_equal(v_left.values, v_right.values):
+        left, = evolve_branches([psi0.with_label("psi_l")], [v_left], config.evolution)
         right = Trajectory(left.times, tuple(s.with_label("psi_r") for s in left.states))
     else:
-        right = evolve(psi0.with_label("psi_r"), v_right, config.evolution)
+        left, right = evolve_branches([psi0.with_label("psi_l"), psi0.with_label("psi_r")],
+                                      [v_left, v_right], config.evolution)
     worst_tail = _check_support((left, right), mask)
     times, thetas = theta_time_series(left, right)
     report = HoleReport(

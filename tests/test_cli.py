@@ -244,8 +244,31 @@ def test_version_command(capsys):
 
 
 def test_result_bundle_rejects_nonfinite():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"at data\.value$"):
         ResultBundle("baseline", {"value": float("nan")})
+    with pytest.raises(DomainError, match=r"at data\.series\[1\]$"):
+        ResultBundle("baseline", {"series": [0.5, float("inf")]})
+
+
+def test_execute_validates_the_result_once(tmp_path, monkeypatch):
+    import holesim.cli as cli
+
+    real = cli._check_finite
+    roots = []
+
+    def counting(node, path):
+        if path == "data":
+            roots.append(node)
+        return real(node, path)
+
+    monkeypatch.setattr(cli, "_check_finite", counting)
+    path = write_config(tmp_path, "baseline.yaml", {
+        "experiment": "baseline",
+        "evolution": {"t_end": 0.2, "snapshot_stride": 5},
+    })
+    bundle = cli.execute(load_config(path))
+    assert len(roots) == 1 and roots[0] is bundle.data
+    assert bundle.wall_time_s > 0
 
 
 def test_result_bundle_roundtrip_guard():

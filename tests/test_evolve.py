@@ -17,6 +17,7 @@ from holesim import (
     Trajectory,
     energy_expectation,
     evolve,
+    evolve_branches,
     gaussian_packet,
     norm,
     step,
@@ -199,11 +200,15 @@ def test_step_grid_mismatch(grid256):
 
 
 def test_stability_warning_on_large_phase(grid256):
+    """The warning names the line that called either entry point."""
     psi0 = gaussian_packet(grid256, 0.0, 1.0)
     strong = Potential.point_mass(grid256, 0.0, 50.0, softening=0.5)
     config = EvolutionConfig(dt=0.05, t_end=0.1, mass=1.0)
-    with pytest.warns(StabilityWarning):
+    with pytest.warns(StabilityWarning) as lone:
         evolve(psi0, strong, config)
+    with pytest.warns(StabilityWarning) as stacked:
+        evolve_branches([psi0], [strong], config)
+    assert lone[0].filename == stacked[0].filename == __file__
 
 
 def test_config_validation():
@@ -297,3 +302,104 @@ def test_snapshots_never_alias_the_working_buffer(grid256):
             assert not np.shares_memory(a.amplitudes, b.amplitudes)
     for state in states[1:]:
         assert not np.shares_memory(state.amplitudes, psi0.amplitudes)
+
+
+def fftn_strang_final(psi0, potential, config):
+    """Final amplitudes of a lone branch stepped with whole-array fftn/ifftn,
+    the reference for the axis-by-axis transforms of the stacked kernel."""
+    half_v = np.exp(-0.5j * potential.values * config.dt)
+    kinetic = np.exp(-0.5j * (sum(np.meshgrid(*[k**2 for k in psi0.grid.wavenumbers()],
+                                              indexing="ij")) * config.dt / config.mass))
+    amps = psi0.amplitudes.copy()
+    spectrum = np.empty_like(amps)
+    for _ in range(int(round(config.t_end / config.dt))):
+        np.multiply(half_v, amps, out=amps)
+        np.fft.fftn(amps, out=spectrum)
+        np.multiply(kinetic, spectrum, out=spectrum)
+        np.fft.ifftn(spectrum, out=amps)
+        np.multiply(half_v, amps, out=amps)
+    return amps
+
+
+@pytest.mark.parametrize("grid, width, stack_bytes, groups", [
+    (Grid(1024, 40.0), 1.4, None, [3]),
+    (Grid(1024, 40.0), 1.4, 2 * 16 * 1024, [2, 1]),
+    (Grid((128, 128), (30.0, 30.0)), 1.4, None, [2]),
+    (Grid((64, 64, 64), (40.0,) * 3), 1.9, None, [1, 1]),
+], ids=["1d_1024", "1d_1024_groups_of_2", "2d_128sq", "3d_64cube_over_budget"])
+def test_stacked_branches_match_lone_evolves(monkeypatch, grid, width, stack_bytes, groups):
+    """A branch evolved in a stack has the bits of its lone evolve and of
+    whole-array fftn steps, whether the stack holds every branch, is split
+    into groups, or is a group of one above the budget."""
+    evolve_module = importlib.import_module("holesim.evolve")
+    if stack_bytes is not None:
+        monkeypatch.setattr(evolve_module, "STACK_BYTES", stack_bytes)
+    real = evolve_module._advance
+    stacks = []
+
+    def recording(stack, *args):
+        if not any(stack is seen for seen in stacks):
+            stacks.append(stack)
+        return real(stack, *args)
+
+    branches = sum(groups)
+    states = [gaussian_packet(grid, (0.5 - 0.2 * b,) * grid.dim, width, label=f"b{b}")
+              for b in range(branches)]
+    potentials = [Potential.point_mass(grid, (-1.0 + 0.7 * b,) * grid.dim, 0.3)
+                  for b in range(branches)]
+    config = EvolutionConfig(dt=0.05, t_end=0.15 if grid.dim == 3 else 0.5, mass=1.0,
+                             snapshot_stride=2)
+    monkeypatch.setattr(evolve_module, "_advance", recording)
+    stacked = evolve_branches(states, potentials, config)
+    monkeypatch.setattr(evolve_module, "_advance", real)
+    assert [len(stack) for stack in stacks] == groups
+    assert [t.states[-1].label for t in stacked] == [psi.label for psi in states]
+    for psi, potential, trajectory in zip(states, potentials, stacked):
+        lone = evolve(psi, potential, config)
+        assert trajectory.times == lone.times
+        for a, b in zip(trajectory.states, lone.states):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(trajectory.final_state.amplitudes,
+                              fftn_strang_final(psi, potential, config))
+
+
+def test_blowup_in_one_stacked_branch_names_the_step(grid256):
+    psi0 = gaussian_packet(grid256, 0.0, 1.0)
+    values = np.zeros(grid256.shape)
+    values[7] = np.nan
+    broken = Potential("tabulated", grid256, values)  # bypasses the finiteness check
+    fine = Potential.point_mass(grid256, 1.0, 0.3)
+    config = EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0)
+    with pytest.raises(NumericalBlowup, match="at step 1"):
+        evolve_branches([psi0, psi0], [fine, broken], config)
+
+
+def test_snapshots_never_alias_the_stack_buffers(grid256, monkeypatch):
+    evolve_module = importlib.import_module("holesim.evolve")
+    real = evolve_module._advance
+    buffers = []
+
+    def recording(stack, spectrum, *args):
+        buffers.extend((stack, spectrum))
+        return real(stack, spectrum, *args)
+
+    monkeypatch.setattr(evolve_module, "_advance", recording)
+    states = [gaussian_packet(grid256, c, 1.0) for c in (-1.0, 1.0)]
+    potentials = [Potential.point_mass(grid256, c, 0.3) for c in (-1.0, 1.0)]
+    trajectories = evolve_branches(states, potentials,
+                                   EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
+    assert buffers
+    for trajectory in trajectories:
+        for state in trajectory.states:
+            assert not any(np.shares_memory(state.amplitudes, b) for b in buffers)
+
+
+def test_stacked_branches_share_one_grid(grid256):
+    config = EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0)
+    other = Grid(128, 40.0)
+    states = [gaussian_packet(grid256, 0.0, 1.0), gaussian_packet(other, 0.0, 1.0)]
+    potentials = [Potential.point_mass(grid256, 1.0, 0.3), Potential.point_mass(other, 1.0, 0.3)]
+    with pytest.raises(GridMismatch):
+        evolve_branches(states, potentials, config)
+    with pytest.raises(ValueError):
+        evolve_branches(states, potentials[:1], config)

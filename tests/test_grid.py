@@ -240,3 +240,14 @@ def test_spectral_sample_3d_memory_is_bounded(rng):
     check = np.linspace(0, len(points) - 1, 16).astype(int)
     direct = trigonometric_interpolant_direct(grid, psi.amplitudes, points[check])
     assert np.max(np.abs(sampled[check] - direct)) < 1e-12
+
+
+def test_with_label_shares_the_read_only_amplitudes(grid256):
+    psi = gaussian_packet(grid256, 0.0, 1.0, label="a")
+    relabelled = psi.with_label("b")
+    assert (psi.label, relabelled.label) == ("a", "b")
+    assert relabelled.grid == psi.grid
+    assert relabelled.amplitudes is psi.amplitudes
+    assert not relabelled.amplitudes.flags.writeable
+    with pytest.raises(AttributeError):
+        relabelled.label = "c"

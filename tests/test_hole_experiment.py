@@ -8,6 +8,7 @@ from holesim import (
     DomainError,
     Grid,
     evolve,
+    evolve_branches,
     norm,
     pushforward_wavefunction,
     InsufficientDisplacement,
@@ -61,15 +62,15 @@ def test_zero_coupling_baseline_evolves_once(monkeypatch):
     right = evolve(psi0, v_right, config.evolution)
     _, separate = theta_time_series(left, right)
 
-    calls = []
+    branches = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return evolve(*args, **kwargs)
+    def counting(states, potentials, evolution):
+        branches.extend(states)
+        return evolve_branches(states, potentials, evolution)
 
-    monkeypatch.setattr(hole_experiment, "evolve", counting)
+    monkeypatch.setattr(hole_experiment, "evolve_branches", counting)
     report = run_baseline(config)
-    assert len(calls) == 1
+    assert len(branches) == 1
     assert np.array_equal(report.theta_baseline, separate)
 
 
@@ -183,16 +184,16 @@ def test_sweep_evolves_each_distinct_branch_once(monkeypatch, parameter, values,
     and at zero coupling the two branches are one evolution."""
     import holesim.hole_experiment as hole_experiment
 
-    calls = []
+    branches = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return evolve(*args, **kwargs)
+    def counting(states, potentials, evolution):
+        branches.extend(states)
+        return evolve_branches(states, potentials, evolution)
 
-    monkeypatch.setattr(hole_experiment, "evolve", counting)
+    monkeypatch.setattr(hole_experiment, "evolve_branches", counting)
     entries = sweep(default_config(), parameter, values)
     assert all(e.error is None for e in entries)
-    assert len(calls) == evolves
+    assert len(branches) == evolves
 
 
 def test_displacement_sweep_entries_carry_their_own_config():
