@@ -16,6 +16,7 @@ from .background_recover import (
     translate_basis,
 )
 from .diffeo import (
+    PushforwardPlan,
     SpatialDiffeomorphism,
     identity_map,
     make_bump_displacement,

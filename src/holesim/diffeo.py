@@ -7,6 +7,10 @@ by a smoothstep ramp that is exactly the identity for t <= t0 and frozen
 for t >= t1. Wavefunctions transform as square roots of densities,
 psi'(y) = psi(phi^-1(y)) |det J|^(-1/2), the unique weight that keeps the
 map unitary; scalar potentials transform by composition V' = V o phi^-1.
+
+A PushforwardPlan does the map's share of a wavefunction pushforward once
+and applies it to any number of states; the plane-wave tables it keeps for
+a bump are bounded by grid.SAMPLE_CHUNK_BYTES.
 """
 
 from __future__ import annotations
@@ -15,15 +19,17 @@ import logging
 
 import numpy as np
 
-from .errors import DomainError, NonInvertibleDiffeo, NormViolation
+from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation
 from .evolve import Potential
-from .grid import Grid, WaveFunction, _as_tuple, norm, spectral_sample
+# spectral_sample stays importable here: bench/layers.py wraps it by name.
+from .grid import Grid, SpectralSampler, WaveFunction, _as_tuple, norm, spectral_sample  # noqa: F401
 
 __all__ = [
     "SpatialDiffeomorphism",
     "identity_map",
     "make_translation_ramp",
     "make_bump_displacement",
+    "PushforwardPlan",
     "pushforward_wavefunction",
     "pushforward_potential",
 ]
@@ -251,32 +257,69 @@ def _aligned_cells(offset: np.ndarray, grid: Grid) -> tuple[int, ...] | None:
     return tuple(cells)
 
 
-def _fourier_shift(values: np.ndarray, grid: Grid, shift: np.ndarray) -> np.ndarray:
-    """values(x - shift) on the grid points, through the shift theorem:
-    the same band-limited interpolant that spectral_sample evaluates."""
-    phase = np.ones((1,) * grid.dim, dtype=complex)
-    for axis, (k, s) in enumerate(zip(grid.wavenumbers(), shift)):
-        shape = [1] * grid.dim
-        shape[axis] = k.size
-        phase = phase * np.exp(-1j * k * s).reshape(shape)
-    return np.fft.ifftn(np.fft.fftn(values) * phase)
+class PushforwardPlan:
+    """The pushforward by ``phi`` at time ``t`` on ``grid``, for any number
+    of states. It holds what depends on the map alone: nothing for the
+    identity, the cell counts of an aligned translation, the Fourier phase
+    of any other, and for a bump the moved targets, their weights and a
+    sampler at their preimages."""
 
+    def __init__(self, phi: SpatialDiffeomorphism, t: float, grid: Grid):
+        if phi.dim != grid.dim:
+            raise DomainError(f"map dim {phi.dim} does not match grid dim {grid.dim}")
+        self.grid, self.ramp = grid, phi.ramp(t)
+        self.identity = phi.is_identity_at(t)
+        self.cells = self.phase = None
+        if self.identity:
+            return
+        if phi.kind == "translation_ramp":
+            shift = phi.displacement_at(t)
+            self.cells = _aligned_cells(shift, grid)
+            if self.cells is None:
+                # psi(x - shift) by the shift theorem: spectral_sample's interpolant.
+                self.phase = np.ones((1,) * grid.dim, dtype=complex)
+                for factor in np.ix_(*(np.exp(-1j * k * s)
+                                       for k, s in zip(grid.wavenumbers(), shift))):
+                    self.phase = self.phase * factor
+        else:
+            # The bump maps the open ball |x - center| < radius onto itself and
+            # is the identity outside it. The test uses the radius ratio that
+            # the profile is computed from: other targets keep weight one.
+            targets = _grid_points(grid)
+            self.moved = phi._bump_rho(targets) < 1.0
+            preimages = phi.inverse(targets[self.moved], t)
+            self.weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
+            self.sampler = SpectralSampler(grid, preimages)
 
-def _push_moved_points(psi: WaveFunction, phi: SpatialDiffeomorphism,
-                       t: float) -> np.ndarray:
-    """Bump pushforward evaluated only on the targets inside the open ball
-    |x - center| < radius. The map is a bijection of that ball onto itself
-    and the identity outside it, so every other target keeps its amplitude
-    with weight 1. The ball test uses the radius ratio that the bump
-    profile is computed from, so each excluded target has a displacement
-    of exactly zero and a Jacobian determinant of exactly one."""
-    targets = _grid_points(psi.grid)
-    moved = phi._bump_rho(targets) < 1.0
-    preimages = phi.inverse(targets[moved], t)
-    weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
-    amps = psi.amplitudes.flatten()
-    amps[moved] = spectral_sample(psi.grid, psi.amplitudes, preimages) * weights
-    return amps.reshape(psi.grid.shape)
+    def apply(self, psi: WaveFunction, renormalize: bool = True) -> WaveFunction:
+        """The pushed state; see :func:`pushforward_wavefunction`."""
+        if psi.grid != self.grid:
+            raise GridMismatch(f"plan grid {self.grid} does not match state grid {psi.grid}")
+        if self.identity:
+            return psi
+        input_drift = abs(norm(psi) - 1.0)
+        if input_drift > PUSHFORWARD_NORM_TOL:
+            raise NormViolation(f"input norm drift {input_drift:.3e}; normalize first")
+        if self.cells is not None:
+            amps = np.roll(psi.amplitudes, self.cells, axis=tuple(range(psi.grid.dim)))
+            return WaveFunction(psi.grid, amps, psi.label)
+        if self.phase is not None:
+            amps = np.fft.ifftn(np.fft.fftn(psi.amplitudes) * self.phase)
+        else:
+            amps = psi.amplitudes.flatten()
+            amps[self.moved] = self.sampler(psi.amplitudes) * self.weights
+            amps = amps.reshape(psi.grid.shape)
+        pushed = WaveFunction(psi.grid, amps, psi.label)
+        drift = norm(pushed) - 1.0
+        if abs(drift) > PUSHFORWARD_NORM_TOL:
+            raise NormViolation(
+                f"pushforward norm drift {drift:.3e} exceeds {PUSHFORWARD_NORM_TOL:.0e};"
+                " state not resolved enough for the map"
+            )
+        log.debug("pushforward norm drift %.3e at ramp %s", drift, self.ramp)
+        if renormalize:
+            return WaveFunction(psi.grid, pushed.amplitudes / (1.0 + drift), psi.label)
+        return pushed
 
 
 def pushforward_wavefunction(psi: WaveFunction, phi: SpatialDiffeomorphism,
@@ -288,35 +331,10 @@ def pushforward_wavefunction(psi: WaveFunction, phi: SpatialDiffeomorphism,
     Fourier shift, and bump maps sample psi through the spectral
     interpolant at the preimages of the grid points the map moves. The
     pre-renormalization norm must stay within 1e-6 of one; the drift is
-    logged and, by default, divided out.
+    logged and, by default, divided out. To push several states by one
+    map, build one :class:`PushforwardPlan` and apply it to each.
     """
-    if phi.dim != psi.grid.dim:
-        raise DomainError(f"map dim {phi.dim} does not match grid dim {psi.grid.dim}")
-    if phi.is_identity_at(t):
-        return psi
-    input_drift = abs(norm(psi) - 1.0)
-    if input_drift > PUSHFORWARD_NORM_TOL:
-        raise NormViolation(f"input norm drift {input_drift:.3e}; normalize first")
-    if phi.kind == "translation_ramp":
-        shift = phi.displacement_at(t)
-        cells = _aligned_cells(shift, psi.grid)
-        if cells is not None:
-            amps = np.roll(psi.amplitudes, cells, axis=tuple(range(psi.grid.dim)))
-            return WaveFunction(psi.grid, amps, psi.label)
-        amps = _fourier_shift(psi.amplitudes, psi.grid, shift)
-    else:
-        amps = _push_moved_points(psi, phi, t)
-    pushed = WaveFunction(psi.grid, amps, psi.label)
-    drift = norm(pushed) - 1.0
-    if abs(drift) > PUSHFORWARD_NORM_TOL:
-        raise NormViolation(
-            f"pushforward norm drift {drift:.3e} exceeds {PUSHFORWARD_NORM_TOL:.0e};"
-            " state not resolved enough for the map"
-        )
-    log.debug("pushforward norm drift %.3e at t=%s", drift, t)
-    if renormalize:
-        return WaveFunction(psi.grid, pushed.amplitudes / (1.0 + drift), psi.label)
-    return pushed
+    return PushforwardPlan(phi, t, psi.grid).apply(psi, renormalize)
 
 
 def pushforward_potential(potential: Potential, phi: SpatialDiffeomorphism,

@@ -95,9 +95,7 @@ class Potential:
         object.__setattr__(pot, "source_position", source_position)
         object.__setattr__(pot, "coupling", coupling)
         object.__setattr__(pot, "softening", softening)
-        mesh = grid.coordinate_mesh()
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = pot.evaluate_at(points).reshape(grid.shape)
+        values = pot._point_mass_at(np.ix_(*grid.axes()))
         values.flags.writeable = False
         object.__setattr__(pot, "values", values)
         return pot
@@ -130,12 +128,17 @@ class Potential:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "point_mass":
-            r2 = np.zeros(points.shape[0])
-            for axis in range(self.grid.dim):
-                d = self.grid.minimal_image(points[:, axis] - self.source_position[axis], axis)
-                r2 = r2 + d * d
-            return -self.coupling / np.sqrt(r2 + self.softening**2)
+            return self._point_mass_at(points.T)
         return spectral_sample(self.grid, self.values, points).real
+
+    def _point_mass_at(self, coords) -> np.ndarray:
+        """The point-mass form at one coordinate array per axis, broadcast
+        against each other and summed in axis order."""
+        r2 = 0.0
+        for axis, x in enumerate(coords):
+            d = self.grid.minimal_image(x - self.source_position[axis], axis)
+            r2 = r2 + d * d
+        return -self.coupling / np.sqrt(r2 + self.softening**2)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -274,7 +277,8 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
 def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """:func:`evolve` of each state in its own potential, all on one grid,
     stepped in stacks of at most STACK_BYTES of amplitudes; each trajectory
-    has the bits of its lone evolve, in the order of ``states``."""
+    has the bits of its lone evolve, in the order of ``states``; no states
+    give no trajectories."""
     return _evolve_stacked(states, potentials, config)
 
 
@@ -294,6 +298,8 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
                 StabilityWarning,
                 stacklevel=3,
             )
+    if not states:
+        return ()
     group = max(1, STACK_BYTES // (16 * states[0].grid.size))
     trajectories = []
     for start in range(0, len(states), group):

@@ -25,6 +25,7 @@ __all__ = [
     "check_packet_width",
     "gaussian_packet",
     "spectral_sample",
+    "SpectralSampler",
 ]
 
 # Tail mass threshold realizing "finite support" on a periodic domain:
@@ -33,7 +34,8 @@ BOUNDARY_TAIL = 1e-12
 
 # Bytes of complex temporaries spectral_sample holds at once: it evaluates
 # its points in chunks sized so that the per-axis plane-wave tables and the
-# contraction intermediate stay within this budget.
+# contraction intermediate stay within this budget. A SpectralSampler keeps
+# at most this many bytes of tables besides.
 SAMPLE_CHUNK_BYTES = 32 * 2**20
 
 
@@ -237,13 +239,12 @@ def gaussian_packet(
     momentum = (0.0,) * grid.dim if momentum is None else _as_tuple(momentum, n=grid.dim)
     width = check_packet_width(grid, width)
 
-    mesh = grid.coordinate_mesh()
-    r2 = np.zeros(grid.shape)
-    phase = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        d = grid.minimal_image(mesh[axis] - center[axis], axis)
+    # Per-axis 1D terms, broadcast over the grid and summed in axis order.
+    r2 = phase = 0.0
+    for axis, x in enumerate(np.ix_(*grid.axes())):
+        d = grid.minimal_image(x - center[axis], axis)
         r2 = r2 + d * d
-        phase = phase + momentum[axis] * mesh[axis]
+        phase = phase + momentum[axis] * x
     amps = np.exp(-r2 / (4.0 * width**2) + 1j * phase)
     return normalize(WaveFunction(grid, amps, label))
 
@@ -257,35 +258,53 @@ def spectral_sample(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.nd
     not be wrapped into the domain. Points are evaluated in chunks whose
     temporaries fit in SAMPLE_CHUNK_BYTES.
     """
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise GridMismatch(f"field shape {values.shape} does not match grid {grid.shape}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != grid.dim:
-        raise GridMismatch(f"points have {points.shape[1]} components, grid dim is {grid.dim}")
-    coeffs = np.fft.fftn(values) / values.size
-    # Per point: one row of each (P, N_axis) table and the (N0, P) or
-    # (N0, N1, P) intermediate, complex128 throughout.
-    point_bytes = 16 * (sum(grid.shape) + int(np.prod(grid.shape[:-1])))
-    chunk = max(1, SAMPLE_CHUNK_BYTES // point_bytes)
-    out = np.empty(len(points), dtype=complex)
-    for start in range(0, len(points), chunk):
-        out[start:start + chunk] = _sample_chunk(grid, coeffs, points[start:start + chunk])
-    return out
+    return SpectralSampler(grid, points, keep=False)(values)
 
 
-def _sample_chunk(grid: Grid, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    ks = grid.wavenumbers()
-    # Per-axis plane-wave factors exp(i k (x - origin)), shape (P, N_axis).
-    factors = []
-    for axis in range(grid.dim):
-        origin = -0.5 * grid.extent[axis]
-        factors.append(np.exp(1j * np.outer(points[:, axis] - origin, ks[axis])))
-    if grid.dim == 1:
-        return factors[0] @ coeffs
-    if grid.dim == 2:
-        partial = np.tensordot(coeffs, factors[1], axes=([1], [1]))  # (N0, P)
-        return np.einsum("ap,pa->p", partial, factors[0])
-    partial = np.tensordot(coeffs, factors[2], axes=([2], [1]))  # (N0, N1, P)
-    partial = np.einsum("abp,pb->ap", partial, factors[1])
-    return np.einsum("ap,pa->p", partial, factors[0])
+class SpectralSampler:
+    """:func:`spectral_sample` at fixed points, for any number of fields.
+    With ``keep``, the plane-wave tables of the leading chunks are built
+    once and kept while they total at most SAMPLE_CHUNK_BYTES; the other
+    chunks build theirs per field. Each field is contracted on its own,
+    chunk by chunk, so the bits are those of a lone spectral_sample."""
+
+    def __init__(self, grid: Grid, points: np.ndarray, keep: bool = True):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != grid.dim:
+            raise GridMismatch(f"points have {points.shape[1]} components, grid dim is {grid.dim}")
+        # Per point: one row of each (P, N_axis) table and the (N0, P) or
+        # (N0, N1, P) intermediate, complex128 throughout.
+        point_bytes = 16 * (sum(grid.shape) + int(np.prod(grid.shape[:-1])))
+        chunk = max(1, SAMPLE_CHUNK_BYTES // point_bytes)
+        self.grid, self.points, self._chunks = grid, points, []
+        budget = SAMPLE_CHUNK_BYTES if keep else 0
+        for start in range(0, len(points), chunk):
+            part = slice(start, start + chunk)
+            budget -= 16 * len(points[part]) * sum(grid.shape)
+            self._chunks.append((part, self._tables(part) if budget >= 0 else None))
+
+    def _tables(self, part: slice) -> list[np.ndarray]:
+        """Per-axis plane-wave factors exp(i k (x - origin)), shape (P, N_axis)."""
+        return [np.exp(1j * np.outer(self.points[part, axis] + 0.5 * L, k))
+                for axis, (L, k) in enumerate(zip(self.grid.extent, self.grid.wavenumbers()))]
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        if values.shape != self.grid.shape:
+            raise GridMismatch(f"field shape {values.shape} does not match grid {self.grid.shape}")
+        coeffs = np.fft.fftn(values) / values.size
+        out = np.empty(len(self.points), dtype=complex)
+        for part, tables in self._chunks:
+            out[part] = _contract(coeffs, tables or self._tables(part))
+        return out
+
+
+def _contract(coeffs: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    if len(tables) == 1:
+        return tables[0] @ coeffs
+    if len(tables) == 2:
+        partial = np.tensordot(coeffs, tables[1], axes=([1], [1]))  # (N0, P)
+        return np.einsum("ap,pa->p", partial, tables[0])
+    partial = np.tensordot(coeffs, tables[2], axes=([2], [1]))  # (N0, N1, P)
+    partial = np.einsum("abp,pb->ap", partial, tables[1])
+    return np.einsum("ap,pa->p", partial, tables[0])

@@ -19,15 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffeo import (
+    PushforwardPlan,
     SpatialDiffeomorphism,
     identity_map,
     make_bump_displacement,
     make_translation_ramp,
     pushforward_potential,
-    pushforward_wavefunction,
 )
+# pushforward_wavefunction and evolve stay importable here: bench/layers.py
+# wraps them by name.
+from .diffeo import pushforward_wavefunction  # noqa: F401
 from .errors import ConfigError, DomainError, HolesimError, InsufficientDisplacement, SupportViolation
-# evolve stays importable here: bench/layers.py wraps it by name.
 from .evolve import EvolutionConfig, Potential, Trajectory, evolve, evolve_branches  # noqa: F401
 from .grid import Grid, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
 from .observable import DecoherenceObservable, theta_time_series
@@ -378,22 +380,27 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     phi = config.diffeo
     drift_max = 0.0
 
-    def push(psi: WaveFunction, t: float, label: str) -> WaveFunction:
+    def push(plan: PushforwardPlan, psi: WaveFunction, label: str) -> WaveFunction:
         nonlocal drift_max
-        raw = pushforward_wavefunction(psi, phi, t, renormalize=False)
+        raw = plan.apply(psi, renormalize=False)
         if raw is psi:
             return raw  # identity fast path: keep the snapshot bit-exact
         size = norm(raw)
         drift_max = max(drift_max, abs(size - 1.0))
         return WaveFunction(config.grid, raw.amplitudes / size, label)
 
+    # The map depends on t through its ramp value only: one plan serves both
+    # branches until the ramp moves, and every snapshot after t1.
+    plan = None
     thetas_hole = []
     overlap_masses = {}
     for i, t in enumerate(baseline.times):
-        pushed_l = push(left.states[i], t, "psi_l'")
+        if plan is None or phi.ramp(t) != plan.ramp:
+            plan = PushforwardPlan(phi, t, config.grid)
+        pushed_l = push(plan, left.states[i], "psi_l'")
         other = right.states[i]
         if two_sided:
-            other = push(other, t, "psi_r'")
+            other = push(plan, other, "psi_r'")
         elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
             back_inside = mass_in_region(pushed_l, mask)
             overlap_masses[float(t)] = back_inside

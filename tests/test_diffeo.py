@@ -6,6 +6,7 @@ import pytest
 from holesim import (
     DomainError,
     Grid,
+    GridMismatch,
     NonInvertibleDiffeo,
     Potential,
     gaussian_packet,
@@ -14,12 +15,14 @@ from holesim import (
     make_bump_displacement,
     make_translation_ramp,
     norm,
+    normalize,
     pushforward_potential,
     pushforward_wavefunction,
 )
 from holesim import diffeo
-from holesim.diffeo import _BUMP_SLOPE_MAX, _bump_slope
-from holesim.grid import spectral_sample
+from holesim import grid as grid_module
+from holesim.diffeo import _BUMP_SLOPE_MAX, PushforwardPlan, _bump_slope
+from holesim.grid import SpectralSampler, WaveFunction, spectral_sample
 from oracles import analytic_gaussian, pushforward_gaussian_direct, random_wavefunction
 
 RAMP = dict(t0=0.0, t1=1.0)
@@ -104,6 +107,8 @@ def test_bump_slope_constant_is_an_upper_bound():
 def test_pushforward_identity_returns_same_object(grid1024):
     psi = gaussian_packet(grid1024, 0.0, 1.0)
     assert pushforward_wavefunction(psi, identity_map(1), 3.0) is psi
+    for phi in (identity_map(1), make_translation_ramp(3.0, t0=1.0, t1=2.0)):
+        assert PushforwardPlan(phi, 0.5, grid1024).apply(psi) is psi
 
 
 def test_pushforward_grid_aligned_translation_is_roll(grid1024):
@@ -271,6 +276,7 @@ def test_translations_do_not_sample_off_grid(grid1024, monkeypatch):
     def refuse(*args):
         raise AssertionError("translation sampled the interpolant")
 
+    monkeypatch.setattr(diffeo, "SpectralSampler", refuse)
     monkeypatch.setattr(diffeo, "spectral_sample", refuse)
     psi = gaussian_packet(grid1024, 0.0, 1.0)
     for shift in (4.0, 4.01):  # grid-aligned, then not
@@ -300,14 +306,134 @@ def test_bump_pushforward_samples_only_moved_points(monkeypatch):
     grid, psi, phi = bump_2d_case()
     counts = []
 
-    def counted(grid, values, points):
+    def counted(grid, points):
         counts.append(len(points))
-        return spectral_sample(grid, values, points)
+        return SpectralSampler(grid, points)
 
-    monkeypatch.setattr(diffeo, "spectral_sample", counted)
+    monkeypatch.setattr(diffeo, "SpectralSampler", counted)
     pushed = pushforward_wavefunction(psi, phi, 1.0, renormalize=False)
     r = np.hypot(*(grid_points(grid) - np.asarray(phi.center)).T)
     inside = r < phi.radius
     assert counts == [int(np.sum(inside))] and counts[0] < grid.size // 5
     # Outside the ball the map is the identity with Jacobian 1: bit-equal.
     assert np.array_equal(pushed.amplitudes.ravel()[~inside], psi.amplitudes.ravel()[~inside])
+
+
+def push_one_state(psi, phi, t, renormalize, path):
+    """The pushforward of one state with all of the map's work redone in
+    the call, one sampling of the interpolant per state: ``path`` is
+    "aligned" (a roll), "fourier" (the shift theorem) or "bump"."""
+    grid = psi.grid
+    if path == "aligned":
+        cells = tuple(int(round(s / dx)) for s, dx in zip(phi.displacement_at(t), grid.spacing))
+        return np.roll(psi.amplitudes, cells, axis=tuple(range(grid.dim)))
+    if path == "fourier":
+        phase = np.ones((1,) * grid.dim, dtype=complex)
+        for axis, (k, s) in enumerate(zip(grid.wavenumbers(), phi.displacement_at(t))):
+            shape = [1] * grid.dim
+            shape[axis] = k.size
+            phase = phase * np.exp(-1j * k * s).reshape(shape)
+        amps = np.fft.ifftn(np.fft.fftn(psi.amplitudes) * phase)
+    else:
+        targets = grid_points(grid)
+        moved = phi._bump_rho(targets) < 1.0
+        preimages = phi.inverse(targets[moved], t)
+        weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
+        amps = psi.amplitudes.flatten()
+        amps[moved] = spectral_sample(grid, psi.amplitudes, preimages) * weights
+        amps = amps.reshape(grid.shape)
+    drift = norm(WaveFunction(grid, amps)) - 1.0
+    return amps / (1.0 + drift) if renormalize else amps
+
+
+def low_mode_state(grid, offset):
+    """A normalized state of the lowest Fourier modes only, resolved for a
+    gentle bump on a coarse 3D grid."""
+    mesh = grid.coordinate_mesh()
+    L = grid.extent[0]
+    amps = (1.5 + np.cos(2 * np.pi * (mesh[0] - offset) / L)
+            + 0.5j * np.sin(2 * np.pi * sum(mesh[1:]) / L))
+    return normalize(WaveFunction(grid, amps))
+
+
+PLAN_CASES = {
+    "aligned_1d": (Grid(1024, 40.0), lambda g: make_translation_ramp(64 * g.spacing[0], **RAMP)),
+    "aligned_2d": (Grid((64, 32), (40.0, 20.0)),
+                   lambda g: make_translation_ramp((6 * g.spacing[0], -4 * g.spacing[1]), **RAMP)),
+    "offgrid_1d": (Grid(256, 20.0), lambda g: make_translation_ramp(3.3, **RAMP)),
+    "offgrid_2d": (Grid((32, 32), (12.0, 10.0)),
+                   lambda g: make_translation_ramp((1.7, -2.45), **RAMP)),
+    "offgrid_3d": (Grid((16, 16, 16), (8.0, 8.0, 8.0)),
+                   lambda g: make_translation_ramp((0.9, 1.3, -2.2), **RAMP)),
+    "bump_2d": (Grid((128, 128), (40.0, 40.0)),
+                lambda g: make_bump_displacement((0.0, 0.0), 5.0, (1.0, 0.4), **RAMP)),
+    "bump_3d": (Grid((32, 32, 32), (8.0, 8.0, 8.0)),
+                lambda g: make_bump_displacement((0.0, 0.5, 0.0), 2.5, (0.3, 0.1, 0.0), **RAMP)),
+}
+
+
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_is_bit_equal_to_a_pushforward_per_state(case, rng):
+    """One plan applied to several states gives, state by state, the bits
+    of a pushforward that redoes the map's work for each state. Halfway
+    up the ramp the aligned shifts are still whole cells."""
+    grid, make_phi = PLAN_CASES[case]
+    phi = make_phi(grid)
+    path = case.split("_")[0].replace("offgrid", "fourier")
+    if grid.dim == 3 and path == "bump":
+        states = [low_mode_state(grid, offset) for offset in (0.0, 4.0)]
+    elif path == "bump":
+        states = [gaussian_packet(grid, (-1.0, 0.3), 1.0),
+                  gaussian_packet(grid, (0.5, -0.2), 1.2, momentum=(0.7, 0.0))]
+    else:
+        states = [random_wavefunction(grid, rng) for _ in range(2)]
+    for t in (0.5, 1.0):
+        plan = PushforwardPlan(phi, t, grid)
+        for psi in states:
+            for renormalize in (True, False):
+                expected = push_one_state(psi, phi, t, renormalize, path)
+                assert np.array_equal(plan.apply(psi, renormalize).amplitudes, expected)
+                assert np.array_equal(
+                    pushforward_wavefunction(psi, phi, t, renormalize).amplitudes, expected)
+
+
+def test_plan_rejects_a_state_on_another_grid(grid256, grid1024):
+    plan = PushforwardPlan(make_translation_ramp(1.3, **RAMP), 1.0, grid1024)
+    with pytest.raises(GridMismatch):
+        plan.apply(gaussian_packet(grid256, 0.0, 1.0))
+
+
+def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):
+    """Tables past SAMPLE_CHUNK_BYTES are not kept; those chunks build
+    theirs per state, with the same bits."""
+    grid, psi, phi = bump_2d_case()
+    point_bytes = 16 * (sum(grid.shape) + grid.shape[0])
+    monkeypatch.setattr(grid_module, "SAMPLE_CHUNK_BYTES", 300 * point_bytes)
+    plan = PushforwardPlan(phi, 1.0, grid)
+    kept = [tables is not None for _, tables in plan.sampler._chunks]
+    assert kept == [True, False, False]
+    other = gaussian_packet(grid, (0.8, -0.2), 1.2)
+    for state in (psi, other, psi):
+        assert np.array_equal(plan.apply(state).amplitudes,
+                              push_one_state(state, phi, 1.0, True, "bump"))
+
+
+def test_3d_bump_plan_over_several_chunks_memory_is_bounded():
+    """A 64^3 bump plan whose ball spans several chunks, built and applied
+    twice, stays within the traced allocation bound of spectral_sample."""
+    import tracemalloc
+
+    grid = Grid((64, 64, 64), (16.0, 16.0, 16.0))
+    psi = gaussian_packet(grid, (-0.5, 0.0, 0.3), 0.76)
+    phi = make_bump_displacement((0.0, 0.0, 0.0), 3.0, (0.4, 0.2, 0.0), **RAMP)
+    tracemalloc.start()
+    try:
+        plan = PushforwardPlan(phi, 1.0, grid)
+        pushed = [plan.apply(psi) for _ in range(2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.sampler._chunks) > 1
+    assert peak < 100e6
+    assert np.array_equal(pushed[0].amplitudes, pushed[1].amplitudes)
+    assert abs(inner_product(pushed[0], psi)) < 1.0 - 1e-6

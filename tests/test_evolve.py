@@ -403,3 +403,20 @@ def test_stacked_branches_share_one_grid(grid256):
         evolve_branches(states, potentials, config)
     with pytest.raises(ValueError):
         evolve_branches(states, potentials[:1], config)
+
+
+def test_no_branches_evolve_to_no_trajectories():
+    assert evolve_branches([], [], EvolutionConfig(0.1, 1.0, 1.0)) == ()
+
+
+@pytest.mark.parametrize("grid, source", [
+    (Grid(1024, 40.0), (-2.5,)),
+    (Grid((64, 32), (40.0, 20.0)), (19.0, -3.3)),
+    (Grid((16, 32, 16), (8.0, 12.0, 8.0)), (0.7, 5.9, -3.9)),
+], ids=["1d", "2d", "3d"])
+def test_point_mass_values_are_its_pointwise_form(grid, source):
+    """The gridded values, built axis by axis, have the bits of the
+    analytic form evaluated at every grid point."""
+    potential = Potential.point_mass(grid, source, 0.3, 0.8)
+    points = np.stack([m.ravel() for m in grid.coordinate_mesh()], axis=-1)
+    assert np.array_equal(potential.values, potential.evaluate_at(points).reshape(grid.shape))

@@ -86,6 +86,26 @@ def test_gaussian_packet_momentum_phase(grid256):
     assert np.max(np.abs(ratio - 1.0)) < 1e-10
 
 
+@pytest.mark.parametrize("grid, center, width, momentum", [
+    (Grid(256, 40.0), (-1.3,), 1.2, (0.4,)),
+    (Grid((128, 128), (40.0, 30.0)), (19.5, -2.0), 1.2, (0.3, -1.1)),
+    (Grid((64, 64, 64), (20.0, 20.0, 20.0)), (0.5, -9.0, 3.0), 0.95, (0.0, 0.2, -0.7)),
+], ids=["1d", "2d", "3d"])
+def test_gaussian_packet_matches_the_full_mesh_formula(grid, center, width, momentum):
+    """The envelope and phase, built from per-axis arrays, have the bits
+    of the same sums taken over the full coordinate mesh."""
+    mesh = grid.coordinate_mesh()
+    r2 = np.zeros(grid.shape)
+    phase = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        d = grid.minimal_image(mesh[axis] - center[axis], axis)
+        r2 = r2 + d * d
+        phase = phase + momentum[axis] * mesh[axis]
+    expected = normalize(WaveFunction(grid, np.exp(-r2 / (4.0 * width**2) + 1j * phase)))
+    packet = gaussian_packet(grid, center, width, momentum)
+    assert np.array_equal(packet.amplitudes, expected.amplitudes)
+
+
 def test_gaussian_packet_norm(grid256):
     psi = gaussian_packet(grid256, 2.0, 0.8, momentum=0.7)
     assert abs(norm(psi) - 1.0) < 1e-10

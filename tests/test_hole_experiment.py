@@ -6,6 +6,7 @@ import pytest
 
 from holesim import (
     DomainError,
+    SpatialDiffeomorphism,
     Grid,
     evolve,
     evolve_branches,
@@ -22,6 +23,7 @@ from holesim import (
     sweep,
     theta_time_series,
 )
+from holesim.hole_experiment import DEFAULT_SCENARIO, _baseline, config_from_sections
 
 # Regression pin for the committed default config (first validated run).
 PINNED_THETA_BASELINE_FINAL = 0.9857452284116655 - 0.11776562038866381j
@@ -117,6 +119,44 @@ def test_two_sided_drift_covers_both_branches():
             raw = pushforward_wavefunction(psi, config.diffeo, t, renormalize=False)
             if raw is not psi:
                 drifts.append(abs(norm(raw) - 1.0))
+    assert report.diagnostics["max_pushforward_norm_drift"] == max(drifts)
+
+
+def test_two_sided_bump_run_builds_one_map_per_ramp_value(monkeypatch):
+    """The 2D two-sided bump layout pushes 16 states through 2 distinct
+    maps, mid-ramp at t = 1.2 and frozen from t1 = 1.6 on: the preimages
+    are found twice, and each state still gets its own drift check."""
+    config = config_from_sections({
+        **DEFAULT_SCENARIO,
+        "grid": {"points": [128, 128], "extent": [40.0, 40.0]},
+        "packet": {"center": [-1.0, 0.0], "width": 1.0, "momentum": 0.0},
+        "potentials": {"left_position": [-2.5, 0.0], "right_position": [2.5, 0.0],
+                       "coupling": 0.1, "softening": 1.0},
+        "diffeo": {"kind": "bump_displacement", "center": 0.0, "radius": 5.0,
+                   "peak_shift": [1.0, 0.0], "t0": 0.8, "t1": 1.6},
+        "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
+        # the snapshot times of the default evolution, in half the steps
+        "evolution": {**DEFAULT_SCENARIO["evolution"], "dt": 0.04, "snapshot_stride": 10},
+    })
+    inverse = SpatialDiffeomorphism.inverse
+    calls = []
+
+    def counting(self, points, t):
+        calls.append(t)
+        return inverse(self, points, t)
+
+    branches = _baseline(config)
+    monkeypatch.setattr(SpatialDiffeomorphism, "inverse", counting)
+    report = run_hole(config, two_sided=True, branches=branches)
+    assert len(calls) == 2
+    assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
+    drifts = []
+    for trajectory in branches[:2]:
+        for t, psi in zip(trajectory.times, trajectory.states):
+            raw = pushforward_wavefunction(psi, config.diffeo, t, renormalize=False)
+            if raw is not psi:
+                drifts.append(abs(norm(raw) - 1.0))
+    assert len(drifts) == 16
     assert report.diagnostics["max_pushforward_norm_drift"] == max(drifts)
 
 
