@@ -113,6 +113,10 @@ DEFAULTS = {
     "harmonic": {"metric_file": None},
 }
 
+# Largest estimated peak of a baseline, hole or sweep run that load_config
+# accepts (see _peak_bytes).
+PEAK_BYTES_LIMIT = 4 * 2**30
+
 _SECTIONS_BY_KIND = {
     "baseline": ("grid", "packet", "potentials", "evolution", "support"),
     "hole": ("grid", "packet", "potentials", "evolution", "diffeo", "support"),
@@ -259,6 +263,13 @@ def load_config(path) -> RunConfig:
         except ResolutionError as exc:
             errors.append(f"packet: {exc}")
         two_sided = bool(diffeo.get("two_sided", False))
+        if hole_config is not None:
+            peak = _peak_bytes(hole_config, pushed=0 if experiment == "baseline"
+                               else 2 if two_sided else 1)
+            if peak > PEAK_BYTES_LIMIT:
+                errors.append(f"grid: a run on {hole_config.grid.shape} points needs about"
+                              f" {peak / 2**30:.3g} GiB, over the"
+                              f" {PEAK_BYTES_LIMIT / 2**30:g} GiB limit")
     if experiment == "sweep":
         parameter = sections["sweep"].get("parameter")
         if parameter not in SWEEP_PARAMETERS:
@@ -296,6 +307,17 @@ def load_config(path) -> RunConfig:
         recover=recover,
         metric_path=metric_path,
     )
+
+
+def _peak_bytes(config: HoleExperimentConfig, pushed: int) -> float:
+    """Upper estimate of a run's peak bytes, in complex fields of the grid:
+    for each of the two branches its snapshots, stack and potential phase,
+    all live at once because their stacks may step concurrently; one kinetic
+    factor; and a pushed state plus one intermediate per pushed branch."""
+    evolution = config.evolution
+    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
+    fields = 2 * (snapshots + 2) + 1 + 2 * pushed
+    return 16.0 * config.grid.size * fields
 
 
 def _integer(section, key):

@@ -302,14 +302,14 @@ class PushforwardPlan:
             raise NormViolation(f"input norm drift {input_drift:.3e}; normalize first")
         if self.cells is not None:
             amps = np.roll(psi.amplitudes, self.cells, axis=tuple(range(psi.grid.dim)))
-            return WaveFunction(psi.grid, amps, psi.label)
+            return WaveFunction._adopt(psi.grid, amps, psi.label)
         if self.phase is not None:
             amps = np.fft.ifftn(np.fft.fftn(psi.amplitudes) * self.phase)
         else:
             amps = psi.amplitudes.flatten()
             amps[self.moved] = self.sampler(psi.amplitudes) * self.weights
             amps = amps.reshape(psi.grid.shape)
-        pushed = WaveFunction(psi.grid, amps, psi.label)
+        pushed = WaveFunction._adopt(psi.grid, amps, psi.label)
         drift = norm(pushed) - 1.0
         if abs(drift) > PUSHFORWARD_NORM_TOL:
             raise NormViolation(
@@ -318,7 +318,7 @@ class PushforwardPlan:
             )
         log.debug("pushforward norm drift %.3e at ramp %s", drift, self.ramp)
         if renormalize:
-            return WaveFunction(psi.grid, pushed.amplitudes / (1.0 + drift), psi.label)
+            return WaveFunction._adopt(psi.grid, pushed.amplitudes / (1.0 + drift), psi.label)
         return pushed
 
 

@@ -9,10 +9,19 @@ The stepper is symmetric Strang splitting with a spectral kinetic step:
 Each factor is a pure phase, so the norm is preserved to roundoff per
 step. The branches of a run, each in its own potential, step in lockstep
 as one (B, *grid) stack of at most STACK_BYTES (a larger branch is a stack
-of one), in place in two buffers allocated once per stack (amplitudes and
-spectrum). The phase factor is always the first operand, so the bits never
-hang on numpy's size-dependent reuse of temporaries, and the FFTs run axis
-by axis within each branch, so a stacked branch has the bits of a lone one.
+of one), in place in the one buffer that holds the stack. The phase factor
+is always the first operand, so the bits never hang on numpy's
+size-dependent reuse of temporaries, and the FFTs run axis by axis within
+each branch, so a stacked branch has the bits of a lone one.
+
+The stacks of one call share nothing but the read-only kinetic factor, so
+they step concurrently, one thread per CPU the process may use. A call
+forms more than one stack only when its branches hold over STACK_BYTES of
+amplitudes, so each thread spends its time in FFTs and multiplies that
+release the GIL. The calling thread allocates every stack and phase factor
+before any worker starts: memory a worker frees would stay in its thread's
+malloc arena. The worker count never changes the bits.
+
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
 gravitational field sourced at x_s; the heavy source is a fixed classical
@@ -22,6 +31,8 @@ point with no back-reaction.
 from __future__ import annotations
 
 import functools
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -50,7 +61,9 @@ __all__ = [
 PHASE_PER_STEP_BOUND = np.pi / 4
 
 # Amplitude bytes of branches stepped as one stack: stacking saves per-call
-# overhead on small grids; on large ones the FFTs dominate and it only costs memory.
+# overhead on small grids; on large ones the FFTs dominate and it only costs
+# memory. Stacks of one call step concurrently, so a branch over the budget
+# steps alone but beside the others.
 STACK_BYTES = 2**20
 
 
@@ -236,30 +249,44 @@ def _check_compatible(psi: WaveFunction, potential: Potential) -> np.ndarray:
     return potential.values
 
 
-def _advance(stack: np.ndarray, spectrum: np.ndarray, half_v: np.ndarray,
-             kinetic: np.ndarray) -> None:
-    """One Strang step on a (B, *grid) ``stack`` in place; ``spectrum`` is
-    scratch. Each transform chains 1D FFTs from the last axis to the
-    first, as ``fftn`` does, without its per-call argument handling."""
+def _advance(stack: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray) -> None:
+    """One Strang step on a (B, *grid) ``stack`` in place. Each transform
+    chains 1D FFTs from the last axis to the first, as ``fftn`` does,
+    without its per-call argument handling."""
     axes = range(stack.ndim - 1, 0, -1)
     np.multiply(half_v, stack, out=stack)
-    source = stack
     for axis in axes:
-        source = np.fft.fft(source, axis=axis, out=spectrum)
-    np.multiply(kinetic, spectrum, out=spectrum)
-    source = spectrum
+        np.fft.fft(stack, axis=axis, out=stack)
+    np.multiply(kinetic, stack, out=stack)
     for axis in axes:
-        source = np.fft.ifft(source, axis=axis, out=stack)
+        np.fft.ifft(stack, axis=axis, out=stack)
     np.multiply(half_v, stack, out=stack)
+
+
+def _half_potential_phase(values: np.ndarray, dt: float, out: np.ndarray) -> None:
+    """exp(-i V dt/2) into ``out``, with the bits of the plain expression
+    but without its temporaries."""
+    out[...] = values
+    out *= -0.5j
+    out *= dt
+    np.exp(out, out=out)
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
 
 
 def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> WaveFunction:
     """One Strang-split step of size config.dt."""
     values = _check_compatible(psi, potential)
-    half_v = np.exp(-0.5j * values * config.dt)
-    kinetic = _kinetic_phase(psi.grid, config.dt, config.mass)
     stack = psi.amplitudes[np.newaxis].copy()
-    _advance(stack, np.empty_like(stack), half_v, kinetic)
+    half_v = np.empty_like(stack)
+    _half_potential_phase(values, config.dt, half_v[0])
+    _advance(stack, half_v, _kinetic_phase(psi.grid, config.dt, config.mass))
     if not np.isfinite(stack.view(np.float64)).all():
         raise NumericalBlowup("step produced non-finite amplitudes")
     return WaveFunction(psi.grid, stack[0], psi.label)
@@ -276,14 +303,18 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
 
 def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """:func:`evolve` of each state in its own potential, all on one grid,
-    stepped in stacks of at most STACK_BYTES of amplitudes; each trajectory
-    has the bits of its lone evolve, in the order of ``states``; no states
-    give no trajectories."""
+    stepped in stacks of at most STACK_BYTES of amplitudes, the stacks
+    concurrently; each trajectory has the bits of its lone evolve, in the
+    order of ``states``; no states give no trajectories."""
     return _evolve_stacked(states, potentials, config)
 
 
 def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
-    """The engine behind both public entry points; warnings name their caller."""
+    """The engine behind both public entry points; warnings name their caller.
+
+    The calling thread steps group 0; a thread for each further CPU, at most
+    one per group, steps the others round robin. If groups fail, the error
+    of the first in input order is raised once every group has finished."""
     if config.dt < 0:
         raise DomainError("evolve requires a forward (dt > 0) config")
     for psi, potential in zip(states, potentials, strict=True):
@@ -300,27 +331,51 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
             )
     if not states:
         return ()
-    group = max(1, STACK_BYTES // (16 * states[0].grid.size))
+    grid = states[0].grid
+    kinetic = _kinetic_phase(grid, config.dt, config.mass)
+    size = max(1, STACK_BYTES // (16 * grid.size))
+    groups = []
+    for start in range(0, len(states), size):
+        members = states[start:start + size]
+        stack = np.array([psi.amplitudes for psi in members])
+        half_v = np.empty_like(stack)
+        for out, potential in zip(half_v, potentials[start:start + size]):
+            _half_potential_phase(potential.values, config.dt, out)
+        groups.append((members, stack, half_v))
+
+    outcomes = [None] * len(groups)
+
+    def work(first: int, workers: int) -> None:
+        for g in range(first, len(groups), workers):
+            try:
+                outcomes[g] = _evolve_group(*groups[g], kinetic, config)
+            except Exception as exc:  # re-raised in the calling thread, in input order
+                outcomes[g] = exc
+
+    workers = min(len(groups), _cores())
+    threads = [threading.Thread(target=work, args=(w, workers)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0, workers)
+    for thread in threads:
+        thread.join()
     trajectories = []
-    for start in range(0, len(states), group):
-        end = start + group
-        trajectories += _evolve_group(states[start:end], potentials[start:end], config)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        trajectories += outcome
     return tuple(trajectories)
 
 
-def _evolve_group(states, potentials, config: EvolutionConfig) -> list[Trajectory]:
+def _evolve_group(states, stack: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
+                  config: EvolutionConfig) -> list[Trajectory]:
+    """Steps one group's ``stack`` in place and copies out its snapshots."""
     grid = states[0].grid
-    stack = np.array([psi.amplitudes for psi in states])
-    half_v = np.empty_like(stack)
-    for b, potential in enumerate(potentials):
-        np.exp(-0.5j * potential.values * config.dt, out=half_v[b])
-    kinetic = _kinetic_phase(grid, config.dt, config.mass)
-    spectrum = np.empty_like(stack)
     n_steps = int(round(config.t_end / config.dt))
     times = [0.0]
     snapshots = [[psi0] for psi0 in states]
     for k in range(1, n_steps + 1):
-        _advance(stack, spectrum, half_v, kinetic)
+        _advance(stack, half_v, kinetic)
         if not np.isfinite(stack.view(np.float64)).all():
             raise NumericalBlowup(f"evolution blew up at step {k}")
         if k % config.snapshot_stride == 0 or k == n_steps:

@@ -146,7 +146,18 @@ class WaveFunction:
     __slots__ = ("grid", "amplitudes", "label")
 
     def __init__(self, grid: Grid, amplitudes: np.ndarray, label: str = ""):
-        amps = np.array(amplitudes, dtype=np.complex128, copy=True, order="C")
+        self._hold(grid, np.array(amplitudes, dtype=np.complex128, copy=True, order="C"), label)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, amplitudes: np.ndarray, label: str = "") -> "WaveFunction":
+        """The state on ``amplitudes`` itself: an array its caller has just
+        computed and gives up. Checked and made read-only like a copy would
+        be, but copied only if it is not C-ordered complex128."""
+        psi = object.__new__(cls)
+        psi._hold(grid, np.asarray(amplitudes, dtype=np.complex128, order="C"), label)
+        return psi
+
+    def _hold(self, grid: Grid, amps: np.ndarray, label: str) -> None:
         if amps.shape != grid.shape:
             raise GridMismatch(
                 f"amplitude shape {amps.shape} does not match grid shape {grid.shape}"
@@ -198,7 +209,7 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     n = norm(psi)
     if n == 0.0:
         raise ZeroNormError(f"cannot normalize zero field {psi.label!r}")
-    return WaveFunction(psi.grid, psi.amplitudes / n, psi.label)
+    return WaveFunction._adopt(psi.grid, psi.amplitudes / n, psi.label)
 
 
 def check_packet_width(grid: Grid, width) -> float:
@@ -246,7 +257,7 @@ def gaussian_packet(
         r2 = r2 + d * d
         phase = phase + momentum[axis] * x
     amps = np.exp(-r2 / (4.0 * width**2) + 1j * phase)
-    return normalize(WaveFunction(grid, amps, label))
+    return normalize(WaveFunction._adopt(grid, amps, label))
 
 
 def spectral_sample(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:

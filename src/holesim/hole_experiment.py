@@ -387,7 +387,7 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
             return raw  # identity fast path: keep the snapshot bit-exact
         size = norm(raw)
         drift_max = max(drift_max, abs(size - 1.0))
-        return WaveFunction(config.grid, raw.amplitudes / size, label)
+        return WaveFunction._adopt(config.grid, raw.amplitudes / size, label)
 
     # The map depends on t through its ramp value only: one plan serves both
     # branches until the ramp moves, and every snapshot after t1.

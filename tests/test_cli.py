@@ -1,7 +1,10 @@
 """Config loading, validation aggregation, pipelines, serialization
 contracts, and byte determinism."""
 
+import importlib.util
 import json
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,8 @@ from holesim.cli import (
 )
 from oracles import sinusoidal_metric_family
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
 
 def write_config(tmp_path, name, payload):
@@ -369,6 +373,38 @@ def test_scalar_sections_apply_on_every_grid_axis(tmp_path):
     assert loaded.packet_center == (-1.0, -1.0)
     assert np.array_equal(loaded.diffeo.shift, expected.diffeo.shift)
     assert (loaded.diffeo.t0, loaded.diffeo.t1) == (expected.diffeo.t0, expected.diffeo.t1)
+
+
+@pytest.mark.parametrize("experiment", ["baseline", "hole", "sweep"])
+def test_run_over_the_memory_limit_fails_validate(tmp_path, capsys, experiment):
+    """A 1024^3 grid holds 16 GiB per complex field: validate refuses it
+    with the config exit code, without allocating a field."""
+    path = write_config(tmp_path, "huge.yaml", {
+        "experiment": experiment,
+        "grid": {"points": [1024] * 3},
+        "support": {"lower": [-9.0] * 3, "upper": [7.0] * 3},
+        "diffeo": {"shift": [17.5, 0.0, 0.0]},
+    })
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CODES[ConfigError]
+    assert "config error: grid: a run on (1024, 1024, 1024) points needs" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_generated_bench_configs_validate(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.COMMITTED:
+        for case in workloads.build(workload, ROOT, tmp_path, seed=0):
+            assert main(["validate", "--config", str(case.config)]) == 0, case.name
 
 
 @pytest.mark.parametrize("recover", [

@@ -2,6 +2,8 @@
 analytic free-packet behavior, reversibility, energy drift."""
 
 import importlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from holesim import (
     step,
 )
 from oracles import dense_propagator, free_gaussian_width, measured_width
+
+evolve_module = importlib.import_module("holesim.evolve")
 
 ORACLE_GRID = Grid(64, 26.0)
 ORACLE_PACKET = dict(center=0.0, width=1.22)
@@ -276,7 +280,6 @@ def test_step_and_evolve_share_one_kernel(grid):
 
 
 def test_evolve_reports_blowup_step_from_kinetic_factor(grid256, monkeypatch):
-    evolve_module = importlib.import_module("holesim.evolve")
     real = evolve_module._kinetic_phase
 
     def poisoned(*args):
@@ -321,17 +324,43 @@ def fftn_strang_final(psi0, potential, config):
     return amps
 
 
-@pytest.mark.parametrize("grid, width, stack_bytes, groups", [
+def branch_setup(grid, width, branches):
+    """Distinct labelled packets, each in its own point-mass potential."""
+    states = [gaussian_packet(grid, (0.5 - 0.2 * b,) * grid.dim, width, label=f"b{b}")
+              for b in range(branches)]
+    potentials = [Potential.point_mass(grid, (-1.0 + 0.7 * b,) * grid.dim, 0.3)
+                  for b in range(branches)]
+    return states, potentials
+
+
+STACKED_CASES = [
     (Grid(1024, 40.0), 1.4, None, [3]),
     (Grid(1024, 40.0), 1.4, 2 * 16 * 1024, [2, 1]),
     (Grid((128, 128), (30.0, 30.0)), 1.4, None, [2]),
     (Grid((64, 64, 64), (40.0,) * 3), 1.9, None, [1, 1]),
-], ids=["1d_1024", "1d_1024_groups_of_2", "2d_128sq", "3d_64cube_over_budget"])
+]
+STACKED_IDS = ["1d_1024", "1d_1024_groups_of_2", "2d_128sq", "3d_64cube_over_budget"]
+
+
+@pytest.mark.parametrize("grid, width, stack_bytes, groups", STACKED_CASES, ids=STACKED_IDS)
 def test_stacked_branches_match_lone_evolves(monkeypatch, grid, width, stack_bytes, groups):
     """A branch evolved in a stack has the bits of its lone evolve and of
     whole-array fftn steps, whether the stack holds every branch, is split
-    into groups, or is a group of one above the budget."""
-    evolve_module = importlib.import_module("holesim.evolve")
+    into groups, or is a group of one above the budget. On one core the
+    groups step one after the other, in input order."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: 1)
+    check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordered=True)
+
+
+@pytest.mark.parametrize("grid, width, stack_bytes, groups", STACKED_CASES, ids=STACKED_IDS)
+def test_stacked_branches_match_lone_evolves_on_two_workers(monkeypatch, grid, width,
+                                                            stack_bytes, groups):
+    """The same bits when the groups step on two threads at once."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: 2)
+    check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordered=False)
+
+
+def check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordered):
     if stack_bytes is not None:
         monkeypatch.setattr(evolve_module, "STACK_BYTES", stack_bytes)
     real = evolve_module._advance
@@ -342,17 +371,14 @@ def test_stacked_branches_match_lone_evolves(monkeypatch, grid, width, stack_byt
             stacks.append(stack)
         return real(stack, *args)
 
-    branches = sum(groups)
-    states = [gaussian_packet(grid, (0.5 - 0.2 * b,) * grid.dim, width, label=f"b{b}")
-              for b in range(branches)]
-    potentials = [Potential.point_mass(grid, (-1.0 + 0.7 * b,) * grid.dim, 0.3)
-                  for b in range(branches)]
+    states, potentials = branch_setup(grid, width, sum(groups))
     config = EvolutionConfig(dt=0.05, t_end=0.15 if grid.dim == 3 else 0.5, mass=1.0,
                              snapshot_stride=2)
     monkeypatch.setattr(evolve_module, "_advance", recording)
     stacked = evolve_branches(states, potentials, config)
     monkeypatch.setattr(evolve_module, "_advance", real)
-    assert [len(stack) for stack in stacks] == groups
+    sizes = [len(stack) for stack in stacks]
+    assert sizes == groups if ordered else sorted(sizes) == sorted(groups)
     assert [t.states[-1].label for t in stacked] == [psi.label for psi in states]
     for psi, potential, trajectory in zip(states, potentials, stacked):
         lone = evolve(psi, potential, config)
@@ -375,13 +401,12 @@ def test_blowup_in_one_stacked_branch_names_the_step(grid256):
 
 
 def test_snapshots_never_alias_the_stack_buffers(grid256, monkeypatch):
-    evolve_module = importlib.import_module("holesim.evolve")
     real = evolve_module._advance
     buffers = []
 
-    def recording(stack, spectrum, *args):
-        buffers.extend((stack, spectrum))
-        return real(stack, spectrum, *args)
+    def recording(stack, half_v, kinetic):
+        buffers.extend((stack, half_v))
+        return real(stack, half_v, kinetic)
 
     monkeypatch.setattr(evolve_module, "_advance", recording)
     states = [gaussian_packet(grid256, c, 1.0) for c in (-1.0, 1.0)]
@@ -392,6 +417,101 @@ def test_snapshots_never_alias_the_stack_buffers(grid256, monkeypatch):
     for trajectory in trajectories:
         for state in trajectory.states:
             assert not any(np.shares_memory(state.amplitudes, b) for b in buffers)
+
+
+@pytest.mark.parametrize("grid, width, stack_bytes, branches", [
+    (Grid((64, 64, 64), (40.0,) * 3), 1.9, None, 2),
+    (Grid(1024, 40.0), 1.4, 16 * 1024, 6),
+], ids=["3d_64cube", "1d_1024_groups_of_1"])
+def test_bits_do_not_depend_on_worker_count(monkeypatch, grid, width, stack_bytes, branches):
+    """One, two or more workers than CPUs, switching threads as often as the
+    interpreter allows: the same trajectories, in input order."""
+    if stack_bytes is not None:
+        monkeypatch.setattr(evolve_module, "STACK_BYTES", stack_bytes)
+    states, potentials = branch_setup(grid, width, branches)
+    config = EvolutionConfig(dt=0.05, t_end=0.15, mass=1.0)
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+            runs[workers] = evolve_branches(states, potentials, config)
+    finally:
+        sys.setswitchinterval(interval)
+    for trajectories in runs.values():
+        assert [t.states[0] for t in trajectories] == states
+        for trajectory, serial in zip(trajectories, runs[1]):
+            assert trajectory.times == serial.times
+            for a, b in zip(trajectory.states, serial.states):
+                assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def poison_groups(monkeypatch, steps_by_size):
+    """Make the group of each stack size in ``steps_by_size`` go non-finite
+    at that step."""
+    real = evolve_module._advance
+    calls = {}
+
+    def poisoning(stack, half_v, kinetic):
+        real(stack, half_v, kinetic)
+        calls[id(stack)] = calls.get(id(stack), 0) + 1
+        if calls[id(stack)] == steps_by_size.get(len(stack)):
+            stack[0, 0] = np.nan
+
+    monkeypatch.setattr(evolve_module, "_advance", poisoning)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blowup_in_the_second_group_names_its_step(monkeypatch, workers):
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 2 * 16 * 1024)
+    states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 3)
+    poison_groups(monkeypatch, {1: 3})
+    with pytest.raises(NumericalBlowup, match="at step 3$"):
+        evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_group_in_input_order_is_raised(monkeypatch, workers):
+    """The second group fails first in time; the first group's error wins."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 2 * 16 * 1024)
+    states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 3)
+    poison_groups(monkeypatch, {2: 4, 1: 1})
+    with pytest.raises(NumericalBlowup, match="at step 4$"):
+        evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
+    """Traced peaks of a two-branch 64^3 evolve, within 10%: at the first
+    step, one stack and one potential phase per branch plus one kinetic
+    factor; over the call, those plus the snapshots."""
+    grid = Grid((64, 64, 64), (40.0,) * 3)
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    states, potentials = branch_setup(grid, 1.9, 2)
+    config = EvolutionConfig(dt=0.05, t_end=0.1, mass=1.0, snapshot_stride=10**6)
+    evolve_module._squared_wavenumbers(grid)  # cached for the process
+    real = evolve_module._advance
+    first_step_peaks = []
+
+    def recording(stack, half_v, kinetic):
+        first_step_peaks.append(tracemalloc.get_traced_memory()[1])
+        return real(stack, half_v, kinetic)
+
+    monkeypatch.setattr(evolve_module, "_advance", recording)
+    field = 16 * grid.size
+    tracemalloc.start()
+    try:
+        trajectories = evolve_branches(states, potentials, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(t.states) for t in trajectories] == [2, 2]
+    working_set = 2 * 2 * field + field
+    assert first_step_peaks[0] <= 1.1 * working_set
+    assert peak <= 1.1 * (working_set + 2 * field)
 
 
 def test_stacked_branches_share_one_grid(grid256):

@@ -6,6 +6,7 @@ import pytest
 from holesim import (
     Grid,
     GridMismatch,
+    NumericalBlowup,
     ResolutionError,
     WaveFunction,
     ZeroNormError,
@@ -156,6 +157,18 @@ def test_wavefunction_immutable(grid256):
         psi.amplitudes[0] = 1.0
     with pytest.raises(AttributeError):
         psi.label = "other"
+
+
+def test_adopted_amplitudes_are_checked_and_not_copied(grid256):
+    amps = gaussian_packet(grid256, 0.0, 1.0).amplitudes * 2.0
+    psi = WaveFunction._adopt(grid256, amps, "adopted")
+    assert psi.amplitudes is amps and not amps.flags.writeable
+    with pytest.raises(GridMismatch):
+        WaveFunction._adopt(grid256, np.zeros(128, dtype=complex))
+    bad = np.zeros(256, dtype=complex)
+    bad[3] = np.inf
+    with pytest.raises(NumericalBlowup):
+        WaveFunction._adopt(grid256, bad)
 
 
 def test_inner_product_grid_mismatch():
