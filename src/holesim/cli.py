@@ -244,6 +244,11 @@ def load_config(path) -> RunConfig:
     needed = _SECTIONS_BY_KIND[experiment]
     for name in needed:
         echo[name] = sections[name]
+    # The echo goes into result.json, which holds finite numbers only.
+    try:
+        _check_finite(echo, "config")
+    except DomainError as exc:
+        errors.append(str(exc))
 
     hole_config = None
     two_sided = False
@@ -262,7 +267,9 @@ def load_config(path) -> RunConfig:
             errors.extend(exc.messages)
         except ResolutionError as exc:
             errors.append(f"packet: {exc}")
-        two_sided = bool(diffeo.get("two_sided", False))
+        two_sided = diffeo.get("two_sided", False)
+        if not isinstance(two_sided, bool):
+            errors.append(f"diffeo.two_sided: must be true or false, got {two_sided!r}")
         if hole_config is not None:
             peak = _peak_bytes(hole_config, pushed=0 if experiment == "baseline"
                                else 2 if two_sided else 1)
@@ -706,13 +713,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_KINDS = {
-    "sweep": "sweep",
-    "recover-background": "recover-background",
-    "check-harmonic": "check-harmonic",
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "version":
@@ -720,7 +720,7 @@ def main(argv=None) -> int:
         return 0
     try:
         config = load_config(args.config)
-        expected = _COMMAND_KINDS.get(args.command)
+        expected = args.command if args.command in EXPERIMENTS else None
         if expected and config.experiment != expected:
             raise ConfigError(
                 [f"experiment: command {args.command!r} needs kind {expected!r},"

@@ -195,6 +195,8 @@ def make_translation_ramp(shift, t0: float, t1: float,
     half of it, keeping displaced regions clear of the periodic wrap.
     """
     shift = np.asarray(_as_tuple(shift), dtype=float)
+    if not np.all(np.isfinite(shift)):
+        raise DomainError(f"shift must be finite, got {tuple(shift.tolist())}")
     t0, t1 = _validate_ramp(t0, t1)
     if extent is not None:
         extent = _as_tuple(extent, n=len(shift))
@@ -215,6 +217,9 @@ def make_bump_displacement(center, radius: float, peak_shift, t0: float,
     """
     center = np.asarray(_as_tuple(center), dtype=float)
     peak_shift = np.asarray(_as_tuple(peak_shift, n=len(center)), dtype=float)
+    if not (np.all(np.isfinite(center)) and np.all(np.isfinite(peak_shift))):
+        raise DomainError(f"center and peak_shift must be finite, got"
+                          f" {tuple(center.tolist())} and {tuple(peak_shift.tolist())}")
     radius = float(radius)
     t0, t1 = _validate_ramp(t0, t1)
     if radius <= 0 or not np.isfinite(radius):

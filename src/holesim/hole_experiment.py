@@ -361,7 +361,7 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     back inside U at most 1e-6 after t1); sweeps over sub-threshold
     displacements disable it deliberately. ``branches`` is what _baseline
     returned for a config that differs from ``config`` in its map only;
-    a displacement sweep passes it so that its branches evolve once.
+    a sweep passes it so that equal branches evolve once.
     """
     left, right, v_left, mask, baseline = branches or _baseline(config)
 
@@ -463,35 +463,32 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
 
 
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
-    """Hole runs across one swept parameter; a displacement changes only
-    the map, so a displacement sweep evolves its branches once.
+    """Hole runs across one swept parameter. A value whose derived config
+    differs from the previous value's in its map only reuses that value's
+    branches, so a displacement sweep, or a repeated coupling or mass,
+    evolves once.
 
-    Per-run HolesimErrors, one from the shared branches included, are
-    collected into the entries instead of aborting the sweep; any other
-    exception is a bug and propagates. The entry order matches ``values``.
+    Per-run HolesimErrors, one from reused branches included, are collected
+    into the entries instead of aborting the sweep; any other exception is
+    a bug and propagates. The entry order matches ``values``.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
-    shared = []  # a displacement sweep's branches, or the error evolving them
-
-    def shared_branches():
-        if not shared:
-            try:
-                shared.append(_baseline(config))
-            except HolesimError as exc:
-                shared.append(exc)
-        if isinstance(shared[0], HolesimError):
-            raise shared[0]
-        return shared[0]
-
+    evolved, branches = None, None  # the last evolved config, and its branches or error
     entries = []
     for value in values:
         try:
             derived, strict = _config_for(config, parameter, float(value))
-            if parameter == "displacement":
-                report = run_hole(derived, strict=strict, branches=shared_branches())
-            else:
-                report = run_hole(derived, strict=strict)
+            if evolved is None or any(getattr(derived, f.name) != getattr(evolved, f.name)
+                                      for f in dataclasses.fields(derived) if f.name != "diffeo"):
+                evolved, branches = derived, None  # drop the old baseline before evolving
+                try:
+                    branches = _baseline(derived)
+                except HolesimError as exc:
+                    branches = exc
+            if isinstance(branches, HolesimError):
+                raise branches
+            report = run_hole(derived, strict=strict, branches=branches)
             entries.append(SweepEntry(float(value), report, None))
         except HolesimError as exc:  # collected, not raised
             entries.append(SweepEntry(float(value), None, f"{type(exc).__name__}: {exc}"))

@@ -447,3 +447,37 @@ def test_unresolved_packet_is_a_config_error(tmp_path, capsys, sections, message
     path = write_config(tmp_path, "packet.yaml", sections)
     assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
     assert f"packet: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"experiment": "sweep", "sweep": {"parameter": "coupling", "values": [-1.0, float("inf")]}},
+     "non-finite value at config.sweep.values[1]"),
+    ({"experiment": "sweep",
+      "sweep": {"parameter": "displacement", "values": [float("nan"), 30.0, 8.0]}},
+     "non-finite value at config.sweep.values[0]"),
+    ({"experiment": "hole", "diffeo": {"shift": float("nan")}},
+     "non-finite value at config.diffeo.shift"),
+    ({"experiment": "hole",
+      "diffeo": {"kind": "bump_displacement", "peak_shift": float("nan"), "two_sided": True}},
+     "non-finite value at config.diffeo.peak_shift"),
+    ({"experiment": "hole",
+      "diffeo": {"kind": "bump_displacement", "center": float("nan"), "two_sided": True}},
+     "non-finite value at config.diffeo.center"),
+], ids=["sweep_inf_coupling", "sweep_nan_displacement", "nan_shift", "nan_bump_peak",
+        "nan_bump_center"])
+def test_non_finite_numbers_fail_validate(tmp_path, capsys, sections, message):
+    """The echoed config goes into result.json, which refuses non-finite
+    numbers: validate refuses them first, with the config exit code."""
+    path = write_config(tmp_path, "nonfinite.yaml", sections)
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_two_sided_must_be_a_boolean(tmp_path, capsys):
+    path = write_config(tmp_path, "two_sided.yaml", {
+        "experiment": "hole",
+        "diffeo": {"two_sided": "false"},
+    })
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert "config error: diffeo.two_sided: must be true or false, got 'false'" \
+        in capsys.readouterr().err

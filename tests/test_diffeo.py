@@ -65,6 +65,18 @@ def test_translation_shift_bound():
     make_translation_ramp(15.0, extent=40.0, **RAMP)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_translation_ramp((np.nan,), extent=40.0, **RAMP),
+    lambda: make_translation_ramp((np.inf, 0.0), **RAMP),
+    lambda: make_bump_displacement(np.nan, 5.0, 1.0, **RAMP),
+    lambda: make_bump_displacement(0.0, 5.0, np.nan, **RAMP),
+    lambda: make_bump_displacement((0.0, 0.0), 5.0, (np.inf, 0.0), **RAMP),
+], ids=["ramp_nan", "ramp_inf", "bump_center_nan", "bump_peak_nan", "bump_peak_inf"])
+def test_map_factories_reject_non_finite_vectors(build):
+    with pytest.raises(DomainError, match="must be finite"):
+        build()
+
+
 def test_bump_zero_peak_identity():
     phi = make_bump_displacement(0.0, 3.0, 0.0, **RAMP)
     assert phi.is_identity_at(2.0)

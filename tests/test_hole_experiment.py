@@ -8,6 +8,7 @@ from holesim import (
     DomainError,
     SpatialDiffeomorphism,
     Grid,
+    StabilityWarning,
     evolve,
     evolve_branches,
     norm,
@@ -217,11 +218,13 @@ def test_sweep_single_element_matches_direct_run():
 @pytest.mark.parametrize("parameter, values, evolves", [
     ("displacement", [0.0, 8.0, 17.5], 2),
     ("coupling", [0.0, 0.1, 0.2], 5),
-], ids=["displacement", "coupling"])
+    ("coupling", [0.1, 0.1], 2),
+], ids=["displacement", "coupling", "repeated_coupling"])
 def test_sweep_evolves_each_distinct_branch_once(monkeypatch, parameter, values, evolves):
     """A displacement changes only the map, so a displacement sweep evolves
     its two branches once; a coupling changes the dynamics of each run,
-    and at zero coupling the two branches are one evolution."""
+    and at zero coupling the two branches are one evolution. A repeated
+    value reuses the branches of the value before it."""
     import holesim.hole_experiment as hole_experiment
 
     branches = []
@@ -280,6 +283,24 @@ def test_sweep_collects_errors_without_aborting():
     assert "DomainError" in entries[1].error
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the potential
+def test_sweep_blowup_is_recorded_for_its_value_only():
+    """A coupling that overflows the potential blows up at the first step:
+    that value records the error, its neighbours complete."""
+    with pytest.warns(StabilityWarning):
+        entries = sweep(default_config(softening=0.9), "coupling", [0.1, 1.7e308, 0.05])
+    assert entries[0].error is None and entries[2].error is None
+    assert entries[1].report is None
+    assert entries[1].error == "NumericalBlowup: evolution blew up at step 1"
+
+
+def test_non_finite_displacement_is_a_sweep_error():
+    entries = sweep(default_config(), "displacement", [float("nan"), 8.0])
+    assert entries[0].report is None
+    assert entries[0].error.startswith("DomainError: shift must be finite")
+    assert entries[1].error is None
+
+
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(DomainError):
         sweep(default_config(), "softening", [1.0])
@@ -322,7 +343,7 @@ def test_bump_map_reports_no_transformed_source():
 def test_sweep_propagates_programming_errors(monkeypatch):
     import holesim.hole_experiment as hole_experiment
 
-    def broken(config, strict=True):
+    def broken(config, strict=True, **kwargs):
         raise TypeError("bug, not a sweep outcome")
 
     monkeypatch.setattr(hole_experiment, "run_hole", broken)
