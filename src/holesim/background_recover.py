@@ -148,19 +148,25 @@ def _check_pvm(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     ps = tuple(np.asarray(p, dtype=np.complex128) for p in projectors)
     n = ps[0].shape[0]
     for i, p in enumerate(ps):
+        if not np.isfinite(p).all():
+            raise InvalidMeasure(f"projector {i} is not finite")
         if p.shape != (n, n):
             raise InvalidMeasure(f"projector {i} has shape {p.shape}, expected ({n}, {n})")
         if np.max(np.abs(p - p.conj().T)) > PROJECTOR_TOL:
             raise InvalidMeasure(f"projector {i} is not Hermitian")
-        if np.linalg.norm(p @ p - p, 2) > PROJECTOR_TOL:
+        excess = p @ p - p  # its Frobenius norm bounds its spectral norm
+        if np.linalg.norm(excess) > PROJECTOR_TOL and np.linalg.norm(excess, 2) > PROJECTOR_TOL:
             raise InvalidMeasure(f"projector {i} is not idempotent")
-    # One batched product per projector; its Frobenius norms bound the
-    # spectral norms from above, so no pair passes that those would fail.
+    # One batched product per projector, with the pairs whose supports share
+    # no index left out: their products are exactly zero.
     stack = np.stack(ps)
+    nonzero = stack != 0
+    overlap = nonzero.any(axis=1).astype(float) @ nonzero.any(axis=2).T.astype(float) > 0
     for i in range(len(ps) - 1):
-        failing = np.linalg.norm(stack[i] @ stack[i + 1:], axis=(1, 2)) > PROJECTOR_TOL
+        js = i + 1 + np.flatnonzero(overlap[i, i + 1:])
+        failing = np.linalg.norm(stack[i] @ stack[js], axis=(1, 2)) > PROJECTOR_TOL
         if failing.any():
-            j = i + 1 + int(np.argmax(failing))
+            j = int(js[np.argmax(failing)])
             raise InvalidMeasure(f"projectors {i} and {j} are not orthogonal")
     if np.max(np.abs(stack.sum(axis=0) - np.eye(n))) > PROJECTOR_TOL:
         raise InvalidMeasure("projectors do not sum to the identity")
@@ -215,11 +221,8 @@ def commutation_check(background: BackgroundMap,
     natives = _check_pvm(tuple(native_position_projectors))
     if natives[0].shape[0] != background.unitary.shape[0]:
         raise InvalidMeasure("native projector dimension does not match the map")
-    worst = 0.0
-    for p in background.recovered_projectors:
-        for q in natives:
-            worst = max(worst, float(np.linalg.norm(p @ q - q @ p, 2)))
-    return worst
+    return max(float(np.linalg.norm(p @ q - q @ p, 2))
+               for p in background.recovered_projectors for q in natives)
 
 
 def localized_basis(grid: Grid, n: int) -> tuple[WaveFunction, ...]:
@@ -234,13 +237,9 @@ def localized_basis(grid: Grid, n: int) -> tuple[WaveFunction, ...]:
     if n < 2 or points % n != 0:
         raise DomainError(f"basis size {n} must be >= 2 and divide {points}")
     stride = points // n
-    amp = 1.0 / np.sqrt(grid.cell_volume)
-    out = []
-    for i in range(n):
-        amps = np.zeros(points, dtype=complex)
-        amps[i * stride] = amp
-        out.append(WaveFunction(grid, amps, f"cell_{i * stride}"))
-    return tuple(out)
+    amps = np.zeros((n, points), dtype=complex)
+    amps[range(n), range(0, points, stride)] = 1.0 / np.sqrt(grid.cell_volume)
+    return tuple(WaveFunction(grid, a, f"cell_{i * stride}") for i, a in enumerate(amps))
 
 
 def translate_basis(basis, cells: int) -> tuple[WaveFunction, ...]:
@@ -253,13 +252,10 @@ def translate_basis(basis, cells: int) -> tuple[WaveFunction, ...]:
 
 def coordinate_projectors(n: int) -> tuple[np.ndarray, ...]:
     """Rank-one projectors onto the n coordinate directions."""
-    out = []
-    for i in range(n):
-        p = np.zeros((n, n), dtype=complex)
-        p[i, i] = 1.0
-        p.flags.writeable = False
-        out.append(p)
-    return tuple(out)
+    ps = np.zeros((n, n, n), dtype=complex)
+    ps[range(n), range(n), range(n)] = 1.0
+    ps.flags.writeable = False
+    return tuple(ps)
 
 
 def localization_index(projector: np.ndarray) -> int:

@@ -113,9 +113,11 @@ DEFAULTS = {
     "harmonic": {"metric_file": None},
 }
 
-# Largest estimated peak of a baseline, hole or sweep run that load_config
-# accepts (see _peak_bytes).
+# Largest estimated peak of a run that load_config accepts (see _peak_bytes,
+# _recover_peak_bytes and _harmonic_peak_bytes).
 PEAK_BYTES_LIMIT = 4 * 2**30
+# Rows of a grid field that render_grid_field formats at once.
+RENDER_BLOCK_ROWS = 4096
 
 _SECTIONS_BY_KIND = {
     "baseline": ("grid", "packet", "potentials", "evolution", "support"),
@@ -256,6 +258,7 @@ def load_config(path) -> RunConfig:
     sweep_values: tuple[float, ...] = ()
     recover = None
     metric_path = None
+    sized, peak = "", 0.0  # what the memory estimate covers, and its bytes
 
     if experiment in ("baseline", "hole", "sweep"):
         diffeo = {"kind": "identity"} if experiment == "baseline" else sections["diffeo"]
@@ -271,12 +274,9 @@ def load_config(path) -> RunConfig:
         if not isinstance(two_sided, bool):
             errors.append(f"diffeo.two_sided: must be true or false, got {two_sided!r}")
         if hole_config is not None:
+            sized = f"grid: a run on {hole_config.grid.shape} points"
             peak = _peak_bytes(hole_config, pushed=0 if experiment == "baseline"
                                else 2 if two_sided else 1)
-            if peak > PEAK_BYTES_LIMIT:
-                errors.append(f"grid: a run on {hole_config.grid.shape} points needs about"
-                              f" {peak / 2**30:.3g} GiB, over the"
-                              f" {PEAK_BYTES_LIMIT / 2**30:g} GiB limit")
     if experiment == "sweep":
         parameter = sections["sweep"].get("parameter")
         if parameter not in SWEEP_PARAMETERS:
@@ -291,6 +291,9 @@ def load_config(path) -> RunConfig:
             errors.append(f"sweep.values: {exc}")
     if experiment == "recover-background":
         recover = _validate_recover(sections["recover"], errors)
+        if recover is not None:
+            sized = f"recover: n = {recover['n']} on {recover['points']} points"
+            peak = _recover_peak_bytes(recover["points"], recover["n"])
     if experiment == "check-harmonic":
         metric_file = sections["harmonic"].get("metric_file")
         if not metric_file:
@@ -299,6 +302,13 @@ def load_config(path) -> RunConfig:
             metric_path = Path(metric_file)
             if not metric_path.is_file():
                 errors.append(f"harmonic.metric_file: no such file {metric_path}")
+            else:
+                size = metric_path.stat().st_size
+                sized = f"harmonic.metric_file: a check of {size} bytes of text"
+                peak = _harmonic_peak_bytes(size)
+    if peak > PEAK_BYTES_LIMIT:
+        errors.append(f"{sized} needs about {peak / 2**30:.3g} GiB,"
+                      f" over the {PEAK_BYTES_LIMIT / 2**30:g} GiB limit")
 
     if errors:
         raise ConfigError(errors)
@@ -325,6 +335,23 @@ def _peak_bytes(config: HoleExperimentConfig, pushed: int) -> float:
     snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
     fields = 2 * (snapshots + 2) + 1 + 2 * pushed
     return 16.0 * config.grid.size * fields
+
+
+def _recover_peak_bytes(points: int, n: int) -> float:
+    """Upper estimate of a recovery's peak bytes: 7n + 2 complex grid fields
+    (bases, evolved stack, phases and states, orthonormality check) and
+    4n + 16 complex n x n matrices (four sets of projectors, form, factors)."""
+    return 16.0 * (points * (7 * n + 2) + n**2 * (4 * n + 16))
+
+
+def _harmonic_peak_bytes(size: int) -> float:
+    """Upper estimate of a check-harmonic run's peak bytes from its metric
+    file's size, at 4+ bytes per value ("0.0 ") and 3+ values per line: the
+    file as bytes, text and lines (57 bytes each); the values; five full
+    tensors of 1.6 values per stored value (tensor, checked copy, inverse,
+    inverse check, densitized); the residual text, 2/3 value at 25 bytes, twice."""
+    values, lines = size / 4, size / 12
+    return 3.0 * size + 57.0 * lines + values * (8 + 5 * 1.6 * 8 + 2 * 2 / 3 * 25)
 
 
 def _integer(section, key):
@@ -393,10 +420,7 @@ def _theta_block(times, thetas) -> dict:
 
 def _matrix_block(matrix) -> dict:
     m = np.asarray(matrix)
-    return {
-        "re": [[float(v) for v in row] for row in m.real],
-        "im": [[float(v) for v in row] for row in m.imag],
-    }
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _diagnostics_block(report: HoleReport) -> dict:
@@ -623,8 +647,13 @@ def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray
         "data:",
     ]
     flat = values.reshape(int(np.prod(grid_shape)), -1)
-    lines += (" ".join(map(repr, row.tolist())) for row in flat)
-    return "\n".join(lines) + "\n"
+    # One %-format per block of rows and one join, so no second whole copy.
+    row = " ".join(["%r"] * flat.shape[1]) + "\n"
+    text = ["\n".join(lines) + "\n"]
+    for start in range(0, len(flat), RENDER_BLOCK_ROWS):
+        block = flat[start:start + RENDER_BLOCK_ROWS]
+        text.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(text)
 
 
 def _parse_grid_field(text: str, path) -> tuple[str, tuple[float, ...], np.ndarray]:

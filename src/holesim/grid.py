@@ -82,7 +82,7 @@ class Grid:
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extent, self.shape))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 

@@ -71,13 +71,17 @@ class MetricField:
         dets = np.linalg.det(g)
         if np.any(dets >= 0):
             raise SignatureError("metric determinant must be negative everywhere")
-        eigs = np.linalg.eigvalsh(g)
-        negatives = np.sum(eigs < 0, axis=-1)
+        # Cauchy interlacing: with det < 0, a positive definite spatial block
+        # leaves exactly one negative eigenvalue; otherwise count them.
+        negatives = 1
+        try:
+            np.linalg.cholesky(g[..., 1:, 1:])
+        except np.linalg.LinAlgError:
+            negatives = np.sum(np.linalg.eigvalsh(g) < 0, axis=-1)
         if np.any(negatives != 1):
             raise SignatureError("metric must have exactly one negative eigenvalue")
         inverse = np.linalg.inv(g)
-        eye = np.eye(d)
-        residual = g @ inverse - eye
+        residual = g @ inverse - np.eye(d)
         residual = np.max(np.abs(residual, out=residual))
         if residual > INVERSE_RESIDUAL_TOL:
             raise DomainError(

@@ -167,3 +167,50 @@ def sinusoidal_metric_family(alpha=0.1, omega=2.0, kappa=3.0,
         return metric, exact
 
     return family
+
+
+def grid_field_rows(values, axes):
+    """The data rows of a grid field, one row per grid point: each
+    component's repr, joined by spaces, one Python string per row."""
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(int(np.prod(values.shape[:axes])), -1)
+    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
+def metric_error_by_eigenvalues(spacings, components):
+    """The (type name, message) MetricField raises for a finite, exactly
+    symmetric metric of valid shape, or None if it accepts it, with the
+    signature read off numpy's eigenvalues at every point: det < 0, then
+    exactly one negative eigenvalue, then the inverse residual."""
+    g = np.asarray(components, dtype=float)
+    if np.any(np.linalg.det(g) >= 0):
+        return "SignatureError", "metric determinant must be negative everywhere"
+    if np.any(np.sum(np.linalg.eigvalsh(g) < 0, axis=-1) != 1):
+        return "SignatureError", "metric must have exactly one negative eigenvalue"
+    residual = np.max(np.abs(g @ np.linalg.inv(g) - np.eye(len(spacings))))
+    if residual > 1e-12:
+        return "DomainError", f"metric inverse residual {residual:.3e} exceeds 1e-12"
+    return None
+
+
+def pvm_error_all_pairs(projectors, tol=1e-10):
+    """The message of the first failing check of a finite PVM, or None: per
+    projector its shape, Hermiticity and idempotency (spectral norm), then
+    the Frobenius norm of every product P_i P_j with i < j in order, then
+    completeness."""
+    ps = [np.asarray(p, dtype=complex) for p in projectors]
+    n = ps[0].shape[0]
+    for i, p in enumerate(ps):
+        if p.shape != (n, n):
+            return f"projector {i} has shape {p.shape}, expected ({n}, {n})"
+        if np.max(np.abs(p - p.conj().T)) > tol:
+            return f"projector {i} is not Hermitian"
+        if np.linalg.norm(p @ p - p, 2) > tol:
+            return f"projector {i} is not idempotent"
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            if np.linalg.norm(ps[i] @ ps[j]) > tol:
+                return f"projectors {i} and {j} are not orthogonal"
+    if np.max(np.abs(sum(ps) - np.eye(n))) > tol:
+        return "projectors do not sum to the identity"
+    return None

@@ -21,8 +21,8 @@ from holesim import (
     sample_form,
     translate_basis,
 )
-from holesim.background_recover import localization_index
-from oracles import haar_unitary
+from holesim.background_recover import _check_pvm, localization_index
+from oracles import haar_unitary, pvm_error_all_pairs
 
 GRID = Grid(256, 40.0)
 
@@ -154,6 +154,82 @@ def test_pvm_names_the_first_non_orthogonal_pair():
     tilted = tuple(np.outer(v, v.conj()) for v in vectors)
     with pytest.raises(InvalidMeasure, match=r"projectors 1 and 2 are not orthogonal"):
         pull_back_position_measure(background, tilted)
+
+
+def block_sparse_pvm(n, rng):
+    """Projectors onto random subspaces of random index blocks: a block's
+    projectors share its indices, projectors of different blocks share none."""
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=3, replace=False))
+    projectors = []
+    for block in np.split(order, cuts):
+        basis = haar_unitary(len(block), rng)
+        for columns in np.array_split(np.arange(len(block)), min(2, len(block))):
+            p = np.zeros((n, n), dtype=complex)
+            p[np.ix_(block, block)] = basis[:, columns] @ basis[:, columns].conj().T
+            projectors.append(p)
+    return projectors
+
+
+def dense_pvm(n, rng):
+    """U Q_i U^dagger for the coordinate projectors Q_i: no zero entries."""
+    u = haar_unitary(n, rng)
+    return [u @ q @ u.conj().T for q in coordinate_projectors(n)]
+
+
+def pvm_outcome(projectors):
+    try:
+        _check_pvm(tuple(projectors))
+    except InvalidMeasure as exc:
+        return str(exc)
+    return None
+
+
+def tilt(projectors, i, j, eps):
+    """Projector j replaced by the projector onto its leading direction
+    tilted by eps towards the leading direction of projector i."""
+    out = list(projectors)
+    a = np.linalg.eigh(out[i])[1][:, -1]
+    b = np.linalg.eigh(out[j])[1][:, -1]
+    v = b + eps * a
+    out[j] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("make", [block_sparse_pvm, dense_pvm], ids=["block_sparse", "dense"])
+def test_pvm_check_matches_all_pairs_reference(make, seed):
+    """The check that skips pairs with disjoint supports gives the outcome
+    and message of the all-pairs check: on a valid PVM, and with one pair
+    tilted towards each other, within a block, across blocks and below
+    the tolerance."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    projectors = make(n, rng)
+    assert pvm_outcome(projectors) is None
+    assert pvm_error_all_pairs(projectors) is None
+    for eps in (1e-3, 1e-12):
+        i, j = sorted(rng.choice(len(projectors), size=2, replace=False))
+        tilted = tilt(projectors, i, j, eps)
+        expected = pvm_error_all_pairs(tilted)
+        assert pvm_outcome(tilted) == expected
+        if eps > 1e-10:
+            assert expected is not None
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_non_finite_projector_is_an_invalid_measure(index):
+    """A NaN in a projector is refused by name before any other check, on
+    both entry points, instead of escaping from the SVD."""
+    background = recover_background(make_sample(np.eye(4, dtype=complex)))
+    projectors = list(coordinate_projectors(4))
+    projectors[index] = projectors[index].copy()
+    projectors[index][1, 3] = np.nan
+    message = f"projector {index} is not finite"
+    with pytest.raises(InvalidMeasure, match=message):
+        pull_back_position_measure(background, projectors)
+    with pytest.raises(InvalidMeasure, match=message):
+        commutation_check(background, projectors)
 
 
 def test_commutation_identity_zero():

@@ -14,14 +14,20 @@ import yaml
 from holesim import ConfigError, DomainError
 from holesim.cli import (
     EXIT_CODES,
+    RENDER_BLOCK_ROWS,
     ResultBundle,
+    _harmonic_peak_bytes,
+    _recover_peak_bytes,
+    execute,
     load_config,
     main,
     read_metric_field,
+    render_grid_field,
     write_bundle,
     write_metric_field,
 )
-from oracles import sinusoidal_metric_family
+from holesim.harmonic import MetricField, minkowski_metric
+from oracles import grid_field_rows, sinusoidal_metric_family
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -214,6 +220,40 @@ def test_metric_field_round_trip(tmp_path):
     assert np.array_equal(loaded.components, metric.components)
 
 
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0, -2.5e-17]
+
+
+@pytest.mark.parametrize("components", [1, 4, 10])
+@pytest.mark.parametrize("rows", [1, RENDER_BLOCK_ROWS - 1, RENDER_BLOCK_ROWS,
+                                  RENDER_BLOCK_ROWS + 1, 2 * RENDER_BLOCK_ROWS + 3])
+def test_render_grid_field_matches_per_row_oracle(rows, components):
+    """The data block is byte-equal to one repr-joined line per grid point,
+    whatever the row count against the render's block size, including
+    signed zeros, subnormals and the extremes of the float range."""
+    rng = np.random.default_rng(rows * components)
+    values = rng.standard_normal((rows, components)) * 10.0 ** rng.integers(-300, 300, (rows, 1))
+    flat = values.ravel()
+    flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:len(flat)]
+    text = render_grid_field("test", (0.5,), values)
+    header, data = text.split("data:\n")
+    assert header.endswith(f"components: {components}\n")
+    assert data == grid_field_rows(values, axes=1)
+
+
+def test_metric_field_16_4_round_trip(tmp_path):
+    """A 3+1 metric at 16^4, larger than one render block, written by
+    write_metric_field reads back bit-equal."""
+    rng = np.random.default_rng(16)
+    noise = 0.02 * rng.uniform(-1.0, 1.0, (16,) * 4 + (4, 4))
+    components = np.diag([-1.0, 1.0, 1.0, 1.0]) + noise + np.swapaxes(noise, -1, -2)
+    metric = MetricField((0.25, 0.25, 0.5, 0.125), components)
+    path = tmp_path / "metric16.gridfield"
+    write_metric_field(path, metric)
+    loaded = read_metric_field(path)
+    assert loaded.spacings == metric.spacings
+    assert np.array_equal(loaded.components, metric.components)
+
+
 def test_byte_determinism(tmp_path):
     """Re-executing one committed config overwrites with identical bytes."""
     path = small_baseline(tmp_path, "repeat")
@@ -394,6 +434,74 @@ def test_run_over_the_memory_limit_fails_validate(tmp_path, capsys, experiment):
     assert code == EXIT_CODES[ConfigError]
     assert "config error: grid: a run on (1024, 1024, 1024) points needs" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def validate_traced(path):
+    """Exit code of validate, and the traced peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--config", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize("recover, message", [
+    ({"points": 2**26, "n": 4, "translation_cells": 0}, "recover: n = 4 on 67108864 points"),
+    ({"points": 2**12, "n": 2**12, "translation_cells": 1}, "recover: n = 4096 on 4096 points"),
+], ids=["bases", "projectors"])
+def test_recovery_over_the_memory_limit_fails_validate(tmp_path, capsys, recover, message):
+    """Bases of 2^26 points, or 4096 projectors of 4096^2 entries, need
+    far over the limit: validate refuses them with the config exit code,
+    without allocating either."""
+    path = write_config(tmp_path, "huge_recover.yaml", {
+        "experiment": "recover-background", "recover": recover})
+    code, peak = validate_traced(path)
+    assert code == EXIT_CODES[ConfigError]
+    assert f"config error: {message} needs about" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_harmonic_over_the_memory_limit_fails_validate(tmp_path, capsys):
+    """A metric file is sized at load, not read: a 400 MiB (sparse) file is
+    refused with the config exit code within a small traced peak."""
+    metric_path = tmp_path / "huge.gridfield"
+    with metric_path.open("wb") as out:
+        out.truncate(400 * 2**20)
+    path = write_config(tmp_path, "huge_harmonic.yaml", {
+        "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
+    code, peak = validate_traced(path)
+    assert code == EXIT_CODES[ConfigError]
+    assert (f"config error: harmonic.metric_file: a check of {400 * 2**20} bytes of text"
+            " needs about") in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def traced_execute_peak(path):
+    config = load_config(path)
+    tracemalloc.start()
+    try:
+        execute(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_estimates_bound_traced_runs(tmp_path):
+    """The load-time estimates are upper bounds of what a run allocates: a
+    static and an evolved recovery, and a check of a Minkowski metric, whose
+    short values ("0.0") give the most values per byte of text."""
+    for recover in ({"points": 256, "n": 32},
+                    {"points": 512, "n": 64, "oracle": "evolved", "translation_cells": 8}):
+        path = write_config(tmp_path, "recover.yaml", {
+            "experiment": "recover-background", "recover": recover})
+        assert traced_execute_peak(path) < _recover_peak_bytes(recover["points"], recover["n"])
+    metric_path = tmp_path / "flat.gridfield"
+    write_metric_field(metric_path, minkowski_metric((8,) * 4, (0.25,) * 4))
+    path = write_config(tmp_path, "flat.yaml", {
+        "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
+    assert traced_execute_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
 
 
 def test_generated_bench_configs_validate(tmp_path, monkeypatch):
