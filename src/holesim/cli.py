@@ -150,18 +150,25 @@ class ResultBundle:
 
     ``data`` is the JSON report; ``files`` maps extra file names to fully
     rendered text payloads (CSV tables, grid fields). Every numeric entry
-    must be finite and the JSON report must round-trip losslessly.
+    must be finite and the JSON report must round-trip losslessly;
+    ``json_text`` is that report as result.json holds it.
     """
 
     experiment: str
     data: dict
     files: dict[str, str] = field(default_factory=dict)
     wall_time_s: float = 0.0
+    json_text: str = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_finite(self.data, "data")
-        if json.loads(json.dumps(self.data)) != self.data:
+        try:
+            text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+        except (TypeError, ValueError) as exc:
+            raise DomainError("result data does not round-trip through JSON") from exc
+        if json.loads(text) != self.data:
             raise DomainError("result data does not round-trip through JSON")
+        object.__setattr__(self, "json_text", text)
 
 
 def _check_finite(node, path):
@@ -227,7 +234,10 @@ def load_config(path) -> RunConfig:
         if key not in known_top:
             errors.append(f"{key}: unknown top-level key")
 
-    output_dir = Path(raw.get("output_dir", f"results/{experiment}"))
+    output_dir = raw.get("output_dir", f"results/{experiment}")
+    if not isinstance(output_dir, str):
+        errors.append(f"output_dir: must be a path string, got {output_dir!r}")
+    output_dir = Path(str(output_dir))
     formats = raw.get("formats", DEFAULTS["formats"])
     if not isinstance(formats, list) or not set(formats) <= {"csv", "json"}:
         errors.append(f"formats: must be a sublist of ['csv', 'json'], got {formats!r}")
@@ -298,6 +308,8 @@ def load_config(path) -> RunConfig:
         metric_file = sections["harmonic"].get("metric_file")
         if not metric_file:
             errors.append("harmonic.metric_file: required for check-harmonic runs")
+        elif not isinstance(metric_file, str):
+            errors.append(f"harmonic.metric_file: must be a path string, got {metric_file!r}")
         else:
             metric_path = Path(metric_file)
             if not metric_path.is_file():
@@ -611,7 +623,7 @@ def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list
     written = []
     if "json" in formats:
         path = out_dir / "result.json"
-        path.write_text(json.dumps(bundle.data, sort_keys=True, indent=2) + "\n")
+        path.write_text(bundle.json_text)
         written.append(path)
     for name, payload in sorted(bundle.files.items()):
         if name.endswith(".csv") and "csv" not in formats:

@@ -8,19 +8,18 @@ The stepper is symmetric Strang splitting with a spectral kinetic step:
 
 Each factor is a pure phase, so the norm is preserved to roundoff per
 step. The branches of a run, each in its own potential, step in lockstep
-as one (B, *grid) stack of at most STACK_BYTES (a larger branch is a stack
-of one), in place in the one buffer that holds the stack. The phase factor
-is always the first operand, so the bits never hang on numpy's
-size-dependent reuse of temporaries, and the FFTs run axis by axis within
-each branch, so a stacked branch has the bits of a lone one.
+as a (B, *grid) stack, in place. The phase factor is always the first
+operand, so the bits never hang on numpy's size-dependent reuse of
+temporaries, and the FFTs run axis by axis within each branch, so a
+stacked branch has the bits of a lone one.
 
-The stacks of one call share nothing but the read-only kinetic factor, so
-they step concurrently, one thread per CPU the process may use. A call
-forms more than one stack only when its branches hold over STACK_BYTES of
-amplitudes, so each thread spends its time in FFTs and multiplies that
-release the GIL. The calling thread allocates every stack and phase factor
-before any worker starts: memory a worker frees would stay in its thread's
-malloc arena. The worker count never changes the bits.
+A call over STACK_BYTES of amplitudes is cut into one contiguous part per
+CPU, each stepped on its own thread in FFTs and multiplies that release
+the GIL. The calling thread allocates every part's stack and phase factor
+and one (T, B, *grid) snapshot block before any worker starts; a worker
+copies its snapshots into the block and allocates nothing, as memory it
+freed would stay in its thread's malloc arena. The core count never
+changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -60,10 +59,9 @@ __all__ = [
 # Warn when a single step rotates the potential phase by more than this.
 PHASE_PER_STEP_BOUND = np.pi / 4
 
-# Amplitude bytes of branches stepped as one stack: stacking saves per-call
-# overhead on small grids; on large ones the FFTs dominate and it only costs
-# memory. Stacks of one call step concurrently, so a branch over the budget
-# steps alone but beside the others.
+# Amplitude bytes above which a call is cut into one part per CPU: below it
+# one stack saves per-call overhead, above it the FFTs dominate and the
+# parts step concurrently.
 STACK_BYTES = 2**20
 
 
@@ -287,7 +285,7 @@ def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> Wa
     half_v = np.empty_like(stack)
     _half_potential_phase(values, config.dt, half_v[0])
     _advance(stack, half_v, _kinetic_phase(psi.grid, config.dt, config.mass))
-    if not np.isfinite(stack.view(np.float64)).all():
+    if not np.isfinite(np.vdot(stack, stack)):
         raise NumericalBlowup("step produced non-finite amplitudes")
     return WaveFunction(psi.grid, stack[0], psi.label)
 
@@ -303,18 +301,18 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
 
 def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """:func:`evolve` of each state in its own potential, all on one grid,
-    stepped in stacks of at most STACK_BYTES of amplitudes, the stacks
-    concurrently; each trajectory has the bits of its lone evolve, in the
-    order of ``states``; no states give no trajectories."""
+    stepped as one stack, or in concurrent parts above STACK_BYTES; each
+    trajectory has the bits of its lone evolve, in the order of ``states``;
+    no states give no trajectories."""
     return _evolve_stacked(states, potentials, config)
 
 
 def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """The engine behind both public entry points; warnings name their caller.
 
-    The calling thread steps group 0; a thread for each further CPU, at most
-    one per group, steps the others round robin. If groups fail, the error
-    of the first in input order is raised once every group has finished."""
+    The calling thread steps part 0 and one thread each further part. If
+    parts fail, the error of the first in input order is raised once every
+    part has finished."""
     if config.dt < 0:
         raise DomainError("evolve requires a forward (dt > 0) config")
     for psi, potential in zip(states, potentials, strict=True):
@@ -323,66 +321,55 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
             raise GridMismatch("stacked branches must share one grid")
         phase_per_step = abs(config.dt) * potential.max_abs()
         if phase_per_step > PHASE_PER_STEP_BOUND:
-            warnings.warn(
-                f"potential phase per step {phase_per_step:.3f} exceeds {PHASE_PER_STEP_BOUND:.3f};"
-                " reduce dt or the coupling",
-                StabilityWarning,
-                stacklevel=3,
-            )
+            warnings.warn(f"potential phase per step {phase_per_step:.3f} exceeds"
+                          f" {PHASE_PER_STEP_BOUND:.3f}; reduce dt or the coupling",
+                          StabilityWarning, stacklevel=3)
     if not states:
         return ()
     grid = states[0].grid
+    count = len(states)
+    n_steps = int(round(config.t_end / config.dt))
+    snapshot_steps = [k for k in range(1, n_steps + 1)
+                      if k % config.snapshot_stride == 0 or k == n_steps]
     kinetic = _kinetic_phase(grid, config.dt, config.mass)
-    size = max(1, STACK_BYTES // (16 * grid.size))
-    groups = []
-    for start in range(0, len(states), size):
-        members = states[start:start + size]
-        stack = np.array([psi.amplitudes for psi in members])
+    n_parts = min(count, _cores()) if 16 * grid.size * count > STACK_BYTES else 1
+    bounds = [p * count // n_parts for p in range(n_parts + 1)]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        stack = np.array([psi.amplitudes for psi in states[lo:hi]])
         half_v = np.empty_like(stack)
-        for out, potential in zip(half_v, potentials[start:start + size]):
+        for out, potential in zip(half_v, potentials[lo:hi]):
             _half_potential_phase(potential.values, config.dt, out)
-        groups.append((members, stack, half_v))
+        parts.append((stack, half_v))
+    block = np.empty((len(snapshot_steps), count, *grid.shape), dtype=np.complex128)
+    errors = [None] * n_parts
 
-    outcomes = [None] * len(groups)
+    def run(p: int) -> None:
+        stack, half_v = parts[p]
+        k = 0
+        try:
+            for rows, last in zip(block[:, bounds[p]:bounds[p + 1]], snapshot_steps):
+                for k in range(k + 1, last + 1):
+                    _advance(stack, half_v, kinetic)
+                    if not np.isfinite(np.vdot(stack, stack)):
+                        raise NumericalBlowup(f"evolution blew up at step {k}")
+                np.copyto(rows, stack)
+        except Exception as exc:  # re-raised in the calling thread, in input order
+            errors[p] = exc
 
-    def work(first: int, workers: int) -> None:
-        for g in range(first, len(groups), workers):
-            try:
-                outcomes[g] = _evolve_group(*groups[g], kinetic, config)
-            except Exception as exc:  # re-raised in the calling thread, in input order
-                outcomes[g] = exc
-
-    workers = min(len(groups), _cores())
-    threads = [threading.Thread(target=work, args=(w, workers)) for w in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, n_parts)]
     for thread in threads:
         thread.start()
-    work(0, workers)
+    run(0)
     for thread in threads:
         thread.join()
-    trajectories = []
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        trajectories += outcome
-    return tuple(trajectories)
-
-
-def _evolve_group(states, stack: np.ndarray, half_v: np.ndarray, kinetic: np.ndarray,
-                  config: EvolutionConfig) -> list[Trajectory]:
-    """Steps one group's ``stack`` in place and copies out its snapshots."""
-    grid = states[0].grid
-    n_steps = int(round(config.t_end / config.dt))
-    times = [0.0]
-    snapshots = [[psi0] for psi0 in states]
-    for k in range(1, n_steps + 1):
-        _advance(stack, half_v, kinetic)
-        if not np.isfinite(stack.view(np.float64)).all():
-            raise NumericalBlowup(f"evolution blew up at step {k}")
-        if k % config.snapshot_stride == 0 or k == n_steps:
-            times.append(k * config.dt)
-            for branch, amps in zip(snapshots, stack):
-                branch.append(WaveFunction(grid, amps, branch[0].label))
-    return [Trajectory(tuple(times), tuple(branch)) for branch in snapshots]
+    for error in filter(None, errors):  # the first in input order
+        raise error
+    block.flags.writeable = False
+    times = (0.0, *(k * config.dt for k in snapshot_steps))
+    return tuple(Trajectory(times, (psi0, *(WaveFunction._adopt(grid, amps, psi0.label)
+                                            for amps in block[:, b])))
+                 for b, psi0 in enumerate(states))
 
 
 def energy_expectation(psi: WaveFunction, potential: Potential, mass: float) -> float:

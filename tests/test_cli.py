@@ -320,6 +320,19 @@ def test_result_bundle_roundtrip_guard():
     assert bundle.data["value"] == 0.1
 
 
+def test_result_bundle_refuses_what_json_cannot_encode():
+    with pytest.raises(DomainError, match="does not round-trip through JSON"):
+        ResultBundle("baseline", {"table": {(1, 2): 0.5}})
+
+
+def test_result_json_is_the_text_the_bundle_checked(tmp_path):
+    data = {"value": 0.1, "list": [1, 2.5], "nested": {"b": None, "a": "x"}}
+    bundle = ResultBundle("baseline", data)
+    write_bundle(bundle, tmp_path / "rj", formats=("json",))
+    text = (tmp_path / "rj" / "result.json").read_text()
+    assert text == bundle.json_text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def test_write_bundle_meta_separate(tmp_path):
     bundle = ResultBundle("baseline", {"value": 1.0}, {"extra.csv": "a,b\n1.0,2.0\n"})
     written = write_bundle(bundle, tmp_path / "wb")
@@ -354,6 +367,25 @@ def test_sweep_rows_do_not_depend_on_batch_size(tmp_path):
     assert len(batched) == len(values)
     assert all(row.endswith(b",ok") for row in batched)
     assert batched == single
+
+
+@pytest.mark.parametrize("name", ["hole_control", "sweep_coupling"])
+def test_data_files_do_not_depend_on_core_count(tmp_path, monkeypatch, name):
+    """Over a 16 KiB STACK_BYTES a committed 1D run steps each branch as its
+    own part: one part on one core, one thread per part on four. Both
+    write the data files of an unpatched run, byte for byte."""
+    evolve_module = importlib.import_module("holesim.evolve")
+    config = load_config(ROOT / "configs" / f"{name}.yaml")
+
+    def data_files(out):
+        written = write_bundle(execute(config), tmp_path / out, config.formats)
+        return {p.name: p.read_bytes() for p in written if p.name != "run_meta.json"}
+
+    unpatched = data_files("unpatched")
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 16 * 1024)
+    for cores in (1, 4):
+        monkeypatch.setattr(evolve_module, "_cores", lambda: cores)
+        assert data_files(f"cores_{cores}") == unpatched
 
 
 def test_runtime_error_exit_codes(tmp_path):
@@ -589,3 +621,14 @@ def test_two_sided_must_be_a_boolean(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
     assert "config error: diffeo.two_sided: must be true or false, got 'false'" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"experiment": "baseline", "output_dir": 5}, "output_dir: must be a path string, got 5"),
+    ({"experiment": "check-harmonic", "harmonic": {"metric_file": 5}},
+     "harmonic.metric_file: must be a path string, got 5"),
+], ids=["output_dir", "metric_file"])
+def test_path_keys_must_be_strings(tmp_path, capsys, sections, message):
+    path = write_config(tmp_path, "paths.yaml", sections)
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert f"config error: {message}" in capsys.readouterr().err

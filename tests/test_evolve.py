@@ -3,6 +3,7 @@ analytic free-packet behavior, reversibility, energy drift."""
 
 import importlib
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -333,34 +334,37 @@ def branch_setup(grid, width, branches):
     return states, potentials
 
 
+# The last entry of each case is its part sizes on two cores: a call over
+# STACK_BYTES is cut into one contiguous part per core. On one core every
+# call is one part.
 STACKED_CASES = [
     (Grid(1024, 40.0), 1.4, None, [3]),
-    (Grid(1024, 40.0), 1.4, 2 * 16 * 1024, [2, 1]),
+    (Grid(1024, 40.0), 1.4, 2 * 16 * 1024, [1, 2]),
     (Grid((128, 128), (30.0, 30.0)), 1.4, None, [2]),
     (Grid((64, 64, 64), (40.0,) * 3), 1.9, None, [1, 1]),
 ]
 STACKED_IDS = ["1d_1024", "1d_1024_groups_of_2", "2d_128sq", "3d_64cube_over_budget"]
 
 
-@pytest.mark.parametrize("grid, width, stack_bytes, groups", STACKED_CASES, ids=STACKED_IDS)
-def test_stacked_branches_match_lone_evolves(monkeypatch, grid, width, stack_bytes, groups):
+@pytest.mark.parametrize("grid, width, stack_bytes, parts", STACKED_CASES, ids=STACKED_IDS)
+def test_stacked_branches_match_lone_evolves(monkeypatch, grid, width, stack_bytes, parts):
     """A branch evolved in a stack has the bits of its lone evolve and of
-    whole-array fftn steps, whether the stack holds every branch, is split
-    into groups, or is a group of one above the budget. On one core the
-    groups step one after the other, in input order."""
+    whole-array fftn steps. On one core a call is one stack of every
+    branch, over the budget or not."""
     monkeypatch.setattr(evolve_module, "_cores", lambda: 1)
-    check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordered=True)
+    check_stacked_branches(monkeypatch, grid, width, stack_bytes, [sum(parts)])
 
 
-@pytest.mark.parametrize("grid, width, stack_bytes, groups", STACKED_CASES, ids=STACKED_IDS)
+@pytest.mark.parametrize("grid, width, stack_bytes, parts", STACKED_CASES, ids=STACKED_IDS)
 def test_stacked_branches_match_lone_evolves_on_two_workers(monkeypatch, grid, width,
-                                                            stack_bytes, groups):
-    """The same bits when the groups step on two threads at once."""
+                                                            stack_bytes, parts):
+    """The same bits when a call over the budget steps as two parts on two
+    threads at once."""
     monkeypatch.setattr(evolve_module, "_cores", lambda: 2)
-    check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordered=False)
+    check_stacked_branches(monkeypatch, grid, width, stack_bytes, parts)
 
 
-def check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordered):
+def check_stacked_branches(monkeypatch, grid, width, stack_bytes, parts):
     if stack_bytes is not None:
         monkeypatch.setattr(evolve_module, "STACK_BYTES", stack_bytes)
     real = evolve_module._advance
@@ -371,14 +375,13 @@ def check_stacked_branches(monkeypatch, grid, width, stack_bytes, groups, ordere
             stacks.append(stack)
         return real(stack, *args)
 
-    states, potentials = branch_setup(grid, width, sum(groups))
+    states, potentials = branch_setup(grid, width, sum(parts))
     config = EvolutionConfig(dt=0.05, t_end=0.15 if grid.dim == 3 else 0.5, mass=1.0,
                              snapshot_stride=2)
     monkeypatch.setattr(evolve_module, "_advance", recording)
     stacked = evolve_branches(states, potentials, config)
     monkeypatch.setattr(evolve_module, "_advance", real)
-    sizes = [len(stack) for stack in stacks]
-    assert sizes == groups if ordered else sorted(sizes) == sorted(groups)
+    assert sorted(len(stack) for stack in stacks) == sorted(parts)
     assert [t.states[-1].label for t in stacked] == [psi.label for psi in states]
     for psi, potential, trajectory in zip(states, potentials, stacked):
         lone = evolve(psi, potential, config)
@@ -447,8 +450,13 @@ def test_bits_do_not_depend_on_worker_count(monkeypatch, grid, width, stack_byte
                 assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+# Part sizes of three 1D 1024 branches over a 32 KiB STACK_BYTES, by core
+# count.
+PARTS_OF_THREE = {1: [3], 2: [1, 2]}
+
+
 def poison_groups(monkeypatch, steps_by_size):
-    """Make the group of each stack size in ``steps_by_size`` go non-finite
+    """Make the part of each stack size in ``steps_by_size`` go non-finite
     at that step."""
     real = evolve_module._advance
     calls = {}
@@ -467,27 +475,29 @@ def test_blowup_in_the_second_group_names_its_step(monkeypatch, workers):
     monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
     monkeypatch.setattr(evolve_module, "STACK_BYTES", 2 * 16 * 1024)
     states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 3)
-    poison_groups(monkeypatch, {1: 3})
+    poison_groups(monkeypatch, {PARTS_OF_THREE[workers][-1]: 3})
     with pytest.raises(NumericalBlowup, match="at step 3$"):
         evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_failing_group_in_input_order_is_raised(monkeypatch, workers):
-    """The second group fails first in time; the first group's error wins."""
+    """The last part fails first in time; the first part's error wins. On
+    one core they are one part, and it fails at the first part's step."""
     monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
     monkeypatch.setattr(evolve_module, "STACK_BYTES", 2 * 16 * 1024)
     states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 3)
-    poison_groups(monkeypatch, {2: 4, 1: 1})
+    first, last = PARTS_OF_THREE[workers][0], PARTS_OF_THREE[workers][-1]
+    poison_groups(monkeypatch, {last: 1, first: 4})
     with pytest.raises(NumericalBlowup, match="at step 4$"):
         evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
-    """Traced peaks of a two-branch 64^3 evolve, within 10%: at the first
-    step, one stack and one potential phase per branch plus one kinetic
-    factor; over the call, those plus the snapshots."""
+    """Traced peaks of a two-branch 64^3 evolve, within 10%: one stack and
+    one potential phase per branch, one kinetic factor and the snapshot
+    block, all allocated before the first step and no more over the call."""
     grid = Grid((64, 64, 64), (40.0,) * 3)
     monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
     states, potentials = branch_setup(grid, 1.9, 2)
@@ -510,8 +520,65 @@ def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
         tracemalloc.stop()
     assert [len(t.states) for t in trajectories] == [2, 2]
     working_set = 2 * 2 * field + field
-    assert first_step_peaks[0] <= 1.1 * working_set
-    assert peak <= 1.1 * (working_set + 2 * field)
+    snapshots = 2 * field
+    assert first_step_peaks[0] <= 1.1 * (working_set + snapshots)
+    assert peak <= 1.1 * (working_set + snapshots)
+
+
+def test_workers_allocate_nothing_per_step(monkeypatch):
+    """Two parts of two 1D branches on two threads. The threads take strict
+    turns, so that each reads the traced array memory after a step while
+    the other waits at its own next step: every reading of a thread equals
+    its first. The turn taken at the last step of the thread that ends
+    first finds the other thread running on, so it is not compared.
+
+    Only numpy's array data counts: the interpreter keeps small objects in
+    free lists, which move the total by a few bytes whatever the engine
+    does."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: 2)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 16 * 1024)
+    states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 4)
+    n_steps = 20
+    config = EvolutionConfig(dt=0.05, t_end=n_steps * 0.05, mass=1.0)
+    real = evolve_module._advance
+    turns = threading.Condition()
+    order = []  # thread idents in the order of their first step
+    handed = [0]  # turns handed over so far
+    calls = [0, 0]
+    readings = np.zeros((2, n_steps), dtype=np.int64)
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def step_in_turn(stack, half_v, kinetic):
+        me = threading.get_ident()
+        with turns:
+            if me not in order:
+                order.append(me)
+            i = order.index(me)
+            k = calls[i]
+            calls[i] = k + 1
+            if 0 < k < n_steps:  # hand over the turn this thread took at its last step
+                handed[0] += 1
+            turns.notify_all()
+            while k < n_steps and (len(order) < 2 or handed[0] != 2 * k + i):
+                assert turns.wait(30), "the other thread never handed over"
+            real(stack, half_v, kinetic)
+            if k < n_steps:
+                traces = tracemalloc.take_snapshot().filter_traces(arrays).traces
+                readings[i, k] = sum(trace.size for trace in traces)
+            if k == n_steps - 1:  # no later step of this thread hands over
+                handed[0] += 1
+            turns.notify_all()
+
+    monkeypatch.setattr(evolve_module, "_advance", step_in_turn)
+    tracemalloc.start()
+    try:
+        trajectories = evolve_branches(states, potentials, config)
+    finally:
+        tracemalloc.stop()
+    assert (readings[0] == readings[0, 0]).all()
+    assert (readings[1, :-1] == readings[1, 0]).all()
+    assert calls == [n_steps, n_steps]
+    assert [len(t.states) for t in trajectories] == [n_steps + 1] * 4
 
 
 def test_stacked_branches_share_one_grid(grid256):
