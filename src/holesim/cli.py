@@ -57,6 +57,7 @@ from .hole_experiment import (
     SWEEP_PARAMETERS,
     HoleExperimentConfig,
     HoleReport,
+    _config_for,
     config_from_sections,
     default_config,
     run_baseline,
@@ -76,8 +77,6 @@ __all__ = [
     "main",
 ]
 
-EXPERIMENTS = ("baseline", "hole", "sweep", "recover-background", "check-harmonic")
-
 EXIT_CODES = {
     ConfigError: 2,
     GridMismatch: 3,
@@ -96,12 +95,10 @@ EXIT_CODES = {
 }
 
 # Documented defaults: the default scenario of hole_experiment plus the
-# bump-map, sweep, recovery and harmonic settings.
+# sweep, recovery and harmonic settings.
 DEFAULTS = {
     "formats": ["csv", "json"],
     **DEFAULT_SCENARIO,
-    "diffeo": {**DEFAULT_SCENARIO["diffeo"], "center": 0.0, "radius": 5.0,
-               "peak_shift": 1.0, "two_sided": False},
     "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.1, 0.2]},
     "recover": {
         "points": 256,
@@ -119,15 +116,6 @@ PEAK_BYTES_LIMIT = 4 * 2**30
 # Rows of a grid field that render_grid_field formats at once.
 RENDER_BLOCK_ROWS = 4096
 
-_SECTIONS_BY_KIND = {
-    "baseline": ("grid", "packet", "potentials", "evolution", "support"),
-    "hole": ("grid", "packet", "potentials", "evolution", "diffeo", "support"),
-    "sweep": ("grid", "packet", "potentials", "evolution", "diffeo", "support", "sweep"),
-    "recover-background": ("recover",),
-    "check-harmonic": ("harmonic",),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class RunConfig:
     """Validated run description with all nested objects constructed."""
@@ -137,11 +125,7 @@ class RunConfig:
     formats: tuple[str, ...]
     echo: dict
     hole_config: HoleExperimentConfig | None = None
-    two_sided: bool = False
-    sweep_parameter: str | None = None
-    sweep_values: tuple[float, ...] = ()
     recover: dict | None = None
-    metric_path: Path | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +223,7 @@ def load_config(path) -> RunConfig:
         errors.append(f"output_dir: must be a path string, got {output_dir!r}")
     output_dir = Path(str(output_dir))
     formats = raw.get("formats", DEFAULTS["formats"])
-    if not isinstance(formats, list) or not set(formats) <= {"csv", "json"}:
+    if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
         errors.append(f"formats: must be a sublist of ['csv', 'json'], got {formats!r}")
         formats = DEFAULTS["formats"]
 
@@ -253,8 +237,7 @@ def load_config(path) -> RunConfig:
         "output_dir": str(output_dir),
         "formats": sorted(formats),
     }
-    needed = _SECTIONS_BY_KIND[experiment]
-    for name in needed:
+    for name in _KINDS[experiment][0]:
         echo[name] = sections[name]
     # The echo goes into result.json, which holds finite numbers only.
     try:
@@ -263,15 +246,12 @@ def load_config(path) -> RunConfig:
         errors.append(str(exc))
 
     hole_config = None
-    two_sided = False
-    sweep_parameter = None
-    sweep_values: tuple[float, ...] = ()
     recover = None
-    metric_path = None
     sized, peak = "", 0.0  # what the memory estimate covers, and its bytes
 
     if experiment in ("baseline", "hole", "sweep"):
-        diffeo = {"kind": "identity"} if experiment == "baseline" else sections["diffeo"]
+        diffeo = ({"kind": "identity", "two_sided": False} if experiment == "baseline"
+                  else sections["diffeo"])
         try:
             hole_config = config_from_sections({**sections, "diffeo": diffeo})
             # The packet width, set or default, must fit the grid.
@@ -280,32 +260,35 @@ def load_config(path) -> RunConfig:
             errors.extend(exc.messages)
         except ResolutionError as exc:
             errors.append(f"packet: {exc}")
-        two_sided = diffeo.get("two_sided", False)
-        if not isinstance(two_sided, bool):
-            errors.append(f"diffeo.two_sided: must be true or false, got {two_sided!r}")
         if hole_config is not None:
             sized = f"grid: a run on {hole_config.grid.shape} points"
             peak = _peak_bytes(hole_config, pushed=0 if experiment == "baseline"
-                               else 2 if two_sided else 1)
+                               else 2 if hole_config.two_sided else 1)
     if experiment == "sweep":
-        parameter = sections["sweep"].get("parameter")
+        parameter = sections["sweep"]["parameter"]
         if parameter not in SWEEP_PARAMETERS:
             errors.append(f"sweep.parameter: unknown parameter {parameter!r}")
-        else:
-            sweep_parameter = parameter
         try:
-            sweep_values = _as_tuple(sections["sweep"].get("values", []))
-            if not sweep_values:
+            values = _as_tuple(sections["sweep"]["values"])
+            if not values:
                 errors.append("sweep.values: need at least one value")
         except (TypeError, ValueError) as exc:
             errors.append(f"sweep.values: {exc}")
+            values = ()
+        # Each value's derived config must build, as sweep() builds it.
+        if hole_config is not None and parameter in SWEEP_PARAMETERS:
+            for i, value in enumerate(values):
+                try:
+                    _config_for(hole_config, parameter, value)
+                except HolesimError as exc:
+                    errors.append(f"sweep.values[{i}]: {exc}")
     if experiment == "recover-background":
         recover = _validate_recover(sections["recover"], errors)
         if recover is not None:
             sized = f"recover: n = {recover['n']} on {recover['points']} points"
             peak = _recover_peak_bytes(recover["points"], recover["n"])
     if experiment == "check-harmonic":
-        metric_file = sections["harmonic"].get("metric_file")
+        metric_file = sections["harmonic"]["metric_file"]
         if not metric_file:
             errors.append("harmonic.metric_file: required for check-harmonic runs")
         elif not isinstance(metric_file, str):
@@ -330,11 +313,7 @@ def load_config(path) -> RunConfig:
         formats=tuple(sorted(formats)),
         echo=echo,
         hole_config=hole_config,
-        two_sided=two_sided,
-        sweep_parameter=sweep_parameter,
-        sweep_values=sweep_values,
         recover=recover,
-        metric_path=metric_path,
     )
 
 
@@ -455,13 +434,10 @@ def _diagnostics_block(report: HoleReport) -> dict:
 # --- experiment pipelines ---------------------------------------------------
 
 
-def _execute_baseline(config: RunConfig) -> tuple[str, dict, dict]:
+def _execute_baseline(config: RunConfig) -> tuple[dict, dict]:
     report = run_baseline(config.hole_config)
     final = report.final_theta_baseline
     data = {
-        "experiment": "baseline",
-        "version": __version__,
-        "config": config.echo,
         "theta_baseline": _theta_block(report.times, report.theta_baseline),
         "final": {
             "abs_theta": abs(final),
@@ -471,18 +447,15 @@ def _execute_baseline(config: RunConfig) -> tuple[str, dict, dict]:
         "diagnostics": _diagnostics_block(report),
     }
     files = {"theta_baseline.csv": _theta_csv(report.times, report.theta_baseline)}
-    return "baseline", data, files
+    return data, files
 
 
-def _execute_hole(config: RunConfig) -> tuple[str, dict, dict]:
-    report = run_hole(config.hole_config, two_sided=config.two_sided)
+def _execute_hole(config: RunConfig) -> tuple[dict, dict]:
+    report = run_hole(config.hole_config)
     final_b = report.final_theta_baseline
     final_h = report.final_theta_hole
     data = {
-        "experiment": "hole",
-        "version": __version__,
-        "config": config.echo,
-        "two_sided": report.two_sided,
+        "two_sided": report.config.two_sided,
         "theta_baseline": _theta_block(report.times, report.theta_baseline),
         "theta_hole": _theta_block(report.times, report.theta_hole),
         "contrast": float(report.contrast),
@@ -500,11 +473,12 @@ def _execute_hole(config: RunConfig) -> tuple[str, dict, dict]:
         "theta_baseline.csv": _theta_csv(report.times, report.theta_baseline),
         "theta_hole.csv": _theta_csv(report.times, report.theta_hole),
     }
-    return "hole", data, files
+    return data, files
 
 
-def _execute_sweep(config: RunConfig) -> tuple[str, dict, dict]:
-    entries = sweep(config.hole_config, config.sweep_parameter, config.sweep_values)
+def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
+    parameter = config.echo["sweep"]["parameter"]
+    entries = sweep(config.hole_config, parameter, _as_tuple(config.echo["sweep"]["values"]))
     rows = []
     per_value = []
     for entry in entries:
@@ -523,13 +497,7 @@ def _execute_sweep(config: RunConfig) -> tuple[str, dict, dict]:
             "arg_theta_hole": float(np.angle(fh)),
             "contrast": entry.report.contrast,
         })
-    data = {
-        "experiment": "sweep",
-        "version": __version__,
-        "config": config.echo,
-        "parameter": config.sweep_parameter,
-        "entries": per_value,
-    }
+    data = {"parameter": parameter, "entries": per_value}
     files = {
         "sweep.csv": render_csv(
             ("value", "abs_theta_baseline", "arg_theta_baseline", "abs_theta_hole",
@@ -537,10 +505,10 @@ def _execute_sweep(config: RunConfig) -> tuple[str, dict, dict]:
             rows,
         )
     }
-    return "sweep", data, files
+    return data, files
 
 
-def _execute_recover(config: RunConfig) -> tuple[str, dict, dict]:
+def _execute_recover(config: RunConfig) -> tuple[dict, dict]:
     settings = config.recover
     grid = settings["grid"]
     basis_g = localized_basis(grid, settings["n"])
@@ -550,7 +518,7 @@ def _execute_recover(config: RunConfig) -> tuple[str, dict, dict]:
         # reference states freely, for a fixed 0.2 time units.
         scenario = settings["scenario"]
         branch = Potential.point_mass(grid, scenario.source_left, scenario.coupling,
-                                      scenario.resolved_softening)
+                                      scenario.softening)
         free = Potential.tabulated(grid, np.zeros(grid.shape))
         evo = dataclasses.replace(scenario.evolution, t_end=0.2, snapshot_stride=10**9)
         n = settings["n"]
@@ -561,9 +529,6 @@ def _execute_recover(config: RunConfig) -> tuple[str, dict, dict]:
     indices = [localization_index(p) for p in background.recovered_projectors]
     stride = settings["points"] // settings["n"]
     data = {
-        "experiment": "recover-background",
-        "version": __version__,
-        "config": config.echo,
         "form_matrix": _matrix_block(sample.matrix),
         "condition_number": float(sample.condition_number),
         "unitary": _matrix_block(background.unitary),
@@ -571,17 +536,14 @@ def _execute_recover(config: RunConfig) -> tuple[str, dict, dict]:
         "localization_cells": [int(i * stride) for i in indices],
         "planted_translation_cells": settings["translation_cells"],
     }
-    return "recover-background", data, {}
+    return data, {}
 
 
-def _execute_harmonic(config: RunConfig) -> tuple[str, dict, dict]:
-    metric = read_metric_field(config.metric_path)
+def _execute_harmonic(config: RunConfig) -> tuple[dict, dict]:
+    metric = read_metric_field(Path(config.echo["harmonic"]["metric_file"]))
     residual = harmonic_residual(metric)
     per_index = [float(np.max(np.abs(residual[..., nu]))) for nu in range(metric.dim)]
     data = {
-        "experiment": "check-harmonic",
-        "version": __version__,
-        "config": config.echo,
         "grid_shape": list(metric.grid_shape),
         "spacings": [float(h) for h in metric.spacings],
         "max_abs_residual": max(per_index),
@@ -592,52 +554,57 @@ def _execute_harmonic(config: RunConfig) -> tuple[str, dict, dict]:
             "residual", tuple(metric.spacings), residual
         )
     }
-    return "check-harmonic", data, files
+    return data, files
 
 
-_PIPELINES = {
-    "baseline": _execute_baseline,
-    "hole": _execute_hole,
-    "sweep": _execute_sweep,
-    "recover-background": _execute_recover,
-    "check-harmonic": _execute_harmonic,
+_SCENARIO = ("grid", "packet", "potentials", "evolution")
+# Each experiment kind: the config sections it echoes, and its pipeline.
+_KINDS = {
+    "baseline": ((*_SCENARIO, "support"), _execute_baseline),
+    "hole": ((*_SCENARIO, "diffeo", "support"), _execute_hole),
+    "sweep": ((*_SCENARIO, "diffeo", "support", "sweep"), _execute_sweep),
+    "recover-background": (("recover",), _execute_recover),
+    "check-harmonic": (("harmonic",), _execute_harmonic),
 }
+EXPERIMENTS = tuple(_KINDS)
 
 
 def execute(config: RunConfig) -> ResultBundle:
-    """Dispatch a validated config to its pipeline and validate its result
-    once, as one ResultBundle; deterministic output."""
+    """Dispatch a validated config to its pipeline, add the experiment,
+    version and config echo to its data, and validate the result once, as
+    one ResultBundle; deterministic output."""
     start = time.perf_counter()
-    experiment, data, files = _PIPELINES[config.experiment](config)
-    return ResultBundle(experiment, data, files, time.perf_counter() - start)
+    data, files = _KINDS[config.experiment][1](config)
+    data = {"experiment": config.experiment, "version": __version__,
+            "config": config.echo, **data}
+    return ResultBundle(config.experiment, data, files, time.perf_counter() - start)
 
 
 def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list[Path]:
     """Write result.json, any extra files, and run_meta.json (timing only).
 
     Data files are byte-deterministic; run_meta.json holds the wall clock
-    and is the one file excluded from that guarantee.
+    and is the one file excluded from that guarantee. A directory or file
+    that cannot be written is a ConfigError under output_dir.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    payloads = {}
     if "json" in formats:
-        path = out_dir / "result.json"
-        path.write_text(bundle.json_text)
-        written.append(path)
+        payloads["result.json"] = bundle.json_text
     for name, payload in sorted(bundle.files.items()):
-        if name.endswith(".csv") and "csv" not in formats:
-            continue
-        path = out_dir / name
-        path.write_text(payload)
-        written.append(path)
-    meta = out_dir / "run_meta.json"
-    meta.write_text(json.dumps(
+        if "csv" in formats or not name.endswith(".csv"):
+            payloads[name] = payload
+    payloads["run_meta.json"] = json.dumps(
         {"experiment": bundle.experiment, "version": __version__,
          "wall_time_s": bundle.wall_time_s},
-        sort_keys=True, indent=2) + "\n")
-    written.append(meta)
-    return written
+        sort_keys=True, indent=2) + "\n"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, payload in payloads.items():
+            (out_dir / name).write_text(payload)
+    except OSError as exc:
+        raise ConfigError([f"output_dir: cannot write {out_dir}: {exc}"]) from None
+    return [out_dir / name for name in payloads]
 
 
 # --- grid-field text format ---------------------------------------------
@@ -668,7 +635,11 @@ def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray
     return "".join(text)
 
 
-def _parse_grid_field(text: str, path) -> tuple[str, tuple[float, ...], np.ndarray]:
+def _parse_grid_field(path) -> tuple[str, tuple[float, ...], np.ndarray]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: cannot read grid field: {exc}"]) from None
     header: dict[str, str] = {}
     lines = text.splitlines()
     data_start = None
@@ -714,7 +685,7 @@ def write_metric_field(path, metric: MetricField) -> None:
 def read_metric_field(path) -> MetricField:
     """Load a metric grid field; symmetry is exact by construction since
     the format stores the upper triangle only."""
-    kind, spacings, tri = _parse_grid_field(Path(path).read_text(), path)
+    kind, spacings, tri = _parse_grid_field(path)
     if kind != "metric":
         raise ConfigError([f"{path}: expected kind 'metric', got {kind!r}"])
     d = len(spacings)

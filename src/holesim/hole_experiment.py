@@ -62,7 +62,8 @@ DEFAULT_SCENARIO = {
     "potentials": {"left_position": -2.5, "right_position": 2.5,
                    "coupling": 0.1, "softening": 1.0},
     "evolution": {"dt": 0.02, "t_end": 4.0, "mass": 4.0, "snapshot_stride": 20},
-    "diffeo": {"kind": "translation_ramp", "shift": 17.5, "t0": 0.8, "t1": 1.6},
+    "diffeo": {"kind": "translation_ramp", "shift": 17.5, "t0": 0.8, "t1": 1.6,
+               "center": 0.0, "radius": 5.0, "peak_shift": 1.0, "two_sided": False},
     "support": {"lower": -9.0, "upper": 7.0},
 }
 
@@ -123,7 +124,8 @@ class HoleExperimentConfig:
     positions define the two branch potentials. ``support`` declares the
     region U that must carry all but 1e-10 of the branch mass at every
     snapshot; for translation maps the displaced region U' is derived
-    from the completed shift.
+    from the completed shift. ``two_sided`` applies the map to both
+    branches, the covariance control, instead of to the left one only.
     """
 
     grid: Grid
@@ -136,6 +138,7 @@ class HoleExperimentConfig:
     evolution: EvolutionConfig
     diffeo: SpatialDiffeomorphism
     support: Region
+    two_sided: bool
     softening: float | None = None
 
     def __post_init__(self):
@@ -156,12 +159,6 @@ class HoleExperimentConfig:
         if self.coupling < 0:
             raise DomainError(f"coupling must be non-negative, got {self.coupling}")
 
-    @property
-    def resolved_softening(self) -> float:
-        if self.softening is not None:
-            return self.softening
-        return 2.0 * max(self.grid.spacing)
-
     def displaced_support(self) -> Region:
         if self.diffeo.kind != "translation_ramp":
             raise DomainError(
@@ -174,9 +171,8 @@ class HoleExperimentConfig:
                                self.packet_momentum, label="psi0")
 
     def branch_potentials(self) -> tuple[Potential, Potential]:
-        eps = self.resolved_softening
-        left = Potential.point_mass(self.grid, self.source_left, self.coupling, eps)
-        right = Potential.point_mass(self.grid, self.source_right, self.coupling, eps)
+        left = Potential.point_mass(self.grid, self.source_left, self.coupling, self.softening)
+        right = Potential.point_mass(self.grid, self.source_right, self.coupling, self.softening)
         return left, right
 
 
@@ -187,7 +183,6 @@ class HoleReport:
     times: np.ndarray
     theta_baseline: np.ndarray
     theta_hole: np.ndarray | None
-    two_sided: bool
     config: HoleExperimentConfig
     diagnostics: dict
 
@@ -233,8 +228,8 @@ def _diffeo_from_section(section, vector, extent) -> SpatialDiffeomorphism:
 
 def config_from_sections(sections) -> HoleExperimentConfig:
     """The experiment config that sections in the DEFAULT_SCENARIO layout
-    describe; the diffeo section may be of any kind, and its other keys
-    (``two_sided``) are ignored.
+    describe; the diffeo section may be of any kind, and the keys of other
+    kinds are ignored.
 
     A scalar where a vector is expected is that value on every grid axis.
     The evolution must step forward. Every failing part is reported in one
@@ -248,6 +243,11 @@ def config_from_sections(sections) -> HoleExperimentConfig:
         except (HolesimError, ValueError, TypeError, KeyError) as exc:
             errors.append(f"{name}: {exc}")
 
+    def boolean(value):
+        if not isinstance(value, bool):
+            raise ValueError(f"must be true or false, got {value!r}")
+        return value
+
     grid = part("grid", lambda: Grid(sections["grid"]["points"], sections["grid"]["extent"]))
     evolution = part("evolution", lambda: _forward_evolution(sections["evolution"]))
     if grid is None:
@@ -260,6 +260,8 @@ def config_from_sections(sections) -> HoleExperimentConfig:
     parts = [
         part("diffeo", lambda: {
             "diffeo": _diffeo_from_section(sections["diffeo"], vector, grid.extent)}),
+        part("diffeo.two_sided", lambda: {
+            "two_sided": boolean(sections["diffeo"]["two_sided"])}),
         part("packet", lambda: {
             "packet_center": vector(packet["center"]),
             "packet_width": float(packet["width"]),
@@ -336,10 +338,9 @@ def _baseline(config: HoleExperimentConfig):
         times=times,
         theta_baseline=thetas,
         theta_hole=None,
-        two_sided=False,
         config=config,
         diagnostics={"max_mass_outside_support": worst_tail,
-                     "softening": config.resolved_softening},
+                     "softening": v_left.softening},
     )
     return left, right, v_left, mask, report
 
@@ -349,16 +350,16 @@ def run_baseline(config: HoleExperimentConfig) -> HoleReport:
     return _baseline(config)[-1]
 
 
-def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
-             strict: bool = True, *, branches=None) -> HoleReport:
+def run_hole(config: HoleExperimentConfig, strict: bool = True, *,
+             branches=None) -> HoleReport:
     """Baseline run plus the transformed-branch series.
 
     One-sided (the hole construction proper): stored left-branch snapshots
     and the left potential are pushforwarded, the right branch is left
-    untouched. ``two_sided`` transforms both branches, the covariance
-    control. ``strict`` enforces that the displaced support clears the
-    original region (mask disjointness up front, displaced-branch mass
-    back inside U at most 1e-6 after t1); sweeps over sub-threshold
+    untouched. A ``two_sided`` config transforms both branches, the
+    covariance control. ``strict`` enforces that the displaced support
+    clears the original region (mask disjointness up front, displaced-branch
+    mass back inside U at most 1e-6 after t1); sweeps over sub-threshold
     displacements disable it deliberately. ``branches`` is what _baseline
     returned for a config that differs from ``config`` in its map only;
     a sweep passes it so that equal branches evolve once.
@@ -368,7 +369,7 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     # Identity maps (including zero shifts) displace nothing and are exempt
     # from the displacement gate: they reproduce the baseline exactly.
     check_displacement = (
-        strict and not two_sided and not config.diffeo.is_identity_at(config.diffeo.t1)
+        strict and not config.two_sided and not config.diffeo.is_identity_at(config.diffeo.t1)
     )
     if check_displacement and config.diffeo.kind == "translation_ramp":
         displaced = config.displaced_support()
@@ -399,7 +400,7 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
             plan = PushforwardPlan(phi, t, config.grid)
         pushed_l = push(plan, left.states[i], "psi_l'")
         other = right.states[i]
-        if two_sided:
+        if config.two_sided:
             other = push(plan, other, "psi_r'")
         elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
             back_inside = mass_in_region(pushed_l, mask)
@@ -421,7 +422,6 @@ def run_hole(config: HoleExperimentConfig, two_sided: bool = False,
     return dataclasses.replace(
         baseline,
         theta_hole=np.asarray(thetas_hole, dtype=complex),
-        two_sided=two_sided,
         config=config,
         diagnostics={
             **baseline.diagnostics,

@@ -116,7 +116,7 @@ def test_criterion_4_hole_argument_contrast():
         one_sided = run_hole(config)
         assert abs(one_sided.final_theta_baseline) >= 0.9
         assert abs(one_sided.final_theta_hole) <= 1e-3
-        two_sided = run_hole(config, two_sided=True)
+        two_sided = run_hole(default_config(two_sided=True))
         assert np.max(np.abs(two_sided.theta_hole - two_sided.theta_baseline)) <= 1e-6
 
 

@@ -627,8 +627,62 @@ def test_two_sided_must_be_a_boolean(tmp_path, capsys):
     ({"experiment": "baseline", "output_dir": 5}, "output_dir: must be a path string, got 5"),
     ({"experiment": "check-harmonic", "harmonic": {"metric_file": 5}},
      "harmonic.metric_file: must be a path string, got 5"),
-], ids=["output_dir", "metric_file"])
+    ({"experiment": "baseline", "formats": [[1]]},
+     "formats: must be a sublist of ['csv', 'json'], got [[1]]"),
+], ids=["output_dir", "metric_file", "formats"])
 def test_path_keys_must_be_strings(tmp_path, capsys, sections, message):
     path = write_config(tmp_path, "paths.yaml", sections)
     assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys):
+    """An output_dir under a regular file cannot be created: the run fails
+    with the config exit code and names the key, not with a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = small_baseline(tmp_path, output_dir=str(blocker / "out"))
+    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert f"config error: output_dir: cannot write {blocker / 'out'}:" in capsys.readouterr().err
+
+
+def test_metric_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    metric_path = tmp_path / "latin1.gridfield"
+    metric_path.write_bytes(b"# holesim grid-field v1\nkind: m\xe9tric\n")
+    path = write_config(tmp_path, "latin1.yaml", {
+        "experiment": "check-harmonic", "output_dir": str(tmp_path / "out"),
+        "harmonic": {"metric_file": str(metric_path)}})
+    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert f"config error: {metric_path}: cannot read grid field:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"diffeo": {"kind": "bump_displacement"}, "sweep": {"parameter": "displacement"}},
+     "sweep.values[0]: displacement sweeps need a translation-ramp diffeo"),
+    ({"sweep": {"parameter": "displacement", "values": [2.0, 25.0]}},
+     "sweep.values[1]: shift component 25.0 exceeds half extent 20.0"),
+    ({"sweep": {"parameter": "coupling", "values": [0.1, -0.5]}},
+     "sweep.values[1]: coupling must be non-negative, got -0.5"),
+    ({"sweep": {"parameter": "mass", "values": [4.0, 0.0]}},
+     "sweep.values[1]: mass must be positive, got 0.0"),
+], ids=["displacement_of_a_bump", "displacement_over_half_extent", "negative_coupling",
+        "zero_mass"])
+def test_sweep_values_that_cannot_run_fail_validate(tmp_path, capsys, sections, message):
+    """Every sweep value's derived config is built at load time, as sweep()
+    builds it, so no value is left to fail as an error row of the run."""
+    path = write_config(tmp_path, "sweep.yaml", {"experiment": "sweep", **sections})
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_two_sided_sweep_is_the_control(tmp_path):
+    """A sweep reads two_sided from its diffeo section as a hole run does:
+    the transformed series keeps |theta| of the baseline."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "control.yaml", {
+        "experiment": "sweep", "output_dir": str(out),
+        "diffeo": {"two_sided": True}, "sweep": {"parameter": "coupling", "values": [0.1]}})
+    assert main(["run", "--config", str(path)]) == 0
+    entry, = json.loads((out / "result.json").read_text())["entries"]
+    assert entry["abs_theta_baseline"] > 0.9
+    assert abs(entry["abs_theta_hole"] - entry["abs_theta_baseline"]) <= 1e-6

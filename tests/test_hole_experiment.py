@@ -104,14 +104,20 @@ def test_default_hole_contrast():
 
 
 def test_two_sided_control_preserves_theta():
-    report = run_hole(default_config(), two_sided=True)
+    report = run_hole(default_config(two_sided=True))
+    assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
+
+
+def test_two_sided_sweep_keeps_theta():
+    entry, = sweep(default_config(two_sided=True), "displacement", [17.5])
+    report = entry.report
     assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
 
 
 def test_two_sided_drift_covers_both_branches():
     """The reported pushforward drift is the largest over both branches."""
-    config = default_config()
-    report = run_hole(config, two_sided=True)
+    config = default_config(two_sided=True)
+    report = run_hole(config)
     psi0 = config.initial_packet()
     drifts = []
     for potential in config.branch_potentials():
@@ -134,7 +140,7 @@ def test_two_sided_bump_run_builds_one_map_per_ramp_value(monkeypatch):
         "potentials": {"left_position": [-2.5, 0.0], "right_position": [2.5, 0.0],
                        "coupling": 0.1, "softening": 1.0},
         "diffeo": {"kind": "bump_displacement", "center": 0.0, "radius": 5.0,
-                   "peak_shift": [1.0, 0.0], "t0": 0.8, "t1": 1.6},
+                   "peak_shift": [1.0, 0.0], "t0": 0.8, "t1": 1.6, "two_sided": True},
         "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
         # the snapshot times of the default evolution, in half the steps
         "evolution": {**DEFAULT_SCENARIO["evolution"], "dt": 0.04, "snapshot_stride": 10},
@@ -148,7 +154,7 @@ def test_two_sided_bump_run_builds_one_map_per_ramp_value(monkeypatch):
 
     branches = _baseline(config)
     monkeypatch.setattr(SpatialDiffeomorphism, "inverse", counting)
-    report = run_hole(config, two_sided=True, branches=branches)
+    report = run_hole(config, branches=branches)
     assert len(calls) == 2
     assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
     drifts = []
