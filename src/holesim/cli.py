@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -222,6 +223,11 @@ def load_config(path) -> RunConfig:
     if not isinstance(output_dir, str):
         errors.append(f"output_dir: must be a path string, got {output_dir!r}")
     output_dir = Path(str(output_dir))
+    # The run creates output_dir under its nearest existing ancestor.
+    existing = next((p for p in (output_dir, *output_dir.parents) if os.path.exists(p)),
+                    output_dir)
+    if not existing.is_dir():
+        errors.append(f"output_dir: {existing} is not a directory")
     formats = raw.get("formats", DEFAULTS["formats"])
     if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
         errors.append(f"formats: must be a sublist of ['csv', 'json'], got {formats!r}")

@@ -16,6 +16,7 @@ a bump are bounded by grid.SAMPLE_CHUNK_BYTES.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +71,7 @@ def _bump_slope(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class SpatialDiffeomorphism:
     """Invertible, orientation-preserving map x'(x, t), trivial for t <= t0.
 
@@ -77,40 +79,26 @@ class SpatialDiffeomorphism:
     them. Points are passed as arrays of shape (P, dim).
     """
 
-    __slots__ = ("kind", "dim", "t0", "t1", "shift", "center", "radius",
-                 "peak_shift", "_contraction")
-
-    def __init__(self, kind, dim, t0, t1, shift=None, center=None, radius=None,
-                 peak_shift=None, contraction=0.0):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "peak_shift", peak_shift)
-        object.__setattr__(self, "_contraction", contraction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpatialDiffeomorphism is immutable")
+    kind: str
+    dim: int
+    t0: float
+    t1: float
+    shift: np.ndarray | None = None
+    center: np.ndarray | None = None
+    radius: float | None = None
+    peak_shift: np.ndarray | None = None
+    contraction: float = 0.0
 
     def __repr__(self):
         return f"SpatialDiffeomorphism(kind={self.kind!r}, dim={self.dim})"
 
     def ramp(self, t: float) -> float:
-        if self.kind == "identity":
-            return 0.0
         return float(_smoothstep(t, self.t0, self.t1))
 
     def is_identity_at(self, t: float) -> bool:
-        if self.kind == "identity":
-            return True
-        if self.ramp(t) == 0.0:
-            return True
-        if self.kind == "translation_ramp":
-            return not np.any(self.shift)
-        return not np.any(self.peak_shift)
+        """True when the ramp is still off or the map moves no point."""
+        moves = self.shift if self.kind == "translation_ramp" else self.peak_shift
+        return self.ramp(t) == 0.0 or not np.any(moves)
 
     def displacement_at(self, t: float) -> np.ndarray:
         """Current translation vector s(t)*shift (translation kind only)."""
@@ -128,8 +116,6 @@ class SpatialDiffeomorphism:
 
     def forward(self, points: np.ndarray, t: float) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "identity":
-            return points.copy()
         if self.kind == "translation_ramp":
             return points + self.displacement_at(t)[None, :]
         return points + self._bump_displacement(points, t)
@@ -141,11 +127,9 @@ class SpatialDiffeomorphism:
         iteration, converging since the displacement is a contraction.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "identity":
-            return points.copy()
         if self.kind == "translation_ramp":
             return points - self.displacement_at(t)[None, :]
-        q = self.ramp(t) * self._contraction
+        q = self.ramp(t) * self.contraction
         if q >= 1.0:
             raise NonInvertibleDiffeo(f"contraction factor {q} >= 1")
         x = points.copy()
@@ -163,7 +147,7 @@ class SpatialDiffeomorphism:
     def jacobian_det(self, points: np.ndarray, t: float) -> np.ndarray:
         """det of the forward Jacobian at given points; analytic per kind."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind in ("identity", "translation_ramp"):
+        if self.kind == "translation_ramp":
             return np.ones(points.shape[0])
         delta = points - np.asarray(self.center)[None, :]
         r = np.sqrt(np.sum(delta * delta, axis=1))
@@ -184,7 +168,8 @@ def _validate_ramp(t0: float, t1: float) -> tuple[float, float]:
 
 
 def identity_map(dim: int = 1) -> SpatialDiffeomorphism:
-    return SpatialDiffeomorphism("identity", dim, 0.0, 1.0)
+    """The trivial map: the zero translation, the identity at every t."""
+    return make_translation_ramp((0.0,) * dim, 0.0, 1.0)
 
 
 def make_translation_ramp(shift, t0: float, t1: float,

@@ -100,16 +100,10 @@ class Potential:
         softening = float(softening)
         if softening <= 0 or not np.isfinite(softening):
             raise DomainError(f"softening must be positive, got {softening}")
-        pot = object.__new__(cls)
-        object.__setattr__(pot, "kind", "point_mass")
-        object.__setattr__(pot, "grid", grid)
-        object.__setattr__(pot, "source_position", source_position)
-        object.__setattr__(pot, "coupling", coupling)
-        object.__setattr__(pot, "softening", softening)
-        values = pot._point_mass_at(np.ix_(*grid.axes()))
+        values = _point_mass_at(grid, source_position, coupling, softening,
+                                np.ix_(*grid.axes()))
         values.flags.writeable = False
-        object.__setattr__(pot, "values", values)
-        return pot
+        return cls("point_mass", grid, values, source_position, coupling, softening)
 
     @classmethod
     def tabulated(cls, grid: Grid, values: np.ndarray) -> "Potential":
@@ -121,14 +115,7 @@ class Potential:
         if not np.isfinite(values).all():
             raise NumericalBlowup("non-finite tabulated potential values")
         values.flags.writeable = False
-        pot = object.__new__(cls)
-        object.__setattr__(pot, "kind", "tabulated")
-        object.__setattr__(pot, "grid", grid)
-        object.__setattr__(pot, "values", values)
-        object.__setattr__(pot, "source_position", None)
-        object.__setattr__(pot, "coupling", None)
-        object.__setattr__(pot, "softening", None)
-        return pot
+        return cls("tabulated", grid, values)
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Potential values at arbitrary points, shape (P, dim) -> (P,).
@@ -139,20 +126,23 @@ class Potential:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "point_mass":
-            return self._point_mass_at(points.T)
+            return _point_mass_at(self.grid, self.source_position, self.coupling,
+                                  self.softening, points.T)
         return spectral_sample(self.grid, self.values, points).real
-
-    def _point_mass_at(self, coords) -> np.ndarray:
-        """The point-mass form at one coordinate array per axis, broadcast
-        against each other and summed in axis order."""
-        r2 = 0.0
-        for axis, x in enumerate(coords):
-            d = self.grid.minimal_image(x - self.source_position[axis], axis)
-            r2 = r2 + d * d
-        return -self.coupling / np.sqrt(r2 + self.softening**2)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def _point_mass_at(grid: Grid, source, coupling: float, softening: float,
+                   coords) -> np.ndarray:
+    """The point-mass form at one coordinate array per axis, broadcast
+    against each other and summed in axis order."""
+    r2 = 0.0
+    for axis, x in enumerate(coords):
+        d = grid.minimal_image(x - source[axis], axis)
+        r2 = r2 + d * d
+    return -coupling / np.sqrt(r2 + softening**2)
 
 
 @dataclass(frozen=True)

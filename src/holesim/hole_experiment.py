@@ -149,7 +149,7 @@ class HoleExperimentConfig:
         object.__setattr__(self, "source_right", _as_tuple(self.source_right, n=dim))
         if self.diffeo.dim != dim:
             raise DomainError(f"diffeo dim {self.diffeo.dim} vs grid dim {dim}")
-        if self.diffeo.kind != "identity" and self.diffeo.t0 < 0:
+        if self.diffeo.t0 < 0:
             raise DomainError(f"diffeo onset t0 must be >= 0, got {self.diffeo.t0}")
         if len(self.support.lower) != dim:
             raise DomainError("support region dimension mismatch")
@@ -233,14 +233,18 @@ def config_from_sections(sections) -> HoleExperimentConfig:
 
     A scalar where a vector is expected is that value on every grid axis.
     The evolution must step forward. Every failing part is reported in one
-    ConfigError.
+    ConfigError, a missing section or key by its name.
     """
-    errors: list[str] = []
+    errors = [f"{name}: missing section" for name in DEFAULT_SCENARIO if name not in sections]
+    if errors:
+        raise ConfigError(errors)
 
     def part(name, build):
         try:
             return build()
-        except (HolesimError, ValueError, TypeError, KeyError) as exc:
+        except KeyError as exc:
+            errors.append(f"{name}: missing key {exc.args[0]!r}")
+        except (HolesimError, ValueError, TypeError) as exc:
             errors.append(f"{name}: {exc}")
 
     def boolean(value):
@@ -326,13 +330,11 @@ def _baseline(config: HoleExperimentConfig):
     mask = config.support.mask(config.grid)
     psi0 = config.initial_packet()
     v_left, v_right = config.branch_potentials()
-    if np.array_equal(v_left.values, v_right.values):
-        left, = evolve_branches([psi0.with_label("psi_l")], [v_left], config.evolution)
-        right = Trajectory(left.times, tuple(s.with_label("psi_r") for s in left.states))
-    else:
-        left, right = evolve_branches([psi0.with_label("psi_l"), psi0.with_label("psi_r")],
-                                      [v_left, v_right], config.evolution)
-    worst_tail = _check_support((left, right), mask)
+    potentials = (v_left,) if np.array_equal(v_left.values, v_right.values) else (v_left, v_right)
+    states = [psi0.with_label("psi_l"), psi0.with_label("psi_r")][:len(potentials)]
+    branches = evolve_branches(states, potentials, config.evolution)
+    worst_tail = _check_support(branches, mask)
+    left, right = branches[0], branches[-1]
     times, thetas = theta_time_series(left, right)
     report = HoleReport(
         times=times,
@@ -366,8 +368,8 @@ def run_hole(config: HoleExperimentConfig, strict: bool = True, *,
     """
     left, right, v_left, mask, baseline = branches or _baseline(config)
 
-    # Identity maps (including zero shifts) displace nothing and are exempt
-    # from the displacement gate: they reproduce the baseline exactly.
+    # Maps that are the identity at t1 (zero shifts, the identity map) displace
+    # nothing and skip the displacement gate: they reproduce the baseline exactly.
     check_displacement = (
         strict and not config.two_sided and not config.diffeo.is_identity_at(config.diffeo.t1)
     )
@@ -452,42 +454,35 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
     shift = np.asarray(config.diffeo.shift, dtype=float)
     magnitude = float(np.linalg.norm(shift))
     direction = shift / magnitude if magnitude > 0 else np.eye(1, config.grid.dim, 0)[0]
-    if value == 0:
-        phi = identity_map(config.grid.dim)
-    else:
-        phi = make_translation_ramp(tuple(float(value) * direction),
-                                    config.diffeo.t0, config.diffeo.t1,
-                                    extent=config.grid.extent)
+    phi = make_translation_ramp(tuple(float(value) * direction),
+                                config.diffeo.t0, config.diffeo.t1, extent=config.grid.extent)
     # Sub-threshold displacements are the point of the sweep: not strict.
     return dataclasses.replace(config, diffeo=phi), False
 
 
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
     """Hole runs across one swept parameter. A value whose derived config
-    differs from the previous value's in its map only reuses that value's
-    branches, so a displacement sweep, or a repeated coupling or mass,
+    differs in its map only from the config of the last evolved branches
+    reuses them, so a displacement sweep, or a repeated coupling or mass,
     evolves once.
 
-    Per-run HolesimErrors, one from reused branches included, are collected
-    into the entries instead of aborting the sweep; any other exception is
-    a bug and propagates. The entry order matches ``values``.
+    Per-run HolesimErrors are collected into the entries instead of
+    aborting the sweep; any other exception is a bug and propagates. A
+    failed baseline is evolved again by the next value that would share it,
+    so each value records its own error. The entry order matches ``values``.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
-    evolved, branches = None, None  # the last evolved config, and its branches or error
+    branches = None  # the last _baseline result
     entries = []
     for value in values:
         try:
             derived, strict = _config_for(config, parameter, float(value))
-            if evolved is None or any(getattr(derived, f.name) != getattr(evolved, f.name)
-                                      for f in dataclasses.fields(derived) if f.name != "diffeo"):
-                evolved, branches = derived, None  # drop the old baseline before evolving
-                try:
-                    branches = _baseline(derived)
-                except HolesimError as exc:
-                    branches = exc
-            if isinstance(branches, HolesimError):
-                raise branches
+            if branches is None or any(
+                    getattr(derived, f.name) != getattr(branches[-1].config, f.name)
+                    for f in dataclasses.fields(derived) if f.name != "diffeo"):
+                branches = None  # drop the old baseline before evolving
+                branches = _baseline(derived)
             report = run_hole(derived, strict=strict, branches=branches)
             entries.append(SweepEntry(float(value), report, None))
         except HolesimError as exc:  # collected, not raised

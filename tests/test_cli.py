@@ -3,6 +3,7 @@ contracts, and byte determinism."""
 
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from holesim import ConfigError, DomainError
+from holesim import ConfigError, DomainError, HolesimError, sweep
 from holesim.cli import (
     EXIT_CODES,
     RENDER_BLOCK_ROWS,
@@ -637,13 +638,17 @@ def test_path_keys_must_be_strings(tmp_path, capsys, sections, message):
 
 
 def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys):
-    """An output_dir under a regular file cannot be created: the run fails
-    with the config exit code and names the key, not with a traceback."""
+    """An output_dir under a regular file cannot be created: validate and
+    run fail at load with the config exit code and name the key, and
+    write_bundle, should the path change after load, names it too."""
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     path = small_baseline(tmp_path, output_dir=str(blocker / "out"))
-    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
-    assert f"config error: output_dir: cannot write {blocker / 'out'}:" in capsys.readouterr().err
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == EXIT_CODES[ConfigError]
+        assert f"output_dir: {blocker} is not a directory" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=re.escape(f"output_dir: cannot write {blocker / 'out'}:")):
+        write_bundle(ResultBundle("baseline", {"value": 1.0}), blocker / "out")
 
 
 def test_metric_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
@@ -686,3 +691,36 @@ def test_two_sided_sweep_is_the_control(tmp_path):
     entry, = json.loads((out / "result.json").read_text())["entries"]
     assert entry["abs_theta_baseline"] > 0.9
     assert abs(entry["abs_theta_hole"] - entry["abs_theta_baseline"]) <= 1e-6
+
+
+def test_displacement_sweep_over_the_identity(tmp_path):
+    """The identity is the zero translation: a displacement sweep over it
+    validates, moves along the first axis over the ramp [0, 1], and its
+    value 0 reproduces the baseline."""
+    path = write_config(tmp_path, "identity_sweep.yaml", {
+        "experiment": "sweep", "output_dir": str(tmp_path / "out"),
+        "grid": {"points": 256, "extent": 40.0},
+        "evolution": {"dt": 0.05, "t_end": 1.0, "mass": 4.0, "snapshot_stride": 5},
+        "diffeo": {"kind": "identity"},
+        "sweep": {"parameter": "displacement", "values": [0.0, 2.0]}})
+    assert main(["validate", "--config", str(path)]) == 0
+    zero, moved = sweep(load_config(path).hole_config, "displacement", [0.0, 2.0])
+    assert np.array_equal(zero.report.theta_hole, zero.report.theta_baseline)
+    phi = moved.report.config.diffeo
+    assert (phi.t0, phi.t1) == (0.0, 1.0)
+    assert np.array_equal(phi.shift, [2.0])
+
+
+def test_every_error_has_a_documented_exit_code():
+    """Each HolesimError subclass maps to an exit code, and README's exit
+    code table lists every code the CLI can return."""
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    assert set(subclasses(HolesimError)) <= set(EXIT_CODES)
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("### Exit codes"):].split("\n\n")[1]
+    documented = {int(row.split("|")[1]) for row in table.splitlines()[2:]}
+    assert set(EXIT_CODES.values()) <= documented

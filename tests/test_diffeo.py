@@ -33,10 +33,25 @@ def standard_bump():
 
 
 def test_zero_shift_is_identity():
-    phi = make_translation_ramp(0.0, **RAMP)
-    assert phi.is_identity_at(2.0)
-    pts = np.array([[0.3], [-1.7]])
-    assert np.array_equal(phi.forward(pts, 2.0), pts)
+    for phi in (make_translation_ramp(0.0, **RAMP), identity_map(1), identity_map(2),
+                identity_map(3)):
+        assert phi.is_identity_at(2.0)
+        pts = np.linspace(-1.7, 0.3, 2 * phi.dim).reshape(2, phi.dim)
+        assert np.array_equal(phi.forward(pts, 2.0), pts)
+        assert np.array_equal(phi.inverse(pts, 2.0), pts)
+
+
+@pytest.mark.parametrize("value", [
+    make_translation_ramp(3.0, **RAMP), standard_bump(), identity_map(2),
+    Potential.point_mass(Grid(64, 20.0), 0.0, 0.1),
+    Potential.tabulated(Grid(64, 20.0), np.zeros(64)),
+], ids=["translation", "bump", "identity", "point_mass", "tabulated"])
+def test_maps_and_potentials_refuse_assignment(value):
+    """Neither a field nor a new attribute can be set on a built value."""
+    with pytest.raises(AttributeError):
+        value.kind = "other"
+    with pytest.raises(AttributeError):
+        value.cache = None
 
 
 def test_ramp_gates_before_onset():

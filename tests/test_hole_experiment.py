@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holesim import (
+    ConfigError,
     DomainError,
     SpatialDiffeomorphism,
     Grid,
@@ -247,7 +248,8 @@ def test_sweep_evolves_each_distinct_branch_once(monkeypatch, parameter, values,
 
 def test_displacement_sweep_entries_carry_their_own_config():
     entries = sweep(default_config(), "displacement", [0.0, 8.0])
-    assert entries[0].report.config.diffeo.kind == "identity"
+    report = entries[0].report
+    assert all(report.config.diffeo.is_identity_at(t) for t in report.times)
     assert np.array_equal(entries[1].report.config.diffeo.shift, [8.0])
 
 
@@ -355,3 +357,22 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(hole_experiment, "run_hole", broken)
     with pytest.raises(TypeError):
         sweep(default_config(), "coupling", [0.1])
+
+
+@pytest.mark.parametrize("section, key, message", [
+    ("diffeo", "two_sided", "diffeo.two_sided: missing key 'two_sided'"),
+    ("packet", "center", "packet: missing key 'center'"),
+    ("evolution", "dt", "evolution: missing key 'dt'"),
+    ("support", None, "support: missing section"),
+    ("packet", None, "packet: missing section"),
+    ("grid", None, "grid: missing section"),
+])
+def test_missing_sections_and_keys_are_named(section, key, message):
+    sections = dict(DEFAULT_SCENARIO)
+    if key is None:
+        del sections[section]
+    else:
+        sections[section] = {k: v for k, v in sections[section].items() if k != key}
+    with pytest.raises(ConfigError) as info:
+        config_from_sections(sections)
+    assert message in info.value.messages
