@@ -16,10 +16,9 @@ stacked branch has the bits of a lone one.
 A call over STACK_BYTES of amplitudes is cut into one contiguous part per
 CPU, each stepped on its own thread in FFTs and multiplies that release
 the GIL. The calling thread allocates every part's stack and phase factor
-and one (T, B, *grid) snapshot block before any worker starts; a worker
-copies its snapshots into the block and allocates nothing, as memory it
-freed would stay in its thread's malloc arena. The core count never
-changes the bits.
+and one (T, B, *grid) snapshot block before any worker starts, so a worker
+only copies into the block: memory it freed would stay in its thread's
+malloc arena. The core count never changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -59,10 +58,18 @@ __all__ = [
 # Warn when a single step rotates the potential phase by more than this.
 PHASE_PER_STEP_BOUND = np.pi / 4
 
-# Amplitude bytes above which a call is cut into one part per CPU: below it
-# one stack saves per-call overhead, above it the FFTs dominate and the
-# parts step concurrently.
-STACK_BYTES = 2**20
+# Amplitude bytes above which a call is cut into one part per CPU. Median
+# per-step times of one stack against two parts on two threads (2 cores,
+# numpy 2.4.6): two parts lose up to 64 KiB, tie near 128 KiB, win by 512.
+#   branches    stack    1 part   2 parts
+#   1024 x2     32 KiB    79 us    182 us
+#   2048 x2     64 KiB   133 us    163 us
+#   64^2 x2    128 KiB   306 us    295 us
+#   512 x64    512 KiB   677 us    403 us
+#   128^2 x2   512 KiB  1179 us    706 us
+# So the 2D 128^2 pair, the 512 x64 recovery bases and the 64^3 pair split;
+# the pairs of the 1D hole runs and the 64^2 pair step as one stack.
+STACK_BYTES = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +116,7 @@ class Potential:
     def tabulated(cls, grid: Grid, values: np.ndarray) -> "Potential":
         values = np.array(values, dtype=float, copy=True)
         if values.shape != grid.shape:
-            raise GridMismatch(
-                f"potential shape {values.shape} does not match grid {grid.shape}"
-            )
+            raise GridMismatch(f"potential shape {values.shape} does not match grid {grid.shape}")
         if not np.isfinite(values).all():
             raise NumericalBlowup("non-finite tabulated potential values")
         values.flags.writeable = False
@@ -217,12 +222,7 @@ class Trajectory:
 @functools.lru_cache(maxsize=64)
 def _squared_wavenumbers(grid: Grid) -> np.ndarray:
     """|k|^2 over the FFT layout of the grid, read-only and cached per grid."""
-    ks = grid.wavenumbers()
-    k2 = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = grid.shape[axis]
-        k2 = k2 + (ks[axis] ** 2).reshape(shape)
+    k2 = sum(np.ix_(*(k**2 for k in grid.wavenumbers())))  # summed in axis order
     k2.flags.writeable = False
     return k2
 
@@ -261,11 +261,8 @@ def _half_potential_phase(values: np.ndarray, dt: float, out: np.ndarray) -> Non
 
 
 def _cores() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
+    """CPUs this process may run on; not every platform offers the affinity."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> WaveFunction:
@@ -341,8 +338,10 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
             for rows, last in zip(block[:, bounds[p]:bounds[p + 1]], snapshot_steps):
                 for k in range(k + 1, last + 1):
                     _advance(stack, half_v, kinetic)
-                    if not np.isfinite(np.vdot(stack, stack)):
-                        raise NumericalBlowup(f"evolution blew up at step {k}")
+                    if not np.isfinite(np.vdot(stack, stack)):  # then name the first bad row
+                        row = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1).argmin()
+                        raise NumericalBlowup(f"evolution of branch {states[bounds[p] + row].label!r}"
+                                              f" blew up at step {k}")
                 np.copyto(rows, stack)
         except Exception as exc:  # re-raised in the calling thread, in input order
             errors[p] = exc

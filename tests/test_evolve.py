@@ -336,14 +336,19 @@ def branch_setup(grid, width, branches):
 
 # The last entry of each case is its part sizes on two cores: a call over
 # STACK_BYTES is cut into one contiguous part per core. On one core every
-# call is one part.
+# call is one part. At the default 256 KiB a 2D 128^2 pair (512 KiB) splits,
+# while a 1D 1024 pair (32 KiB), as in every 1D hole run, and a 2D 64^2 pair
+# (128 KiB) stay one stack and start no thread.
 STACKED_CASES = [
     (Grid(1024, 40.0), 1.4, None, [3]),
+    (Grid(1024, 40.0), 1.4, None, [2]),
+    (Grid((64, 64), (40.0, 40.0)), 1.9, None, [2]),
     (Grid(1024, 40.0), 1.4, 2 * 16 * 1024, [1, 2]),
-    (Grid((128, 128), (30.0, 30.0)), 1.4, None, [2]),
+    (Grid((128, 128), (30.0, 30.0)), 1.4, None, [1, 1]),
     (Grid((64, 64, 64), (40.0,) * 3), 1.9, None, [1, 1]),
 ]
-STACKED_IDS = ["1d_1024", "1d_1024_groups_of_2", "2d_128sq", "3d_64cube_over_budget"]
+STACKED_IDS = ["1d_1024", "1d_1024_pair", "2d_64sq_pair", "1d_1024_groups_of_2",
+               "2d_128sq", "3d_64cube_over_budget"]
 
 
 @pytest.mark.parametrize("grid, width, stack_bytes, parts", STACKED_CASES, ids=STACKED_IDS)
@@ -403,6 +408,24 @@ def test_blowup_in_one_stacked_branch_names_the_step(grid256):
         evolve_branches([psi0, psi0], [fine, broken], config)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("broken, named", [({1, 2}, "b1"), ({2}, "b2")])
+def test_blowup_names_the_first_failing_branch(monkeypatch, workers, broken, named):
+    """Three 1D branches over a 32 KiB STACK_BYTES: one part on one core,
+    parts [b0] and [b1, b2] on two. The error names the first branch whose
+    amplitudes went non-finite, whichever part and row it is in."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 2 * 16 * 1024)
+    grid = Grid(1024, 40.0)
+    states, potentials = branch_setup(grid, 1.4, 3)
+    values = np.zeros(grid.shape)
+    values[7] = np.nan
+    for b in broken:
+        potentials[b] = Potential("tabulated", grid, values)  # bypasses the finiteness check
+    with pytest.raises(NumericalBlowup, match=f"^evolution of branch '{named}' blew up at step 1$"):
+        evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
+
+
 def test_snapshots_never_alias_the_stack_buffers(grid256, monkeypatch):
     real = evolve_module._advance
     buffers = []
@@ -424,8 +447,9 @@ def test_snapshots_never_alias_the_stack_buffers(grid256, monkeypatch):
 
 @pytest.mark.parametrize("grid, width, stack_bytes, branches", [
     (Grid((64, 64, 64), (40.0,) * 3), 1.9, None, 2),
+    (Grid((128, 128), (30.0, 30.0)), 1.4, None, 2),
     (Grid(1024, 40.0), 1.4, 16 * 1024, 6),
-], ids=["3d_64cube", "1d_1024_groups_of_1"])
+], ids=["3d_64cube", "2d_128sq", "1d_1024_groups_of_1"])
 def test_bits_do_not_depend_on_worker_count(monkeypatch, grid, width, stack_bytes, branches):
     """One, two or more workers than CPUs, switching threads as often as the
     interpreter allows: the same trajectories, in input order."""

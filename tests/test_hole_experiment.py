@@ -299,7 +299,8 @@ def test_sweep_blowup_is_recorded_for_its_value_only():
         entries = sweep(default_config(softening=0.9), "coupling", [0.1, 1.7e308, 0.05])
     assert entries[0].error is None and entries[2].error is None
     assert entries[1].report is None
-    assert entries[1].error == "NumericalBlowup: evolution blew up at step 1"
+    assert entries[1].error == ("NumericalBlowup: evolution of branch 'psi_l'"
+                                " blew up at step 1")
 
 
 def test_non_finite_displacement_is_a_sweep_error():
