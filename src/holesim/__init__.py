@@ -53,6 +53,7 @@ from .evolve import (
 )
 from .grid import (
     Grid,
+    Region,
     WaveFunction,
     gaussian_packet,
     inner_product,
@@ -72,7 +73,6 @@ from .harmonic import (
 from .hole_experiment import (
     HoleExperimentConfig,
     HoleReport,
-    Region,
     SweepEntry,
     default_config,
     run_baseline,

@@ -55,10 +55,13 @@ from .grid import Grid, _as_tuple, check_packet_width, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
     DEFAULT_SCENARIO,
+    PEAK_BYTES_LIMIT,
     SWEEP_PARAMETERS,
     HoleExperimentConfig,
     HoleReport,
     _config_for,
+    _group_branches,
+    _peak_bytes,
     config_from_sections,
     default_config,
     run_baseline,
@@ -111,9 +114,6 @@ DEFAULTS = {
     "harmonic": {"metric_file": None},
 }
 
-# Largest estimated peak of a run that load_config accepts (see _peak_bytes,
-# _recover_peak_bytes and _harmonic_peak_bytes).
-PEAK_BYTES_LIMIT = 4 * 2**30
 # Rows of a grid field that render_grid_field formats at once.
 RENDER_BLOCK_ROWS = 4096
 
@@ -266,10 +266,6 @@ def load_config(path) -> RunConfig:
             errors.extend(exc.messages)
         except ResolutionError as exc:
             errors.append(f"packet: {exc}")
-        if hole_config is not None:
-            sized = f"grid: a run on {hole_config.grid.shape} points"
-            peak = _peak_bytes(hole_config, pushed=0 if experiment == "baseline"
-                               else 2 if hole_config.two_sided else 1)
     if experiment == "sweep":
         parameter = sections["sweep"]["parameter"]
         if parameter not in SWEEP_PARAMETERS:
@@ -288,6 +284,12 @@ def load_config(path) -> RunConfig:
                     _config_for(hole_config, parameter, value)
                 except HolesimError as exc:
                     errors.append(f"sweep.values[{i}]: {exc}")
+    if hole_config is not None:
+        # A sweep's branches evolve in groups: its estimate counts the largest.
+        branches = _group_branches(hole_config, len(values)) if experiment == "sweep" else 2
+        pushed = 0 if experiment == "baseline" else 2 if hole_config.two_sided else 1
+        sized = f"grid: a run on {hole_config.grid.shape} points"
+        peak = _peak_bytes(hole_config, pushed, branches)
     if experiment == "recover-background":
         recover = _validate_recover(sections["recover"], errors)
         if recover is not None:
@@ -321,17 +323,6 @@ def load_config(path) -> RunConfig:
         hole_config=hole_config,
         recover=recover,
     )
-
-
-def _peak_bytes(config: HoleExperimentConfig, pushed: int) -> float:
-    """Upper estimate of a run's peak bytes, in complex fields of the grid:
-    for each of the two branches its snapshots, stack and potential phase,
-    all live at once because their stacks may step concurrently; one kinetic
-    factor; and a pushed state plus one intermediate per pushed branch."""
-    evolution = config.evolution
-    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
-    fields = 2 * (snapshots + 2) + 1 + 2 * pushed
-    return 16.0 * config.grid.size * fields
 
 
 def _recover_peak_bytes(points: int, n: int) -> float:

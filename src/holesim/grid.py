@@ -1,5 +1,5 @@
-"""Uniform periodic grids, complex wavefunctions on them, and the L2 inner
-product every observable in the package is built from.
+"""Uniform periodic grids, boxes and complex wavefunctions on them, and the
+L2 inner product every observable in the package is built from.
 
 Units are dimensionless simulation units with hbar = 1 and G = 1. Grids are
 periodic in every axis with coordinates centered on the origin, x_j in
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NumericalBlowup, ResolutionError, ZeroNormError
+from .errors import DomainError, GridMismatch, NumericalBlowup, ResolutionError, ZeroNormError
 
 __all__ = [
     "Grid",
+    "Region",
     "WaveFunction",
     "inner_product",
     "norm",
@@ -134,6 +135,48 @@ def _wavenumbers(grid: Grid) -> tuple[np.ndarray, ...]:
         k.flags.writeable = False
         out.append(k)
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class Region:
+    """Axis-aligned box on the periodic domain; may wrap around an edge."""
+
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+
+    def __post_init__(self):
+        lower = _as_tuple(self.lower)
+        upper = _as_tuple(self.upper, n=len(lower))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        for lo, hi in zip(lower, upper):
+            if not hi > lo:
+                raise DomainError(f"region needs upper > lower, got [{lo}, {hi}]")
+
+    def widths(self) -> tuple[float, ...]:
+        return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
+
+    def shifted(self, offset) -> "Region":
+        offset = _as_tuple(offset, n=len(self.lower))
+        return Region(
+            tuple(lo + d for lo, d in zip(self.lower, offset)),
+            tuple(hi + d for hi, d in zip(self.upper, offset)),
+        )
+
+    def mask(self, grid: Grid) -> np.ndarray:
+        """Boolean membership over grid points, wrap-aware."""
+        if len(self.lower) != grid.dim:
+            raise DomainError(f"region dim {len(self.lower)} vs grid dim {grid.dim}")
+        mesh = grid.coordinate_mesh()
+        mask = np.ones(grid.shape, dtype=bool)
+        for axis in range(grid.dim):
+            L = grid.extent[axis]
+            width = self.upper[axis] - self.lower[axis]
+            if width >= L:
+                continue
+            rel = (mesh[axis] - self.lower[axis]) % L
+            mask &= rel <= width + 1e-12 * L
+        return mask
 
 
 class WaveFunction:

@@ -14,6 +14,7 @@ theta unchanged to interpolation accuracy.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,12 @@ from .diffeo import (
 # wraps them by name.
 from .diffeo import pushforward_wavefunction  # noqa: F401
 from .errors import ConfigError, DomainError, HolesimError, InsufficientDisplacement, SupportViolation
-from .evolve import EvolutionConfig, Potential, Trajectory, evolve, evolve_branches  # noqa: F401
-from .grid import Grid, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
+from .evolve import (STACK_BYTES, EvolutionConfig, Potential, Trajectory,  # noqa: F401
+                     evolve, evolve_branches)
+from .grid import Grid, Region, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
 from .observable import DecoherenceObservable, theta_time_series
 
 __all__ = [
-    "Region",
     "HoleExperimentConfig",
     "HoleReport",
     "SweepEntry",
@@ -49,6 +50,9 @@ __all__ = [
 SUPPORT_TAIL_TOL = 1e-10     # mass allowed outside the declared region U
 OVERLAP_MASS_TOL = 1e-6      # displaced-branch mass allowed back inside U after t1
 SWEEP_PARAMETERS = ("coupling", "displacement", "mass")
+# Largest estimated peak of a run that the CLI accepts (_peak_bytes here,
+# two more estimates in cli); a sweep's groups keep its estimate under it.
+PEAK_BYTES_LIMIT = 4 * 2**30
 
 # The committed weak-coupling 1D scenario in the section layout of a run
 # config: default_config() builds it, the CLI fills omitted keys from it,
@@ -66,48 +70,6 @@ DEFAULT_SCENARIO = {
                "center": 0.0, "radius": 5.0, "peak_shift": 1.0, "two_sided": False},
     "support": {"lower": -9.0, "upper": 7.0},
 }
-
-
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned box on the periodic domain; may wrap around an edge."""
-
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def __post_init__(self):
-        lower = _as_tuple(self.lower)
-        upper = _as_tuple(self.upper, n=len(lower))
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        for lo, hi in zip(lower, upper):
-            if not hi > lo:
-                raise DomainError(f"region needs upper > lower, got [{lo}, {hi}]")
-
-    def widths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.lower, self.upper))
-
-    def shifted(self, offset) -> "Region":
-        offset = _as_tuple(offset, n=len(self.lower))
-        return Region(
-            tuple(lo + d for lo, d in zip(self.lower, offset)),
-            tuple(hi + d for hi, d in zip(self.upper, offset)),
-        )
-
-    def mask(self, grid: Grid) -> np.ndarray:
-        """Boolean membership over grid points, wrap-aware."""
-        if len(self.lower) != grid.dim:
-            raise DomainError(f"region dim {len(self.lower)} vs grid dim {grid.dim}")
-        mesh = grid.coordinate_mesh()
-        mask = np.ones(grid.shape, dtype=bool)
-        for axis in range(grid.dim):
-            L = grid.extent[axis]
-            width = self.upper[axis] - self.lower[axis]
-            if width >= L:
-                continue
-            rel = (mesh[axis] - self.lower[axis]) % L
-            mask &= rel <= width + 1e-12 * L
-        return mask
 
 
 def mass_in_region(psi: WaveFunction, mask: np.ndarray) -> float:
@@ -143,10 +105,8 @@ class HoleExperimentConfig:
 
     def __post_init__(self):
         dim = self.grid.dim
-        object.__setattr__(self, "packet_center", _as_tuple(self.packet_center, n=dim))
-        object.__setattr__(self, "packet_momentum", _as_tuple(self.packet_momentum, n=dim))
-        object.__setattr__(self, "source_left", _as_tuple(self.source_left, n=dim))
-        object.__setattr__(self, "source_right", _as_tuple(self.source_right, n=dim))
+        for name in ("packet_center", "packet_momentum", "source_left", "source_right"):
+            object.__setattr__(self, name, _as_tuple(getattr(self, name), n=dim))
         if self.diffeo.dim != dim:
             raise DomainError(f"diffeo dim {self.diffeo.dim} vs grid dim {dim}")
         if self.diffeo.t0 < 0:
@@ -161,9 +121,7 @@ class HoleExperimentConfig:
 
     def displaced_support(self) -> Region:
         if self.diffeo.kind != "translation_ramp":
-            raise DomainError(
-                "displaced support region is derived for translation ramps only"
-            )
+            raise DomainError("displaced support region is derived for translation ramps only")
         return self.support.shifted(self.diffeo.displacement_at(self.diffeo.t1))
 
     def initial_packet(self) -> WaveFunction:
@@ -192,16 +150,13 @@ class HoleReport:
 
     @property
     def final_theta_hole(self) -> complex | None:
-        if self.theta_hole is None:
-            return None
-        return complex(self.theta_hole[-1])
+        return None if self.theta_hole is None else complex(self.theta_hole[-1])
 
     @property
     def contrast(self) -> float | None:
         """|theta_baseline(T)| - |theta_hole(T)|."""
-        if self.theta_hole is None:
-            return None
-        return abs(self.final_theta_baseline) - abs(self.final_theta_hole)
+        hole = self.final_theta_hole
+        return None if hole is None else abs(self.final_theta_baseline) - abs(hole)
 
 
 def _forward_evolution(section) -> EvolutionConfig:
@@ -315,35 +270,38 @@ def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> fl
             outside = max(0.0, norm(psi) ** 2 - mass_in_region(psi, mask))
             worst = max(worst, outside)
             if outside > SUPPORT_TAIL_TOL:
-                raise SupportViolation(
-                    f"mass {outside:.3e} outside declared support at t={t}"
-                    f" (branch {psi.label!r})"
-                )
+                raise SupportViolation(f"mass {outside:.3e} outside declared support at t={t}"
+                                       f" (branch {psi.label!r})")
     return worst
 
 
-def _baseline(config: HoleExperimentConfig):
-    """Evolve both branches as one stack, check them against the declared
-    support and report theta(t): returns (left, right, v_left, support
-    mask, report). Branches in equal potentials (zero coupling) are
-    evolved once."""
+def _evolve(configs) -> list:
+    """(potentials, trajectories) of each config's branches, evolved in one
+    call: two from one packet, or one if both potentials are equal (zero
+    coupling). The configs share one EvolutionConfig."""
+    states, potentials = [], []
+    for config in configs:
+        psi0, pair = config.initial_packet(), config.branch_potentials()
+        pair = pair[:1] if np.array_equal(pair[0].values, pair[1].values) else pair
+        states += [psi0.with_label("psi_l"), psi0.with_label("psi_r")][:len(pair)]
+        potentials.append(pair)
+    trajectories = iter(evolve_branches(states, [v for pair in potentials for v in pair],
+                                        configs[0].evolution))
+    return [(pair, tuple(next(trajectories) for _ in pair)) for pair in potentials]
+
+
+def _baseline(config: HoleExperimentConfig, evolved=None):
+    """Check both branches against the declared support and report
+    theta(t): returns (left, right, v_left, support mask, report).
+    ``evolved`` is the _evolve entry of ``config``, made here if not given."""
     mask = config.support.mask(config.grid)
-    psi0 = config.initial_packet()
-    v_left, v_right = config.branch_potentials()
-    potentials = (v_left,) if np.array_equal(v_left.values, v_right.values) else (v_left, v_right)
-    states = [psi0.with_label("psi_l"), psi0.with_label("psi_r")][:len(potentials)]
-    branches = evolve_branches(states, potentials, config.evolution)
+    (v_left, *_), branches = evolved or _evolve([config])[0]
     worst_tail = _check_support(branches, mask)
     left, right = branches[0], branches[-1]
     times, thetas = theta_time_series(left, right)
-    report = HoleReport(
-        times=times,
-        theta_baseline=thetas,
-        theta_hole=None,
-        config=config,
-        diagnostics={"max_mass_outside_support": worst_tail,
-                     "softening": v_left.softening},
-    )
+    report = HoleReport(times=times, theta_baseline=thetas, theta_hole=None, config=config,
+                        diagnostics={"max_mass_outside_support": worst_tail,
+                                     "softening": v_left.softening})
     return left, right, v_left, mask, report
 
 
@@ -370,15 +328,13 @@ def run_hole(config: HoleExperimentConfig, strict: bool = True, *,
 
     # Maps that are the identity at t1 (zero shifts, the identity map) displace
     # nothing and skip the displacement gate: they reproduce the baseline exactly.
-    check_displacement = (
-        strict and not config.two_sided and not config.diffeo.is_identity_at(config.diffeo.t1)
-    )
+    check_displacement = (strict and not config.two_sided
+                          and not config.diffeo.is_identity_at(config.diffeo.t1))
     if check_displacement and config.diffeo.kind == "translation_ramp":
         displaced = config.displaced_support()
         if np.any(mask & displaced.mask(config.grid)):
-            raise InsufficientDisplacement(
-                "declared support and its displaced image overlap on the grid"
-            )
+            raise InsufficientDisplacement("declared support and its displaced image"
+                                           " overlap on the grid")
 
     phi = config.diffeo
     drift_max = 0.0
@@ -460,31 +416,75 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
     return dataclasses.replace(config, diffeo=phi), False
 
 
+def _peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2) -> float:
+    """Upper estimate of a run's peak bytes, in complex fields of the grid:
+    for each branch evolved at once (a run's two, a sweep's largest group)
+    its snapshots, stack and potential phase, as their stacks may step at
+    once; one kinetic factor; a pushed state and an intermediate per pushed
+    branch."""
+    evolution = config.evolution
+    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
+    fields = branches * (snapshots + 2) + 1 + 2 * pushed
+    return 16.0 * config.grid.size * fields
+
+
+def _group_branches(config: HoleExperimentConfig, values: int) -> int:
+    """Most branches a sweep of ``values`` values evolves in one call: as
+    many as fit STACK_BYTES, but one value's pair at least, and that pair
+    alone if more would put the peak estimate over PEAK_BYTES_LIMIT."""
+    most = max(2, min(2 * values, STACK_BYTES // (16 * config.grid.size)))
+    return most if _peak_bytes(config, 2 if config.two_sided else 1, most) <= PEAK_BYTES_LIMIT else 2
+
+
+def _failed(value: float, exc: HolesimError) -> SweepEntry:
+    return SweepEntry(value, None, f"{type(exc).__name__}: {exc}")
+
+
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
-    """Hole runs across one swept parameter. A value whose derived config
-    differs in its map only from the config of the last evolved branches
-    reuses them, so a displacement sweep, or a repeated coupling or mass,
-    evolves once.
+    """Hole runs across one swept parameter. Values whose derived configs
+    differ in the map only share one run of both branches, wherever they
+    stand. Runs of one EvolutionConfig evolve in groups of _group_branches
+    branches, one call each; then each value's support check, theta and
+    hole stage run on its run's trajectories, one group at a time.
 
     Per-run HolesimErrors are collected into the entries instead of
-    aborting the sweep; any other exception is a bug and propagates. A
-    failed baseline is evolved again by the next value that would share it,
-    so each value records its own error. The entry order matches ``values``.
+    aborting the sweep; any other exception is a bug and propagates. If a
+    group's call fails, its runs evolve one at a time, so each value
+    records its own error. The entry order matches ``values``.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
-    branches = None  # the last _baseline result
-    entries = []
-    for value in values:
+    values = [float(value) for value in values]
+    entries, runs = {}, {}  # runs: the map-free fields of a derived config -> its values
+    for i, value in enumerate(values):
         try:
-            derived, strict = _config_for(config, parameter, float(value))
-            if branches is None or any(
-                    getattr(derived, f.name) != getattr(branches[-1].config, f.name)
-                    for f in dataclasses.fields(derived) if f.name != "diffeo"):
-                branches = None  # drop the old baseline before evolving
-                branches = _baseline(derived)
-            report = run_hole(derived, strict=strict, branches=branches)
-            entries.append(SweepEntry(float(value), report, None))
+            derived, strict = _config_for(config, parameter, value)
+            key = tuple(getattr(derived, f.name) for f in dataclasses.fields(derived)
+                        if f.name != "diffeo")
+            runs.setdefault(key, []).append((i, derived, strict))
         except HolesimError as exc:  # collected, not raised
-            entries.append(SweepEntry(float(value), None, f"{type(exc).__name__}: {exc}"))
-    return entries
+            entries[i] = _failed(value, exc)
+    size, groups = _group_branches(config, len(values)) // 2, []  # runs, a pair of branches each
+    for _, same in itertools.groupby(runs.values(), key=lambda run: run[0][1].evolution):
+        same = list(same)
+        groups += [same[lo:lo + size] for lo in range(0, len(same), size)]
+    for group in groups:
+        try:
+            evolved = _evolve([run[0][1] for run in group])
+        except HolesimError as exc:
+            if len(group) > 1:
+                groups += [[run] for run in group]  # evolved again one at a time
+            else:
+                entries.update((i, _failed(values[i], exc)) for i, *_ in group[0])
+            continue
+        for run, shared in zip(group, evolved):
+            branches = None  # a failed check is made again by the run's next value
+            for i, derived, strict in run:
+                try:
+                    branches = branches or _baseline(derived, shared)
+                    report = run_hole(derived, strict=strict, branches=branches)
+                    entries[i] = SweepEntry(values[i], report, None)
+                except HolesimError as exc:
+                    entries[i] = _failed(values[i], exc)
+        evolved = shared = branches = None  # drop the group's trajectories before the next
+    return [entries[i] for i in range(len(values))]

@@ -469,6 +469,25 @@ def test_run_over_the_memory_limit_fails_validate(tmp_path, capsys, experiment):
     assert peak < 2**20
 
 
+def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
+    """One value of this 1D sweep needs about 1.3 GB of snapshots, its 7
+    distinct branches stacked about 4.6 GB: over the limit as one group,
+    so the sweep evolves one value at a time and validates."""
+    from holesim.hole_experiment import PEAK_BYTES_LIMIT, _group_branches, _peak_bytes
+
+    path = write_config(tmp_path, "long_sweep.yaml", {
+        "experiment": "sweep",
+        "evolution": {"dt": 0.001, "t_end": 40.0, "snapshot_stride": 1},
+        "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.1, 0.2]},
+    })
+    code, peak = validate_traced(path)
+    assert code == 0
+    assert peak < 2**20
+    config = load_config(path).hole_config
+    assert _peak_bytes(config, pushed=1) < PEAK_BYTES_LIMIT < _peak_bytes(config, 1, branches=7)
+    assert _group_branches(config, 4) == 2
+
+
 def validate_traced(path):
     """Exit code of validate, and the traced peak bytes it allocated."""
     tracemalloc.start()

@@ -303,6 +303,57 @@ def test_sweep_blowup_is_recorded_for_its_value_only():
                                 " blew up at step 1")
 
 
+def counted_calls(monkeypatch):
+    """The states of each evolve_branches call the sweep makes, in order."""
+    import holesim.hole_experiment as hole_experiment
+
+    calls = []
+
+    def counting(states, potentials, evolution):
+        calls.append(len(states))
+        return evolve_branches(states, potentials, evolution)
+
+    monkeypatch.setattr(hole_experiment, "evolve_branches", counting)
+    return calls
+
+
+def test_committed_coupling_sweep_evolves_in_one_call(monkeypatch):
+    """The 7 distinct 1D branches of the committed coupling sweep (one at
+    zero coupling, a pair at each other value) fit STACK_BYTES: one call."""
+    from pathlib import Path
+
+    from holesim.cli import load_config
+
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "sweep_coupling.yaml")
+    calls = counted_calls(monkeypatch)
+    entries = sweep(config.hole_config, "coupling", config.echo["sweep"]["values"])
+    assert all(e.error is None for e in entries)
+    assert calls == [7]
+
+
+def test_sweep_repeated_value_evolves_once_wherever_it_repeats(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    entries = sweep(default_config(), "coupling", [0.1, 0.2, 0.1])
+    assert all(e.error is None for e in entries)
+    assert calls == [4]
+    assert np.array_equal(entries[0].report.theta_hole, entries[2].report.theta_hole)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the potential
+def test_sweep_values_beside_a_failed_group_match_lone_runs(monkeypatch):
+    """The group of all three values blows up, so each value evolves
+    alone: its neighbours' series have the bits of lone run_hole calls."""
+    config = default_config(softening=0.9)
+    calls = counted_calls(monkeypatch)
+    with pytest.warns(StabilityWarning):
+        entries = sweep(config, "coupling", [0.1, 1.7e308, 0.05])
+    assert calls == [6, 2, 2, 2]
+    for entry in (entries[0], entries[2]):
+        lone = run_hole(default_config(softening=0.9, coupling=entry.value))
+        assert np.array_equal(entry.report.theta_baseline, lone.theta_baseline)
+        assert np.array_equal(entry.report.theta_hole, lone.theta_hole)
+
+
 def test_non_finite_displacement_is_a_sweep_error():
     entries = sweep(default_config(), "displacement", [float("nan"), 8.0])
     assert entries[0].report is None
