@@ -119,14 +119,25 @@ RENDER_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated run description with all nested objects constructed."""
+    """Validated run description: ``settings`` is all that the kind's
+    pipeline reads, as its reader in _KINDS built it."""
 
     experiment: str
     output_dir: Path
     formats: tuple[str, ...]
     echo: dict
-    hole_config: HoleExperimentConfig | None = None
-    recover: dict | None = None
+    settings: object
+
+
+@dataclass(frozen=True, eq=False)
+class RecoverConfig:
+    """A recovery of n cells on a 1D grid; ``scenario`` is None for the
+    static oracle, else the evolved oracle's potentials and evolution."""
+
+    grid: Grid
+    n: int
+    translation_cells: int
+    scenario: HoleExperimentConfig | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +204,8 @@ def load_config(path) -> RunConfig:
     """Parse and fully validate a run config.
 
     All validation problems are aggregated into one ConfigError instead of
-    stopping at the first; nested object constructors act as the
-    validators for their sections.
+    stopping at the first; the kind's reader in _KINDS validates its
+    sections by building the run's settings from them.
     """
     path = Path(path)
     try:
@@ -208,16 +219,12 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"config root must be a mapping, got {type(raw).__name__}"])
 
-    errors: list[str] = []
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
-        errors.append(f"experiment: must be one of {EXPERIMENTS}, got {experiment!r}")
-        raise ConfigError(errors)
+        raise ConfigError([f"experiment: must be one of {EXPERIMENTS}, got {experiment!r}"])
 
-    known_top = {"experiment", "output_dir", "formats", *DEFAULTS.keys()}
-    for key in raw:
-        if key not in known_top:
-            errors.append(f"{key}: unknown top-level key")
+    known_top = {"experiment", "output_dir", *DEFAULTS}
+    errors = [f"{key}: unknown top-level key" for key in raw if key not in known_top]
 
     output_dir = raw.get("output_dir", f"results/{experiment}")
     if not isinstance(output_dir, str):
@@ -233,96 +240,34 @@ def load_config(path) -> RunConfig:
         errors.append(f"formats: must be a sublist of ['csv', 'json'], got {formats!r}")
         formats = DEFAULTS["formats"]
 
+    # Every section is merged, so an unknown key is reported in any of them.
     sections = {
         name: _merge_section(name, raw.get(name), errors)
         for name in DEFAULTS
         if name != "formats"
     }
+    names, reader, _ = _KINDS[experiment]
+    used = {name: sections[name] for name in names}
+    if "diffeo" in used and used["diffeo"]["kind"] == "identity":  # it reads no other key
+        used["diffeo"] = {key: used["diffeo"][key] for key in ("kind", "two_sided")}
     echo = {
         "experiment": experiment,
         "output_dir": str(output_dir),
         "formats": sorted(formats),
+        **used,
     }
-    for name in _KINDS[experiment][0]:
-        echo[name] = sections[name]
     # The echo goes into result.json, which holds finite numbers only.
     try:
         _check_finite(echo, "config")
     except DomainError as exc:
         errors.append(str(exc))
-
-    hole_config = None
-    recover = None
-    sized, peak = "", 0.0  # what the memory estimate covers, and its bytes
-
-    if experiment in ("baseline", "hole", "sweep"):
-        diffeo = ({"kind": "identity", "two_sided": False} if experiment == "baseline"
-                  else sections["diffeo"])
-        try:
-            hole_config = config_from_sections({**sections, "diffeo": diffeo})
-            # The packet width, set or default, must fit the grid.
-            check_packet_width(hole_config.grid, hole_config.packet_width)
-        except ConfigError as exc:
-            errors.extend(exc.messages)
-        except ResolutionError as exc:
-            errors.append(f"packet: {exc}")
-    if experiment == "sweep":
-        parameter = sections["sweep"]["parameter"]
-        if parameter not in SWEEP_PARAMETERS:
-            errors.append(f"sweep.parameter: unknown parameter {parameter!r}")
-        try:
-            values = _as_tuple(sections["sweep"]["values"])
-            if not values:
-                errors.append("sweep.values: need at least one value")
-        except (TypeError, ValueError) as exc:
-            errors.append(f"sweep.values: {exc}")
-            values = ()
-        # Each value's derived config must build, as sweep() builds it.
-        if hole_config is not None and parameter in SWEEP_PARAMETERS:
-            for i, value in enumerate(values):
-                try:
-                    _config_for(hole_config, parameter, value)
-                except HolesimError as exc:
-                    errors.append(f"sweep.values[{i}]: {exc}")
-    if hole_config is not None:
-        # A sweep's branches evolve in groups: its estimate counts the largest.
-        branches = _group_branches(hole_config, len(values)) if experiment == "sweep" else 2
-        pushed = 0 if experiment == "baseline" else 2 if hole_config.two_sided else 1
-        sized = f"grid: a run on {hole_config.grid.shape} points"
-        peak = _peak_bytes(hole_config, pushed, branches)
-    if experiment == "recover-background":
-        recover = _validate_recover(sections["recover"], errors)
-        if recover is not None:
-            sized = f"recover: n = {recover['n']} on {recover['points']} points"
-            peak = _recover_peak_bytes(recover["points"], recover["n"])
-    if experiment == "check-harmonic":
-        metric_file = sections["harmonic"]["metric_file"]
-        if not metric_file:
-            errors.append("harmonic.metric_file: required for check-harmonic runs")
-        elif not isinstance(metric_file, str):
-            errors.append(f"harmonic.metric_file: must be a path string, got {metric_file!r}")
-        else:
-            metric_path = Path(metric_file)
-            if not metric_path.is_file():
-                errors.append(f"harmonic.metric_file: no such file {metric_path}")
-            else:
-                size = metric_path.stat().st_size
-                sized = f"harmonic.metric_file: a check of {size} bytes of text"
-                peak = _harmonic_peak_bytes(size)
-    if peak > PEAK_BYTES_LIMIT:
-        errors.append(f"{sized} needs about {peak / 2**30:.3g} GiB,"
-                      f" over the {PEAK_BYTES_LIMIT / 2**30:g} GiB limit")
-
+    try:
+        settings = reader(used, errors)
+    except ConfigError as exc:  # the reader could check no further
+        errors.extend(exc.messages)
     if errors:
         raise ConfigError(errors)
-    return RunConfig(
-        experiment=experiment,
-        output_dir=output_dir,
-        formats=tuple(sorted(formats)),
-        echo=echo,
-        hole_config=hole_config,
-        recover=recover,
-    )
+    return RunConfig(experiment, output_dir, tuple(sorted(formats)), echo, settings)
 
 
 def _recover_peak_bytes(points: int, n: int) -> float:
@@ -351,25 +296,87 @@ def _integer(section, key):
     return number
 
 
-def _validate_recover(section, errors):
-    out = dict(section)
+def _fits(sized: str, peak: float, errors) -> bool:
+    """Whether a peak estimate fits PEAK_BYTES_LIMIT; if not, errors says so."""
+    if peak > PEAK_BYTES_LIMIT:
+        errors.append(f"{sized} needs about {peak / 2**30:.3g} GiB,"
+                      f" over the {PEAK_BYTES_LIMIT / 2**30:g} GiB limit")
+    return peak <= PEAK_BYTES_LIMIT
+
+
+def _read_hole(sections, errors, runs: int = 1) -> HoleExperimentConfig:
+    """The config of a baseline run (no diffeo section: the identity), a hole
+    run or a sweep of ``runs`` values; only the CLI refuses a one-sided bump."""
+    config = config_from_sections({"diffeo": {"kind": "identity", "two_sided": False}, **sections})
     try:
-        out["points"] = _integer(section, "points")
-        out["extent"] = float(section["extent"])
-        out["n"] = _integer(section, "n")
-        out["translation_cells"] = _integer(section, "translation_cells")
-        if out["oracle"] not in ("static", "evolved"):
+        check_packet_width(config.grid, config.packet_width)  # set or default
+    except ResolutionError as exc:
+        errors.append(f"packet: {exc}")
+    if config.diffeo.kind == "bump_displacement" and not config.two_sided:
+        errors.append("diffeo: a one-sided bump_displacement cannot move the branch out of its"
+                      " support, as the gate needs; set two_sided: true for the two-sided control")
+    # A sweep's branches evolve in groups: its estimate counts the largest.
+    pushed = 0 if "diffeo" not in sections else 2 if config.two_sided else 1
+    _fits(f"grid: a run on {config.grid.shape} points",
+          _peak_bytes(config, pushed, _group_branches(config, runs)), errors)
+    return config
+
+
+def _read_sweep(sections, errors) -> tuple[HoleExperimentConfig, str, tuple]:
+    """(config, parameter, values); each value's config builds as in sweep()."""
+    parameter = sections["sweep"]["parameter"]
+    if parameter not in SWEEP_PARAMETERS:
+        errors.append(f"sweep.parameter: unknown parameter {parameter!r}")
+    try:
+        values = _as_tuple(sections["sweep"]["values"])
+        if not values:
+            errors.append("sweep.values: need at least one value")
+    except (TypeError, ValueError) as exc:
+        errors.append(f"sweep.values: {exc}")
+        values = ()
+    config = _read_hole(sections, errors, len(values))
+    if parameter in SWEEP_PARAMETERS:
+        for i, value in enumerate(values):
+            try:
+                _config_for(config, parameter, value)
+            except HolesimError as exc:
+                errors.append(f"sweep.values[{i}]: {exc}")
+    return config, parameter, values
+
+
+def _read_recover(sections, errors) -> RecoverConfig:
+    section = sections["recover"]
+    try:
+        points = _integer(section, "points")
+        n = _integer(section, "n")
+        translation_cells = _integer(section, "translation_cells")
+        if section["oracle"] not in ("static", "evolved"):
             errors.append(f"recover.oracle: must be 'static' or 'evolved', got {section['oracle']!r}")
-        if out["n"] < 2 or out["points"] % out["n"] != 0:
-            errors.append(f"recover.n: {out['n']} must be >= 2 and divide points {out['points']}")
-        out["grid"] = Grid(out["points"], out["extent"])
-        if out["oracle"] == "evolved":
-            # Branch states evolve in the default scenario on the recovery grid.
-            out["scenario"] = default_config(grid=out["grid"])
+        if n < 2 or points % n != 0:
+            errors.append(f"recover.n: {n} must be >= 2 and divide points {points}")
+        grid = Grid(points, float(section["extent"]))
+        # Branch states evolve in the default scenario on the recovery grid.
+        scenario = default_config(grid=grid) if section["oracle"] == "evolved" else None
     except (HolesimError, ValueError, TypeError, KeyError) as exc:
-        errors.append(f"recover: {exc}")
-        return None
-    return out
+        raise ConfigError([f"recover: {exc}"]) from None
+    _fits(f"recover: n = {n} on {points} points", _recover_peak_bytes(points, n), errors)
+    return RecoverConfig(grid, n, translation_cells, scenario)
+
+
+def _read_harmonic(sections, errors) -> MetricField | None:
+    """The metric, read once, at load, after its file's size fits the limit."""
+    metric_file = sections["harmonic"]["metric_file"]
+    if not metric_file:
+        errors.append("harmonic.metric_file: required for check-harmonic runs")
+    elif not isinstance(metric_file, str):
+        errors.append(f"harmonic.metric_file: must be a path string, got {metric_file!r}")
+    elif not Path(metric_file).is_file():
+        errors.append(f"harmonic.metric_file: no such file {Path(metric_file)}")
+    else:
+        size = Path(metric_file).stat().st_size
+        if _fits(f"harmonic.metric_file: a check of {size} bytes of text",
+                 _harmonic_peak_bytes(size), errors):
+            return read_metric_field(Path(metric_file))
 
 
 # --- result rendering -------------------------------------------------------
@@ -432,7 +439,7 @@ def _diagnostics_block(report: HoleReport) -> dict:
 
 
 def _execute_baseline(config: RunConfig) -> tuple[dict, dict]:
-    report = run_baseline(config.hole_config)
+    report = run_baseline(config.settings)
     final = report.final_theta_baseline
     data = {
         "theta_baseline": _theta_block(report.times, report.theta_baseline),
@@ -448,7 +455,7 @@ def _execute_baseline(config: RunConfig) -> tuple[dict, dict]:
 
 
 def _execute_hole(config: RunConfig) -> tuple[dict, dict]:
-    report = run_hole(config.hole_config)
+    report = run_hole(config.settings)
     final_b = report.final_theta_baseline
     final_h = report.final_theta_hole
     data = {
@@ -474,8 +481,8 @@ def _execute_hole(config: RunConfig) -> tuple[dict, dict]:
 
 
 def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
-    parameter = config.echo["sweep"]["parameter"]
-    entries = sweep(config.hole_config, parameter, _as_tuple(config.echo["sweep"]["values"]))
+    hole_config, parameter, values = config.settings
+    entries = sweep(hole_config, parameter, values)
     rows = []
     per_value = []
     for entry in entries:
@@ -506,38 +513,36 @@ def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
 
 
 def _execute_recover(config: RunConfig) -> tuple[dict, dict]:
-    settings = config.recover
-    grid = settings["grid"]
-    basis_g = localized_basis(grid, settings["n"])
-    basis_eta = translate_basis(basis_g, settings["translation_cells"])
-    if settings["oracle"] == "evolved":
+    settings = config.settings
+    grid, n, scenario = settings.grid, settings.n, settings.scenario
+    basis_g = localized_basis(grid, n)
+    basis_eta = translate_basis(basis_g, settings.translation_cells)
+    if scenario is not None:
         # Branch states evolve in the default scenario's left potential,
         # reference states freely, for a fixed 0.2 time units.
-        scenario = settings["scenario"]
         branch = Potential.point_mass(grid, scenario.source_left, scenario.coupling,
                                       scenario.softening)
         free = Potential.tabulated(grid, np.zeros(grid.shape))
         evo = dataclasses.replace(scenario.evolution, t_end=0.2, snapshot_stride=10**9)
-        n = settings["n"]
         basis_g = [t.final_state for t in evolve_branches(basis_g, [branch] * n, evo)]
         basis_eta = [t.final_state for t in evolve_branches(basis_eta, [free] * n, evo)]
     sample = sample_form(basis_g, basis_eta, inner_product)
-    background = recover_background(sample, coordinate_projectors(settings["n"]))
+    background = recover_background(sample, coordinate_projectors(n))
     indices = [localization_index(p) for p in background.recovered_projectors]
-    stride = settings["points"] // settings["n"]
+    stride = grid.size // n
     data = {
         "form_matrix": _matrix_block(sample.matrix),
         "condition_number": float(sample.condition_number),
         "unitary": _matrix_block(background.unitary),
         "localization_indices": indices,
         "localization_cells": [int(i * stride) for i in indices],
-        "planted_translation_cells": settings["translation_cells"],
+        "planted_translation_cells": settings.translation_cells,
     }
     return data, {}
 
 
 def _execute_harmonic(config: RunConfig) -> tuple[dict, dict]:
-    metric = read_metric_field(Path(config.echo["harmonic"]["metric_file"]))
+    metric = config.settings
     residual = harmonic_residual(metric)
     per_index = [float(np.max(np.abs(residual[..., nu]))) for nu in range(metric.dim)]
     data = {
@@ -555,13 +560,15 @@ def _execute_harmonic(config: RunConfig) -> tuple[dict, dict]:
 
 
 _SCENARIO = ("grid", "packet", "potentials", "evolution")
-# Each experiment kind: the config sections it echoes, and its pipeline.
+# Each experiment kind: the config sections it reads and echoes; the reader
+# that builds its settings from them, appending what it refuses to the shared
+# error list and raising a ConfigError only where it can check no further; its pipeline.
 _KINDS = {
-    "baseline": ((*_SCENARIO, "support"), _execute_baseline),
-    "hole": ((*_SCENARIO, "diffeo", "support"), _execute_hole),
-    "sweep": ((*_SCENARIO, "diffeo", "support", "sweep"), _execute_sweep),
-    "recover-background": (("recover",), _execute_recover),
-    "check-harmonic": (("harmonic",), _execute_harmonic),
+    "baseline": ((*_SCENARIO, "support"), _read_hole, _execute_baseline),
+    "hole": ((*_SCENARIO, "diffeo", "support"), _read_hole, _execute_hole),
+    "sweep": ((*_SCENARIO, "diffeo", "support", "sweep"), _read_sweep, _execute_sweep),
+    "recover-background": (("recover",), _read_recover, _execute_recover),
+    "check-harmonic": (("harmonic",), _read_harmonic, _execute_harmonic),
 }
 EXPERIMENTS = tuple(_KINDS)
 
@@ -571,7 +578,7 @@ def execute(config: RunConfig) -> ResultBundle:
     version and config echo to its data, and validate the result once, as
     one ResultBundle; deterministic output."""
     start = time.perf_counter()
-    data, files = _KINDS[config.experiment][1](config)
+    data, files = _KINDS[config.experiment][2](config)
     data = {"experiment": config.experiment, "version": __version__,
             "config": config.echo, **data}
     return ResultBundle(config.experiment, data, files, time.perf_counter() - start)
@@ -701,23 +708,19 @@ def read_metric_field(path) -> MetricField:
 # --- command-line entry points -------------------------------------------
 
 
-def _add_config_arg(parser):
-    parser.add_argument("--config", required=True, help="path to the run config file")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holesim",
         description="Config-driven decoherence and background-recovery experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_config_arg(sub.add_parser("run", help="execute any experiment config"))
-    _add_config_arg(sub.add_parser("validate", help="validate a config and exit"))
-    _add_config_arg(sub.add_parser("sweep", help="execute a sweep config"))
-    _add_config_arg(sub.add_parser("recover-background",
-                                   help="execute a background recovery config"))
-    _add_config_arg(sub.add_parser("check-harmonic",
-                                   help="execute a harmonic residual config"))
+    for command, purpose in [("run", "execute any experiment config"),
+                             ("validate", "validate a config and exit"),
+                             ("sweep", "execute a sweep config"),
+                             ("recover-background", "execute a background recovery config"),
+                             ("check-harmonic", "execute a harmonic residual config")]:
+        sub.add_parser(command, help=purpose).add_argument(
+            "--config", required=True, help="path to the run config file")
     sub.add_parser("version", help="print the package version")
     return parser
 
@@ -729,12 +732,9 @@ def main(argv=None) -> int:
         return 0
     try:
         config = load_config(args.config)
-        expected = args.command if args.command in EXPERIMENTS else None
-        if expected and config.experiment != expected:
-            raise ConfigError(
-                [f"experiment: command {args.command!r} needs kind {expected!r},"
-                 f" config says {config.experiment!r}"]
-            )
+        if args.command in EXPERIMENTS and config.experiment != args.command:
+            raise ConfigError([f"experiment: command {args.command!r} needs kind"
+                               f" {args.command!r}, config says {config.experiment!r}"])
         if args.command == "validate":
             print(f"OK: {config.experiment} config with output_dir={config.output_dir}")
             return 0

@@ -44,8 +44,8 @@ def test_minimal_baseline_config_fills_defaults(tmp_path):
     path = write_config(tmp_path, "minimal.yaml", {"experiment": "baseline"})
     config = load_config(path)
     assert config.experiment == "baseline"
-    assert config.hole_config.coupling == 0.1
-    assert config.hole_config.evolution.mass == 4.0
+    assert config.settings.coupling == 0.1
+    assert config.settings.evolution.mass == 4.0
     assert config.echo["grid"]["points"] == 1024
     assert config.formats == ("csv", "json")
 
@@ -405,7 +405,7 @@ def test_default_scenario_has_one_source(tmp_path):
     from holesim import default_config
 
     path = write_config(tmp_path, "defaults.yaml", {"experiment": "hole"})
-    loaded = load_config(path).hole_config
+    loaded = load_config(path).settings
     expected = default_config()
     for name in ("grid", "packet_center", "packet_width", "packet_momentum",
                  "source_left", "source_right", "coupling", "softening",
@@ -435,7 +435,7 @@ def test_scalar_sections_apply_on_every_grid_axis(tmp_path):
         "diffeo": {"shift": [17.5, 0.0]},
     })
     assert main(["validate", "--config", str(path)]) == 0
-    loaded = load_config(path).hole_config
+    loaded = load_config(path).settings
     expected = default_config(grid=Grid((128, 128), 40.0),
                               support=Region(support["lower"], support["upper"]),
                               shift=(17.5, 0.0))
@@ -483,7 +483,7 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     code, peak = validate_traced(path)
     assert code == 0
     assert peak < 2**20
-    config = load_config(path).hole_config
+    config = load_config(path).settings[0]
     assert _peak_bytes(config, pushed=1) < PEAK_BYTES_LIMIT < _peak_bytes(config, 1, branches=7)
     assert _group_branches(config, 4) == 2
 
@@ -530,30 +530,32 @@ def test_harmonic_over_the_memory_limit_fails_validate(tmp_path, capsys):
     assert peak < 2**20
 
 
-def traced_execute_peak(path):
-    config = load_config(path)
+def traced_run_peak(path):
+    """Traced peak bytes of loading and executing a config: a check-harmonic
+    run parses its metric file at load."""
     tracemalloc.start()
     try:
-        execute(config)
+        execute(load_config(path))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_peak_estimates_bound_traced_runs(tmp_path):
-    """The load-time estimates are upper bounds of what a run allocates: a
-    static and an evolved recovery, and a check of a Minkowski metric, whose
-    short values ("0.0") give the most values per byte of text."""
+    """The load-time estimates are upper bounds of what a run allocates,
+    load and execute together: a static and an evolved recovery, and a check
+    of a Minkowski metric, whose short values ("0.0") give the most values
+    per byte of text."""
     for recover in ({"points": 256, "n": 32},
                     {"points": 512, "n": 64, "oracle": "evolved", "translation_cells": 8}):
         path = write_config(tmp_path, "recover.yaml", {
             "experiment": "recover-background", "recover": recover})
-        assert traced_execute_peak(path) < _recover_peak_bytes(recover["points"], recover["n"])
+        assert traced_run_peak(path) < _recover_peak_bytes(recover["points"], recover["n"])
     metric_path = tmp_path / "flat.gridfield"
     write_metric_field(metric_path, minkowski_metric((8,) * 4, (0.25,) * 4))
     path = write_config(tmp_path, "flat.yaml", {
         "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
-    assert traced_execute_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
+    assert traced_run_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
 
 
 def test_generated_bench_configs_validate(tmp_path, monkeypatch):
@@ -680,6 +682,54 @@ def test_metric_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert f"config error: {metric_path}: cannot read grid field:" in capsys.readouterr().err
 
 
+def one_sided_bump(tmp_path):
+    """The 2D 128^2 hole run whose one-sided bump lies inside the support,
+    which run_hole's strict displacement gate refuses."""
+    return {"experiment": "hole", "grid": {"points": [128, 128]},
+            "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
+            "diffeo": {"kind": "bump_displacement", "center": [0.0, 0.0], "radius": 5.0,
+                       "peak_shift": [1.0, 0.0]}}, "diffeo: a one-sided bump_displacement"
+
+
+def short_metric_file(tmp_path):
+    """A metric file whose header says 4x4 points but that has one data row."""
+    metric_path = tmp_path / "short.gridfield"
+    metric_path.write_text("# holesim grid-field v1\nkind: metric\naxes: 2\nshape: 4 4\n"
+                           "spacing: 0.25 0.25\ncomponents: 3\ndata:\n1.0 0.0 1.0\n")
+    return ({"experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}},
+            f"{metric_path}: data shape (1, 3), expected (16, 3)")
+
+
+def latin1_metric_file(tmp_path):
+    metric_path = tmp_path / "latin1.gridfield"
+    metric_path.write_bytes(b"# holesim grid-field v1\nkind: m\xe9tric\n")
+    return ({"experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}},
+            f"{metric_path}: cannot read grid field:")
+
+
+@pytest.mark.parametrize("case", [one_sided_bump, short_metric_file, latin1_metric_file],
+                         ids=["one_sided_bump", "short_metric_file", "latin1_metric_file"])
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, case):
+    """validate and run refuse each config at load, with one message and
+    the config exit code, before anything is computed or written."""
+    sections, message = case(tmp_path)
+    path = write_config(tmp_path, "refused.yaml", {**sections, "output_dir": str(tmp_path / "out")})
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == EXIT_CODES[ConfigError]
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_recovery_reports_unknown_keys_of_other_sections(tmp_path):
+    """Every section is merged, so a recovery config reports an unknown key
+    of a section its run does not read."""
+    path = write_config(tmp_path, "recover.yaml", {
+        "experiment": "recover-background", "grid": {"extents": 40}})
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert "grid.extents: unknown key" in info.value.messages
+
+
 @pytest.mark.parametrize("sections, message", [
     ({"diffeo": {"kind": "bump_displacement"}, "sweep": {"parameter": "displacement"}},
      "sweep.values[0]: displacement sweeps need a translation-ramp diffeo"),
@@ -723,11 +773,29 @@ def test_displacement_sweep_over_the_identity(tmp_path):
         "diffeo": {"kind": "identity"},
         "sweep": {"parameter": "displacement", "values": [0.0, 2.0]}})
     assert main(["validate", "--config", str(path)]) == 0
-    zero, moved = sweep(load_config(path).hole_config, "displacement", [0.0, 2.0])
+    zero, moved = sweep(load_config(path).settings[0], "displacement", [0.0, 2.0])
     assert np.array_equal(zero.report.theta_hole, zero.report.theta_baseline)
     phi = moved.report.config.diffeo
     assert (phi.t0, phi.t1) == (0.0, 1.0)
     assert np.array_equal(phi.shift, [2.0])
+
+
+@pytest.mark.parametrize("experiment", ["hole", "sweep"])
+def test_identity_echoes_only_the_keys_it_reads(tmp_path, experiment):
+    """The identity map reads kind and two_sided only; the config echo in
+    result.json holds no other key of its diffeo section."""
+    out = tmp_path / "out"
+    payload = {
+        "experiment": experiment, "output_dir": str(out),
+        "grid": {"points": 256, "extent": 40.0},
+        "evolution": {"dt": 0.05, "t_end": 1.0, "mass": 4.0, "snapshot_stride": 5},
+        "diffeo": {"kind": "identity"}}
+    if experiment == "sweep":
+        payload["sweep"] = {"parameter": "coupling", "values": [0.1]}
+    path = write_config(tmp_path, "identity.yaml", payload)
+    assert main(["run", "--config", str(path)]) == 0
+    echo = json.loads((out / "result.json").read_text())["config"]["diffeo"]
+    assert echo == {"kind": "identity", "two_sided": False}
 
 
 def test_every_error_has_a_documented_exit_code():

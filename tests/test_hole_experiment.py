@@ -326,7 +326,7 @@ def test_committed_coupling_sweep_evolves_in_one_call(monkeypatch):
 
     config = load_config(Path(__file__).resolve().parent.parent / "configs" / "sweep_coupling.yaml")
     calls = counted_calls(monkeypatch)
-    entries = sweep(config.hole_config, "coupling", config.echo["sweep"]["values"])
+    entries = sweep(*config.settings)
     assert all(e.error is None for e in entries)
     assert calls == [7]
 

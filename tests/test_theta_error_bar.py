@@ -19,7 +19,7 @@ SCENARIOS = ["baseline", "hole"]
 
 
 def committed(name):
-    return load_config(CONFIGS / f"{name}.yaml").hole_config
+    return load_config(CONFIGS / f"{name}.yaml").settings
 
 
 def theta_series(config, name):
