@@ -672,16 +672,6 @@ def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys):
         write_bundle(ResultBundle("baseline", {"value": 1.0}), blocker / "out")
 
 
-def test_metric_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
-    metric_path = tmp_path / "latin1.gridfield"
-    metric_path.write_bytes(b"# holesim grid-field v1\nkind: m\xe9tric\n")
-    path = write_config(tmp_path, "latin1.yaml", {
-        "experiment": "check-harmonic", "output_dir": str(tmp_path / "out"),
-        "harmonic": {"metric_file": str(metric_path)}})
-    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
-    assert f"config error: {metric_path}: cannot read grid field:" in capsys.readouterr().err
-
-
 def one_sided_bump(tmp_path):
     """The 2D 128^2 hole run whose one-sided bump lies inside the support,
     which run_hole's strict displacement gate refuses."""
