@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -279,12 +280,11 @@ def _recover_peak_bytes(points: int, n: int) -> float:
 
 def _harmonic_peak_bytes(size: int) -> float:
     """Upper estimate of a check-harmonic run's peak bytes from its metric
-    file's size, at 4+ bytes per value ("0.0 ") and 3+ values per line: the
-    file as bytes, text and lines (57 bytes each); the values; five full
-    tensors of 1.6 values per stored value (tensor, checked copy, inverse,
-    inverse check, densitized); the residual text, 2/3 value at 25 bytes, twice."""
-    values, lines = size / 4, size / 12
-    return 3.0 * size + 57.0 * lines + values * (8 + 5 * 1.6 * 8 + 2 * 2 / 3 * 25)
+    file's size, at 4+ bytes per value ("0.0 "); the file is streamed, so no
+    text or line is held: the values; four full tensors of 1.6 values per
+    stored value (tensor, checked copy, inverse, densitized); the residual
+    text, 2/3 value at 25 bytes, twice."""
+    return size / 4 * (8 + 4 * 1.6 * 8 + 2 * 2 / 3 * 25)
 
 
 def _integer(section, key):
@@ -617,10 +617,16 @@ def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list
 def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray) -> str:
     """Self-describing text format: header keys, then row-major rows of the
     trailing components per grid point."""
+    return "".join(_grid_field_blocks(kind, spacings, values))
+
+
+def _grid_field_blocks(kind, spacings, values):
+    """The text of render_grid_field: the header, then one %-format per
+    block of RENDER_BLOCK_ROWS rows, so a writer holds one block at a time."""
     values = np.asarray(values, dtype=float)
     grid_shape = values.shape[: len(spacings)]
     comp_shape = values.shape[len(spacings):]
-    lines = [
+    yield "\n".join([
         "# holesim grid-field v1",
         f"kind: {kind}",
         f"axes: {len(spacings)}",
@@ -628,31 +634,34 @@ def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray
         "spacing: " + " ".join(_fmt(h) for h in spacings),
         "components: " + " ".join(str(n) for n in comp_shape),
         "data:",
-    ]
+    ]) + "\n"
     flat = values.reshape(int(np.prod(grid_shape)), -1)
-    # One %-format per block of rows and one join, so no second whole copy.
     row = " ".join(["%r"] * flat.shape[1]) + "\n"
-    text = ["\n".join(lines) + "\n"]
     for start in range(0, len(flat), RENDER_BLOCK_ROWS):
         block = flat[start:start + RENDER_BLOCK_ROWS]
-        text.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(text)
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _parse_grid_field(path) -> tuple[str, tuple[float, ...], np.ndarray]:
+    """Read a grid field's header line by line, then its data rows from the
+    same open file through loadtxt, so no copy of the whole text is held."""
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as stream:
+            return _parse_grid_stream(path, stream)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: cannot read grid field: {exc}"]) from None
+
+
+def _parse_grid_stream(path, stream) -> tuple[str, tuple[float, ...], np.ndarray]:
     header: dict[str, str] = {}
-    lines = text.splitlines()
-    data_start = None
-    for i, line in enumerate(lines):
+    data_found = False
+    for i, line in enumerate(stream):
+        line = line.rstrip("\n")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if stripped == "data:":
-            data_start = i + 1
+            data_found = True
             break
         if ":" not in stripped:
             raise ConfigError([f"{path}: malformed header line {i + 1}: {line!r}"])
@@ -660,19 +669,25 @@ def _parse_grid_field(path) -> tuple[str, tuple[float, ...], np.ndarray]:
         header[key.strip()] = value.strip()
     required = {"kind", "axes", "shape", "spacing", "components"}
     missing = required - header.keys()
-    if data_start is None or missing:
+    if not data_found or missing:
         raise ConfigError([f"{path}: missing header entries {sorted(missing)} or data section"])
     try:
         axes = int(header["axes"])
         shape = tuple(int(v) for v in header["shape"].split())
         spacings = tuple(float(v) for v in header["spacing"].split())
         comps = tuple(int(v) for v in header["components"].split())
-        values = np.loadtxt(lines[data_start:], ndmin=2)
+        with warnings.catch_warnings():  # an empty data section is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(stream, ndmin=2)
+    except UnicodeDecodeError:
+        raise  # the file, not its numbers: _parse_grid_field reports it
     except (ValueError, TypeError) as exc:
         raise ConfigError([f"{path}: cannot parse grid field: {exc}"])
     if len(shape) != axes or len(spacings) != axes:
         raise ConfigError([f"{path}: shape/spacing do not match axes={axes}"])
     expected = (int(np.prod(shape)), int(np.prod(comps)))
+    if not values.size:
+        raise ConfigError([f"{path}: empty data section, expected {expected[0]} rows"])
     if values.shape != expected:
         raise ConfigError([f"{path}: data shape {values.shape}, expected {expected}"])
     return header["kind"], spacings, values.reshape(*shape, *comps)
@@ -683,7 +698,8 @@ def write_metric_field(path, metric: MetricField) -> None:
     d = metric.dim
     iu = np.triu_indices(d)
     tri = metric.components[..., iu[0], iu[1]]
-    Path(path).write_text(render_grid_field("metric", tuple(metric.spacings), tri))
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_grid_field_blocks("metric", tuple(metric.spacings), tri))
 
 
 def read_metric_field(path) -> MetricField:
@@ -702,6 +718,7 @@ def read_metric_field(path) -> MetricField:
     iu = np.triu_indices(d)
     full[..., iu[0], iu[1]] = tri
     full[..., iu[1], iu[0]] = tri
+    del tri  # so MetricField's check holds the tensor, its copy and inverse, no triangle
     return MetricField(spacings, full)
 
 

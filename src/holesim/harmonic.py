@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 INVERSE_RESIDUAL_TOL = 1e-12
+# Grid points whose inverse MetricField checks at once.
+INVERSE_CHECK_POINTS = 4096
 FLOOR_SCALE = 1e-11  # relative level below which residual errors count as roundoff
 
 
@@ -81,8 +83,7 @@ class MetricField:
         if np.any(negatives != 1):
             raise SignatureError("metric must have exactly one negative eigenvalue")
         inverse = np.linalg.inv(g)
-        residual = g @ inverse - np.eye(d)
-        residual = np.max(np.abs(residual, out=residual))
+        residual = _inverse_residual(g.reshape(-1, d, d), inverse.reshape(-1, d, d))
         if residual > INVERSE_RESIDUAL_TOL:
             raise DomainError(
                 f"metric inverse residual {residual:.3e} exceeds {INVERSE_RESIDUAL_TOL:.0e}"
@@ -104,6 +105,21 @@ class MetricField:
     @property
     def inverse(self) -> np.ndarray:
         return self._inverse
+
+
+def _inverse_residual(g: np.ndarray, inverse: np.ndarray) -> float:
+    """max |g g^-1 - I| over stacks of (D, D) matrices, formed in place one
+    block of INVERSE_CHECK_POINTS matrices at a time, so the check holds no
+    full-size temporary."""
+    eye = np.eye(g.shape[-1])
+    buffer = np.empty((min(len(g), INVERSE_CHECK_POINTS), *g.shape[1:]))
+    residual = 0.0
+    for start in range(0, len(g), INVERSE_CHECK_POINTS):
+        rows = slice(start, start + INVERSE_CHECK_POINTS)
+        block = np.matmul(g[rows], inverse[rows], out=buffer[:len(g[rows])])
+        block -= eye
+        residual = max(residual, float(np.abs(block, out=block).max()))
+    return residual
 
 
 def minkowski_metric(grid_shape, spacings) -> MetricField:

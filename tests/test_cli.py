@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from holesim.cli import (
     RENDER_BLOCK_ROWS,
     ResultBundle,
     _harmonic_peak_bytes,
+    _parse_grid_field,
     _recover_peak_bytes,
     execute,
     load_config,
@@ -241,18 +243,82 @@ def test_render_grid_field_matches_per_row_oracle(rows, components):
     assert data == grid_field_rows(values, axes=1)
 
 
-def test_metric_field_16_4_round_trip(tmp_path):
-    """A 3+1 metric at 16^4, larger than one render block, written by
-    write_metric_field reads back bit-equal."""
+def metric_16_4():
+    """A 3+1 metric at 16^4 with full-length values, like the bench's."""
     rng = np.random.default_rng(16)
     noise = 0.02 * rng.uniform(-1.0, 1.0, (16,) * 4 + (4, 4))
     components = np.diag([-1.0, 1.0, 1.0, 1.0]) + noise + np.swapaxes(noise, -1, -2)
-    metric = MetricField((0.25, 0.25, 0.5, 0.125), components)
+    return MetricField((0.25, 0.25, 0.5, 0.125), components)
+
+
+def traced_peak(function, *args):
+    """Traced peak bytes of one call."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_metric_field_16_4_round_trip(tmp_path):
+    """A 3+1 metric at 16^4, larger than one render block, written by
+    write_metric_field reads back bit-equal."""
+    metric = metric_16_4()
     path = tmp_path / "metric16.gridfield"
     write_metric_field(path, metric)
     loaded = read_metric_field(path)
     assert loaded.spacings == metric.spacings
     assert np.array_equal(loaded.components, metric.components)
+
+
+def test_grid_field_parse_holds_no_copy_of_the_text(tmp_path):
+    """The 13.5 MB text of a 16^4 metric is streamed to loadtxt: the parse
+    peaks under its 5 MiB of values plus 1 MiB."""
+    path = tmp_path / "metric16.gridfield"
+    write_metric_field(path, metric_16_4())
+    values_bytes = 16**4 * 10 * 8
+    assert path.stat().st_size > 2 * values_bytes
+    assert traced_peak(_parse_grid_field, path) < values_bytes + 2**20
+
+
+def test_write_metric_field_holds_one_render_block(tmp_path):
+    """write_metric_field writes each render block as it is formatted: a
+    16^4 metric peaks under its upper triangle plus two blocks' formatting
+    (per value a float object, a list and a tuple slot and its text)."""
+    metric = metric_16_4()
+    triangle_bytes = 16**4 * 10 * 8
+    block_bytes = RENDER_BLOCK_ROWS * 10 * (24 + 8 + 8 + 25)
+    peak = traced_peak(write_metric_field, tmp_path / "metric16.gridfield", metric)
+    assert peak < triangle_bytes + 2 * block_bytes
+
+
+def grid_field_text(data: str, kind: str = "metric") -> str:
+    return ("# holesim grid-field v1\n"
+            f"kind: {kind}\naxes: 2\nshape: 2 2\nspacing: 0.25 0.25\ncomponents: 3\ndata:\n" + data)
+
+
+@pytest.mark.parametrize("text, message", [
+    (grid_field_text("-1.0 0.0 1.0\n-1.0 0.0\n-1.0 0.0 1.0\n-1.0 0.0 1.0\n"),
+     "cannot parse grid field: the number of columns changed from 3 to 2 at row 2; use"
+     " `usecols` to select a subset and avoid this error"),
+    (grid_field_text("-1.0 0.0 1.0\n-1.0 x 1.0\n-1.0 0.0 1.0\n-1.0 0.0 1.0\n"),
+     "cannot parse grid field: could not convert string 'x' to float64 at row 1, column 2."),
+    ("# holesim grid-field v1\n\nkind: metric\naxes 2\n", "malformed header line 4: 'axes 2'"),
+    (b"# holesim grid-field v1\nkind: m\xe9tric\n",
+     "cannot read grid field: 'utf-8' codec can't decode byte 0xe9 in position 31:"
+     " invalid continuation byte"),
+], ids=["ragged_row", "bad_token", "malformed_header", "latin1_header"])
+def test_grid_field_parse_messages(tmp_path, text, message):
+    """A malformed grid field's message, loadtxt's row and column included."""
+    path = tmp_path / "bad.gridfield"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        read_metric_field(path)
+    assert exc.value.messages == [f"{path}: {message}"]
 
 
 def test_byte_determinism(tmp_path):
@@ -533,12 +599,7 @@ def test_harmonic_over_the_memory_limit_fails_validate(tmp_path, capsys):
 def traced_run_peak(path):
     """Traced peak bytes of loading and executing a config: a check-harmonic
     run parses its metric file at load."""
-    tracemalloc.start()
-    try:
-        execute(load_config(path))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: execute(load_config(path)))
 
 
 def test_peak_estimates_bound_traced_runs(tmp_path):
@@ -697,16 +758,42 @@ def latin1_metric_file(tmp_path):
             f"{metric_path}: cannot read grid field:")
 
 
-@pytest.mark.parametrize("case", [one_sided_bump, short_metric_file, latin1_metric_file],
-                         ids=["one_sided_bump", "short_metric_file", "latin1_metric_file"])
+def empty_metric_data(tmp_path):
+    """A metric file whose data section holds no row."""
+    metric_path = tmp_path / "empty.gridfield"
+    metric_path.write_text(grid_field_text(""))
+    return ({"experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}},
+            f"{metric_path}: empty data section, expected 4 rows")
+
+
+def latin1_past_64_kib(tmp_path):
+    """A Latin-1 byte in a data row past the first 64 KiB, which loadtxt
+    meets while it streams the rows: a read error, not a parse error."""
+    metric_path = tmp_path / "latin1_late.gridfield"
+    write_metric_field(metric_path, minkowski_metric((100, 100), (0.25, 0.25)))
+    text = metric_path.read_bytes()
+    at = text.index(b"0.0", 70000) + 1
+    metric_path.write_bytes(text[:at] + b"\xe9" + text[at + 1:])
+    return ({"experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}},
+            f"{metric_path}: cannot read grid field: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("case", [one_sided_bump, short_metric_file, latin1_metric_file,
+                                  empty_metric_data, latin1_past_64_kib],
+                         ids=["one_sided_bump", "short_metric_file", "latin1_metric_file",
+                              "empty_metric_data", "latin1_past_64_kib"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, case):
-    """validate and run refuse each config at load, with one message and
-    the config exit code, before anything is computed or written."""
+    """validate and run refuse each config at load, with one message, the
+    config exit code and no warning, before anything is computed or written."""
     sections, message = case(tmp_path)
     path = write_config(tmp_path, "refused.yaml", {**sections, "output_dir": str(tmp_path / "out")})
     for command in ("validate", "run"):
-        assert main([command, "--config", str(path)]) == EXIT_CODES[ConfigError]
-        assert f"config error: {message}" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path)]) == EXIT_CODES[ConfigError]
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

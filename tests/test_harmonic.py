@@ -1,9 +1,13 @@
 """Harmonic-condition residuals: exact zeros, symbolic-oracle agreement,
 and second-order convergence on manufactured metrics."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from holesim import harmonic
 from holesim import (
     DomainError,
     MetricField,
@@ -157,3 +161,46 @@ def test_dimension_restriction():
     g = np.broadcast_to(np.diag([-1.0, 1.0, 1.0]), (5, 5, 5, 3, 3)).copy()
     with pytest.raises(DomainError):
         MetricField((0.1, 0.1, 0.1), g)
+
+
+@pytest.mark.parametrize("block", [1, 10, 4096])
+def test_inverse_check_in_blocks_matches_the_whole_product(monkeypatch, block):
+    """The inverse check reads max |g g^-1 - I| bit-equal to one product of
+    the whole stack, whatever the block size against the 63 points, so an
+    ill-conditioned point in the last, partial block fails the gate with
+    the message the whole product gives."""
+    monkeypatch.setattr(harmonic, "INVERSE_CHECK_POINTS", block)
+
+    def residual(g):
+        whole = np.max(np.abs(g @ np.linalg.inv(g) - np.eye(2)))
+        flat = g.reshape(-1, 2, 2)
+        assert harmonic._inverse_residual(flat, np.linalg.inv(flat)) == whole
+        return whole
+
+    rng = np.random.default_rng(7)
+    noise = 0.02 * rng.uniform(-1.0, 1.0, (9, 7, 2, 2))
+    g = np.diag([-1.0, 1.0]) + noise + np.swapaxes(noise, -1, -2)
+    assert residual(g) <= harmonic.INVERSE_RESIDUAL_TOL
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    bad = q @ np.diag([-1e-4, 1e4]) @ q.T
+    g[8, 6] = bad + bad.T  # exactly symmetric, Lorentzian, condition number 1e8
+    whole = residual(g)
+    assert whole > harmonic.INVERSE_RESIDUAL_TOL
+    with pytest.raises(DomainError, match=re.escape(f"metric inverse residual {whole:.3e} exceeds")):
+        MetricField((0.1, 0.1), g)
+
+
+def test_metric_field_holds_no_full_size_check_temporary():
+    """MetricField keeps a checked copy of the components and its inverse;
+    the inverse check adds no full-size temporary, so a 16^4 metric peaks
+    under 2.2 tensors of traced memory."""
+    rng = np.random.default_rng(16)
+    noise = 0.02 * rng.uniform(-1.0, 1.0, (16,) * 4 + (4, 4))
+    components = np.diag([-1.0, 1.0, 1.0, 1.0]) + noise + np.swapaxes(noise, -1, -2)
+    tracemalloc.start()
+    try:
+        MetricField((0.25,) * 4, components)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * components.nbytes
