@@ -327,6 +327,14 @@ def pushforward_wavefunction(psi: WaveFunction, phi: SpatialDiffeomorphism,
     return PushforwardPlan(phi, t, psi.grid).apply(psi, renormalize)
 
 
+def _moved_source(source, phi: SpatialDiffeomorphism, t: float, extent) -> tuple[float, ...]:
+    """A point source under the translation ``phi`` at time t: shifted by
+    the ramp's displacement, then wrapped into the box of ``extent``."""
+    moved = np.asarray(source) + phi.displacement_at(t)
+    extent = np.asarray(extent)
+    return tuple(((moved + 0.5 * extent) % extent - 0.5 * extent).tolist())
+
+
 def pushforward_potential(potential: Potential, phi: SpatialDiffeomorphism,
                           t: float) -> Potential:
     """Transform a scalar potential by composition, V'(y) = V(phi^-1(y)).
@@ -340,10 +348,8 @@ def pushforward_potential(potential: Potential, phi: SpatialDiffeomorphism,
     if phi.is_identity_at(t):
         return potential
     if potential.kind == "point_mass" and phi.kind == "translation_ramp":
-        moved = np.asarray(potential.source_position) + phi.displacement_at(t)
-        extent = np.asarray(potential.grid.extent)
-        moved = (moved + 0.5 * extent) % extent - 0.5 * extent
-        return Potential.point_mass(potential.grid, tuple(moved),
+        moved = _moved_source(potential.source_position, phi, t, potential.grid.extent)
+        return Potential.point_mass(potential.grid, moved,
                                     potential.coupling, potential.softening)
     targets = _grid_points(potential.grid)
     preimages = phi.inverse(targets, t)

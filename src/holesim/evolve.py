@@ -16,9 +16,10 @@ stacked branch has the bits of a lone one.
 A call over STACK_BYTES of amplitudes is cut into one contiguous part per
 CPU, each stepped on its own thread in FFTs and multiplies that release
 the GIL. The calling thread allocates every part's stack and phase factor
-and one (T, B, *grid) snapshot block before any worker starts, so a worker
-only copies into the block: memory it freed would stay in its thread's
-malloc arena. The core count never changes the bits.
+and one (T-1, B, *grid) block for all but the last snapshot before any
+worker starts, so a worker only copies into the block (memory it freed
+would stay in its thread's malloc arena); the stepped stack is the last
+snapshot. The core count never changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -28,7 +29,6 @@ point with no back-reaction.
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 import warnings
@@ -219,12 +219,9 @@ class Trajectory:
         return int(np.argmin(np.abs(np.asarray(self.times) - t)))
 
 
-@functools.lru_cache(maxsize=64)
 def _squared_wavenumbers(grid: Grid) -> np.ndarray:
-    """|k|^2 over the FFT layout of the grid, read-only and cached per grid."""
-    k2 = sum(np.ix_(*(k**2 for k in grid.wavenumbers())))  # summed in axis order
-    k2.flags.writeable = False
-    return k2
+    """|k|^2 over the FFT layout of the grid; uncached, so it dies with its use."""
+    return sum(np.ix_(*(k**2 for k in grid.wavenumbers())))  # summed in axis order
 
 
 def _kinetic_phase(grid: Grid, dt: float, mass: float) -> np.ndarray:
@@ -297,7 +294,8 @@ def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajec
 def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """The engine behind both public entry points; warnings name their caller.
 
-    The calling thread steps part 0 and one thread each further part. If
+    The calling thread steps part 0 and one thread each further part. The
+    block takes every snapshot but the last, which stays in the stacks. If
     parts fail, the error of the first in input order is raised once every
     part has finished."""
     if config.dt < 0:
@@ -311,13 +309,12 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
             warnings.warn(f"potential phase per step {phase_per_step:.3f} exceeds"
                           f" {PHASE_PER_STEP_BOUND:.3f}; reduce dt or the coupling",
                           StabilityWarning, stacklevel=3)
-    if not states:
-        return ()
-    grid = states[0].grid
-    count = len(states)
     n_steps = int(round(config.t_end / config.dt))
     snapshot_steps = [k for k in range(1, n_steps + 1)
                       if k % config.snapshot_stride == 0 or k == n_steps]
+    if not (states and snapshot_steps):  # nothing to step: nothing is allocated
+        return tuple(Trajectory((0.0,), (psi0,)) for psi0 in states)
+    grid, count = states[0].grid, len(states)
     kinetic = _kinetic_phase(grid, config.dt, config.mass)
     n_parts = min(count, _cores()) if 16 * grid.size * count > STACK_BYTES else 1
     bounds = [p * count // n_parts for p in range(n_parts + 1)]
@@ -328,21 +325,22 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
         for out, potential in zip(half_v, potentials[lo:hi]):
             _half_potential_phase(potential.values, config.dt, out)
         parts.append((stack, half_v))
-    block = np.empty((len(snapshot_steps), count, *grid.shape), dtype=np.complex128)
+    block = np.empty((len(snapshot_steps) - 1, count, *grid.shape), dtype=np.complex128)
     errors = [None] * n_parts
 
     def run(p: int) -> None:
         stack, half_v = parts[p]
         k = 0
         try:
-            for rows, last in zip(block[:, bounds[p]:bounds[p + 1]], snapshot_steps):
+            for rows, last in zip((*block[:, bounds[p]:bounds[p + 1]], None), snapshot_steps):
                 for k in range(k + 1, last + 1):
                     _advance(stack, half_v, kinetic)
                     if not np.isfinite(np.vdot(stack, stack)):  # then name the first bad row
                         row = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1).argmin()
                         raise NumericalBlowup(f"evolution of branch {states[bounds[p] + row].label!r}"
                                               f" blew up at step {k}")
-                np.copyto(rows, stack)
+                if rows is not None:  # the last snapshot stays in the stack
+                    np.copyto(rows, stack)
         except Exception as exc:  # re-raised in the calling thread, in input order
             errors[p] = exc
 
@@ -354,10 +352,12 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
         thread.join()
     for error in filter(None, errors):  # the first in input order
         raise error
-    block.flags.writeable = False
+    for done in (block, *(stack for stack, _ in parts)):
+        done.flags.writeable = False
+    finals = [amps for stack, _ in parts for amps in stack]
     times = (0.0, *(k * config.dt for k in snapshot_steps))
     return tuple(Trajectory(times, (psi0, *(WaveFunction._adopt(grid, amps, psi0.label)
-                                            for amps in block[:, b])))
+                                            for amps in (*block[:, b], finals[b]))))
                  for b, psi0 in enumerate(states))
 
 

@@ -164,17 +164,18 @@ class Region:
         )
 
     def mask(self, grid: Grid) -> np.ndarray:
-        """Boolean membership over grid points, wrap-aware."""
+        """Boolean membership over grid points, wrap-aware. Each axis is
+        tested on its own coordinates, broadcast over the grid, so no
+        coordinate mesh is built."""
         if len(self.lower) != grid.dim:
             raise DomainError(f"region dim {len(self.lower)} vs grid dim {grid.dim}")
-        mesh = grid.coordinate_mesh()
         mask = np.ones(grid.shape, dtype=bool)
-        for axis in range(grid.dim):
+        for axis, x in enumerate(np.ix_(*grid.axes())):
             L = grid.extent[axis]
             width = self.upper[axis] - self.lower[axis]
             if width >= L:
                 continue
-            rel = (mesh[axis] - self.lower[axis]) % L
+            rel = (x - self.lower[axis]) % L
             mask &= rel <= width + 1e-12 * L
         return mask
 

@@ -22,18 +22,19 @@ import numpy as np
 from .diffeo import (
     PushforwardPlan,
     SpatialDiffeomorphism,
+    _moved_source,
     identity_map,
     make_bump_displacement,
     make_translation_ramp,
-    pushforward_potential,
 )
-# pushforward_wavefunction and evolve stay importable here: bench/layers.py
-# wraps them by name.
-from .diffeo import pushforward_wavefunction  # noqa: F401
+# pushforward_wavefunction, pushforward_potential and evolve stay importable
+# here: bench/layers.py wraps them by name.
+from .diffeo import pushforward_potential, pushforward_wavefunction  # noqa: F401
 from .errors import ConfigError, DomainError, HolesimError, InsufficientDisplacement, SupportViolation
 from .evolve import (STACK_BYTES, EvolutionConfig, Potential, Trajectory,  # noqa: F401
                      evolve, evolve_branches)
-from .grid import Grid, Region, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
+from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, gaussian_packet,
+                   inner_product, norm)
 from .observable import DecoherenceObservable, theta_time_series
 
 __all__ = [
@@ -355,6 +356,7 @@ def run_hole(config: HoleExperimentConfig, strict: bool = True, *,
     overlap_masses = {}
     for i, t in enumerate(baseline.times):
         if plan is None or phi.ramp(t) != plan.ramp:
+            plan = None  # the old plan's tables go before the next plan builds its own
             plan = PushforwardPlan(phi, t, config.grid)
         pushed_l = push(plan, left.states[i], "psi_l'")
         other = right.states[i]
@@ -370,13 +372,16 @@ def run_hole(config: HoleExperimentConfig, strict: bool = True, *,
                 )
         theta = DecoherenceObservable(inner_product(pushed_l, other))
         thetas_hole.append(theta.theta)
+        pushed_l = other = None  # freed before the next snapshot is pushed
 
     # The transformed source is defined only while the pushed potential is
     # still a point mass: under a translation or an identity, not a bump.
     t_final = baseline.times[-1]
     source_final = None
-    if phi.kind == "translation_ramp" or phi.is_identity_at(t_final):
-        source_final = pushforward_potential(v_left, phi, t_final).source_position
+    if phi.is_identity_at(t_final):
+        source_final = v_left.source_position
+    elif phi.kind == "translation_ramp":
+        source_final = _moved_source(v_left.source_position, phi, t_final, config.grid.extent)
     return dataclasses.replace(
         baseline,
         theta_hole=np.asarray(thetas_hole, dtype=complex),
@@ -417,15 +422,23 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
 
 
 def _peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2) -> float:
-    """Upper estimate of a run's peak bytes, in complex fields of the grid:
+    """Upper estimate of a run's peak bytes. In complex fields of the grid:
     for each branch evolved at once (a run's two, a sweep's largest group)
-    its snapshots, stack and potential phase, as their stacks may step at
-    once; one kinetic factor; a pushed state and an intermediate per pushed
-    branch."""
+    its snapshots, the last of which is its stack, and its potential phase,
+    as their stacks may step at once; one kinetic factor; a pushed state
+    and an intermediate per pushed branch. A bump map's plan adds its kept
+    sampler tables and one chunk's temporaries, each at most
+    SAMPLE_CHUNK_BYTES, the spectral coefficients of the state it samples
+    and their transform, and, in eight arrays of dim floats per grid point,
+    its targets, their coordinate mesh and the preimage iteration's arrays."""
     evolution = config.evolution
     snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
-    fields = branches * (snapshots + 2) + 1 + 2 * pushed
-    return 16.0 * config.grid.size * fields
+    fields = branches * (snapshots + 1) + 1 + 2 * pushed
+    tables = 0
+    if pushed and config.diffeo.kind == "bump_displacement":
+        fields += 2 + 4 * config.grid.dim
+        tables = 2 * SAMPLE_CHUNK_BYTES
+    return 16.0 * config.grid.size * fields + tables
 
 
 def _group_branches(config: HoleExperimentConfig, values: int) -> int:

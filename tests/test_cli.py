@@ -30,6 +30,7 @@ from holesim.cli import (
     write_metric_field,
 )
 from holesim.harmonic import MetricField, minkowski_metric
+from holesim.hole_experiment import _peak_bytes
 from oracles import grid_field_rows, sinusoidal_metric_family
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -539,7 +540,7 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     """One value of this 1D sweep needs about 1.3 GB of snapshots, its 7
     distinct branches stacked about 4.6 GB: over the limit as one group,
     so the sweep evolves one value at a time and validates."""
-    from holesim.hole_experiment import PEAK_BYTES_LIMIT, _group_branches, _peak_bytes
+    from holesim.hole_experiment import PEAK_BYTES_LIMIT, _group_branches
 
     path = write_config(tmp_path, "long_sweep.yaml", {
         "experiment": "sweep",
@@ -602,21 +603,55 @@ def traced_run_peak(path):
     return traced_peak(lambda: execute(load_config(path)))
 
 
+# Two-sided hole runs whose peaks are held by different things: the bench's
+# 2D 128^2 bump at seed 77, whose pushforward plans keep sampler tables, and
+# a short 3D 64^3 run with a grid-aligned shift, whose snapshots dominate.
+PEAK_HOLE_RUNS = {
+    "bump_2d": {
+        "grid": {"points": [128, 128], "extent": [40.0, 40.0]},
+        "packet": {"center": [-1.0, 0.0], "width": 1.0, "momentum": [0.0, 0.0]},
+        "potentials": {"left_position": [-2.4744140220998423, 0.0],
+                       "right_position": [2.3719440984767193, 0.0],
+                       "coupling": 0.11143729234169973, "softening": 1.0},
+        "diffeo": {"kind": "bump_displacement", "center": [0.0, 0.0], "radius": 5.0,
+                   "peak_shift": [1.0, 0.0], "t0": 0.8, "t1": 1.6, "two_sided": True},
+        "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
+    },
+    "aligned_3d": {
+        "grid": {"points": [64, 64, 64], "extent": [40.0, 40.0, 40.0]},
+        "packet": {"center": [-1.0, 0.0, 0.0], "width": 1.9, "momentum": [0.0, 0.0, 0.0]},
+        "evolution": {"dt": 0.04, "t_end": 0.4, "mass": 4.0, "snapshot_stride": 5},
+        "diffeo": {"kind": "translation_ramp", "shift": [17.5, 0.0, 0.0],
+                   "t0": 0.1, "t1": 0.3, "two_sided": True},
+        "support": {"lower": [-19.9] * 3, "upper": [19.9] * 3},
+    },
+}
+
+
 def test_peak_estimates_bound_traced_runs(tmp_path):
     """The load-time estimates are upper bounds of what a run allocates,
-    load and execute together: a static and an evolved recovery, and a check
-    of a Minkowski metric, whose short values ("0.0") give the most values
-    per byte of text."""
+    load and execute together: a static and an evolved recovery; a check
+    of a Minkowski metric as write_metric_field writes it ("0.0"), and of a
+    16^4 one as integer entries ("0"), the most values per byte of text the
+    parser accepts; and the two-sided hole runs of PEAK_HOLE_RUNS."""
     for recover in ({"points": 256, "n": 32},
                     {"points": 512, "n": 64, "oracle": "evolved", "translation_cells": 8}):
         path = write_config(tmp_path, "recover.yaml", {
             "experiment": "recover-background", "recover": recover})
         assert traced_run_peak(path) < _recover_peak_bytes(recover["points"], recover["n"])
-    metric_path = tmp_path / "flat.gridfield"
-    write_metric_field(metric_path, minkowski_metric((8,) * 4, (0.25,) * 4))
-    path = write_config(tmp_path, "flat.yaml", {
-        "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
-    assert traced_run_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
+    flat_path, short_path = tmp_path / "flat.gridfield", tmp_path / "short.gridfield"
+    write_metric_field(flat_path, minkowski_metric((8,) * 4, (0.25,) * 4))
+    write_metric_field(short_path, minkowski_metric((16,) * 4, (0.25,) * 4))
+    short_path.write_text(short_path.read_text().replace("1.0", "1").replace("0.0", "0"))
+    assert "\n-1 0 0 0 1 0 0 1 0 1\n" in short_path.read_text()
+    assert short_path.stat().st_size == 1376370
+    for metric_path in (flat_path, short_path):
+        path = write_config(tmp_path, "flat.yaml", {
+            "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
+        assert traced_run_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
+    for name, sections in PEAK_HOLE_RUNS.items():
+        path = write_config(tmp_path, f"{name}.yaml", {"experiment": "hole", **sections})
+        assert traced_run_peak(path) < _peak_bytes(load_config(path).settings, pushed=2), name
 
 
 def test_generated_bench_configs_validate(tmp_path, monkeypatch):

@@ -426,23 +426,49 @@ def test_blowup_names_the_first_failing_branch(monkeypatch, workers, broken, nam
         evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
 
 
-def test_snapshots_never_alias_the_stack_buffers(grid256, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_snapshots_are_never_written_after_their_step(grid256, monkeypatch, workers):
+    """Two branches over a 4 KiB STACK_BYTES: one part on one core, one
+    part each on two. Every snapshot holds its branch as the stack stood
+    after the step it records. Only the last may share memory with a
+    stack, and then only with its own row; none shares memory with a
+    potential phase, and every snapshot is read-only, those the engine
+    wrote for good: their buffers cannot be made writeable again."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 16 * grid256.size)
     real = evolve_module._advance
-    buffers = []
+    parts = {}  # id(stack) -> (stack, half_v, [stack before step 1, after step 1, ...])
 
     def recording(stack, half_v, kinetic):
-        buffers.extend((stack, half_v))
-        return real(stack, half_v, kinetic)
+        if id(stack) not in parts:
+            parts[id(stack)] = (stack, half_v, [stack.copy()])
+        real(stack, half_v, kinetic)
+        parts[id(stack)][2].append(stack.copy())
 
     monkeypatch.setattr(evolve_module, "_advance", recording)
-    states = [gaussian_packet(grid256, c, 1.0) for c in (-1.0, 1.0)]
-    potentials = [Potential.point_mass(grid256, c, 0.3) for c in (-1.0, 1.0)]
-    trajectories = evolve_branches(states, potentials,
-                                   EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
-    assert buffers
-    for trajectory in trajectories:
-        for state in trajectory.states:
-            assert not any(np.shares_memory(state.amplitudes, b) for b in buffers)
+    states, potentials = branch_setup(grid256, 1.0, 2)
+    config = EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0, snapshot_stride=2)
+    trajectories = evolve_branches(states, potentials, config)
+    assert len(parts) == workers
+    for psi, trajectory in zip(states, trajectories):
+        (stack, row), = [(stack, r) for stack, _, history in parts.values()
+                         for r, initial in enumerate(history[0])
+                         if np.array_equal(initial, psi.amplitudes)]
+        history = parts[id(stack)][2]
+        assert len(trajectory.states) == 6
+        for j, (t, state) in enumerate(zip(trajectory.times, trajectory.states)):
+            amps = state.amplitudes
+            assert not amps.flags.writeable
+            if j:
+                with pytest.raises(ValueError):
+                    amps.flags.writeable = True
+            assert np.array_equal(amps, history[round(t / config.dt)][row])
+            last = j == len(trajectory.states) - 1
+            for other, half_v, _ in parts.values():
+                assert not np.shares_memory(amps, half_v)
+                for r in range(len(other)):
+                    if np.shares_memory(amps, other[r]):
+                        assert last and other is stack and r == row
 
 
 @pytest.mark.parametrize("grid, width, stack_bytes, branches", [
@@ -519,14 +545,15 @@ def test_first_failing_group_in_input_order_is_raised(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
-    """Traced peaks of a two-branch 64^3 evolve, within 10%: one stack and
-    one potential phase per branch, one kinetic factor and the snapshot
-    block, all allocated before the first step and no more over the call."""
+    """Traced peaks of a two-branch 64^3 evolve with two snapshots, within
+    10%: one stack and one potential phase per branch, one kinetic factor
+    and a block for every snapshot but the last, which is the stack itself,
+    all allocated before the first step and no more over the call; |k|^2
+    is not kept."""
     grid = Grid((64, 64, 64), (40.0,) * 3)
     monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
     states, potentials = branch_setup(grid, 1.9, 2)
-    config = EvolutionConfig(dt=0.05, t_end=0.1, mass=1.0, snapshot_stride=10**6)
-    evolve_module._squared_wavenumbers(grid)  # cached for the process
+    config = EvolutionConfig(dt=0.05, t_end=0.1, mass=1.0)
     real = evolve_module._advance
     first_step_peaks = []
 
@@ -542,9 +569,9 @@ def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [len(t.states) for t in trajectories] == [2, 2]
+    assert [len(t.states) for t in trajectories] == [3, 3]
     working_set = 2 * 2 * field + field
-    snapshots = 2 * field
+    snapshots = (2 - 1) * 2 * field  # (T - 1) B for T = 2 snapshot steps
     assert first_step_peaks[0] <= 1.1 * (working_set + snapshots)
     assert peak <= 1.1 * (working_set + snapshots)
 

@@ -1,6 +1,8 @@
 """Baseline-vs-hole orchestration: the contrast, controls, gating,
 support accounting, and sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,27 @@ def test_region_mask_wraps_around_the_domain():
     assert mask[np.argmin(np.abs(x + 16.0))]  # wrapped part (> 20 folds back)
     assert not mask[np.argmin(np.abs(x - 0.0))]
     assert np.count_nonzero(mask) == pytest.approx(1024 * 10 / 40, abs=2)
+
+
+def test_region_mask_matches_the_mesh_mask_without_a_mesh():
+    """A box wrapped on two axes of a 64^3 grid: the mask has the bits of
+    the same test on the full coordinate mesh, and building it allocates
+    no full-size float array (8 bytes a point), only the boolean mask."""
+    grid = Grid((64, 64, 64), (40.0, 30.0, 20.0))
+    region = Region((15.0, -5.0, -13.0), (25.0, 5.0, -4.0))
+    tracemalloc.start()
+    try:
+        mask = region.mask(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.ones(grid.shape, dtype=bool)
+    for axis, x in enumerate(np.meshgrid(*grid.axes(), indexing="ij")):
+        L = grid.extent[axis]
+        expected &= (x - region.lower[axis]) % L <= region.upper[axis] - region.lower[axis] + 1e-12 * L
+    assert np.array_equal(mask, expected)
+    assert 0 < np.count_nonzero(mask) < grid.size
+    assert peak < 2 * grid.size
 
 
 def test_identical_sources_theta_one():
