@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,15 +146,16 @@ class RecoverConfig:
 class ResultBundle:
     """Machine-readable results of one run.
 
-    ``data`` is the JSON report; ``files`` maps extra file names to fully
-    rendered text payloads (CSV tables, grid fields). Every numeric entry
+    ``data`` is the JSON report; ``files`` maps extra file names to text
+    payloads: a string (CSV tables) or a re-iterable of text blocks that
+    write_bundle writes one at a time (grid fields). Every numeric entry
     must be finite and the JSON report must round-trip losslessly;
     ``json_text`` is that report as result.json holds it.
     """
 
     experiment: str
     data: dict
-    files: dict[str, str] = field(default_factory=dict)
+    files: dict[str, str | Iterable[str]] = field(default_factory=dict)
     wall_time_s: float = 0.0
     json_text: str = field(init=False, repr=False)
 
@@ -282,8 +284,10 @@ def _harmonic_peak_bytes(size: int) -> float:
     """Upper estimate of a check-harmonic run's peak bytes from its metric
     file's size, at 4+ bytes per value ("0.0 "); the file is streamed, so no
     text or line is held: the values; four full tensors of 1.6 values per
-    stored value (tensor, checked copy, inverse, densitized); the residual
-    text, 2/3 value at 25 bytes, twice."""
+    stored value (tensor, checked copy, inverse, densitized); and 2/3 value
+    at 25 bytes twice, the room of a residual text held twice: the text is
+    now written block by block, and a file of integer entries, under 4
+    bytes a value, needs that margin."""
     return size / 4 * (8 + 4 * 1.6 * 8 + 2 * 2 / 3 * 25)
 
 
@@ -318,7 +322,7 @@ def _read_hole(sections, errors, runs: int = 1) -> HoleExperimentConfig:
     # A sweep's branches evolve in groups: its estimate counts the largest.
     pushed = 0 if "diffeo" not in sections else 2 if config.two_sided else 1
     _fits(f"grid: a run on {config.grid.shape} points",
-          _peak_bytes(config, pushed, _group_branches(config, runs)), errors)
+          _peak_bytes(config, pushed, _group_branches(config, 2 * runs), runs), errors)
     return config
 
 
@@ -551,11 +555,7 @@ def _execute_harmonic(config: RunConfig) -> tuple[dict, dict]:
         "max_abs_residual": max(per_index),
         "max_abs_residual_per_index": per_index,
     }
-    files = {
-        "residual.gridfield": render_grid_field(
-            "residual", tuple(metric.spacings), residual
-        )
-    }
+    files = {"residual.gridfield": _GridFieldText("residual", tuple(metric.spacings), residual)}
     return data, files
 
 
@@ -605,7 +605,8 @@ def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, payload in payloads.items():
-            (out_dir / name).write_text(payload)
+            with (out_dir / name).open("w") as out:
+                out.writelines([payload] if isinstance(payload, str) else payload)
     except OSError as exc:
         raise ConfigError([f"output_dir: cannot write {out_dir}: {exc}"]) from None
     return [out_dir / name for name in payloads]
@@ -618,6 +619,19 @@ def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray
     """Self-describing text format: header keys, then row-major rows of the
     trailing components per grid point."""
     return "".join(_grid_field_blocks(kind, spacings, values))
+
+
+@dataclass(frozen=True, eq=False)
+class _GridFieldText:
+    """The text of render_grid_field, rendered block by block each time it
+    is iterated, so that no one holds it whole."""
+
+    kind: str
+    spacings: tuple[float, ...]
+    values: np.ndarray
+
+    def __iter__(self):
+        return _grid_field_blocks(self.kind, self.spacings, self.values)
 
 
 def _grid_field_blocks(kind, spacings, values):

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation
+from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation, NumericalBlowup
 from .evolve import Potential
 # spectral_sample stays importable here: bench/layers.py wraps it by name.
-from .grid import Grid, SpectralSampler, WaveFunction, _as_tuple, norm, spectral_sample  # noqa: F401
+from .grid import (Grid, SpectralSampler, WaveFunction, _as_tuple, _norm, norm,  # noqa: F401
+                   spectral_sample)
 
 __all__ = [
     "SpatialDiffeomorphism",
@@ -43,6 +44,8 @@ _BUMP_SLOPE_MAX = 2.1712
 PUSHFORWARD_NORM_TOL = 1e-6
 INVERSE_TOL = 1e-13
 _GRID_ALIGN_TOL = 1e-9
+# Bytes of a Fourier shift's phase built at once, a block of leading rows.
+PHASE_BLOCK_BYTES = 2**18
 
 
 def _smoothstep(t: np.ndarray | float, t0: float, t1: float):
@@ -250,9 +253,9 @@ def _aligned_cells(offset: np.ndarray, grid: Grid) -> tuple[int, ...] | None:
 class PushforwardPlan:
     """The pushforward by ``phi`` at time ``t`` on ``grid``, for any number
     of states. It holds what depends on the map alone: nothing for the
-    identity, the cell counts of an aligned translation, the Fourier phase
-    of any other, and for a bump the moved targets, their weights and a
-    sampler at their preimages."""
+    identity, the cell counts of an aligned translation, the axis factors
+    of any other's Fourier phase, and for a bump the moved targets, their
+    weights and a sampler at their preimages."""
 
     def __init__(self, phi: SpatialDiffeomorphism, t: float, grid: Grid):
         if phi.dim != grid.dim:
@@ -267,10 +270,9 @@ class PushforwardPlan:
             self.cells = _aligned_cells(shift, grid)
             if self.cells is None:
                 # psi(x - shift) by the shift theorem: spectral_sample's interpolant.
-                self.phase = np.ones((1,) * grid.dim, dtype=complex)
-                for factor in np.ix_(*(np.exp(-1j * k * s)
-                                       for k, s in zip(grid.wavenumbers(), shift))):
-                    self.phase = self.phase * factor
+                # The phase is the product of one factor per axis, kept apart.
+                self.phase = np.ix_(*(np.exp(-1j * k * s)
+                                      for k, s in zip(grid.wavenumbers(), shift)))
         else:
             # The bump maps the open ball |x - center| < radius onto itself and
             # is the identity outside it. The test uses the radius ratio that
@@ -287,29 +289,51 @@ class PushforwardPlan:
             raise GridMismatch(f"plan grid {self.grid} does not match state grid {psi.grid}")
         if self.identity:
             return psi
+        amps, size = self.pushed(psi)
+        if renormalize and self.cells is None:  # a roll moves the amplitudes unchanged
+            amps /= 1.0 + (size - 1.0)
+        return WaveFunction._adopt(psi.grid, amps, psi.label)
+
+    def pushed(self, psi: WaveFunction) -> tuple[np.ndarray, float]:
+        """The amplitudes of ``psi`` pushed by a plan that is not the
+        identity, in a fresh array that the caller may scale in place, and
+        their norm, checked to lie within PUSHFORWARD_NORM_TOL of one."""
         input_drift = abs(norm(psi) - 1.0)
         if input_drift > PUSHFORWARD_NORM_TOL:
             raise NormViolation(f"input norm drift {input_drift:.3e}; normalize first")
         if self.cells is not None:
             amps = np.roll(psi.amplitudes, self.cells, axis=tuple(range(psi.grid.dim)))
-            return WaveFunction._adopt(psi.grid, amps, psi.label)
-        if self.phase is not None:
-            amps = np.fft.ifftn(np.fft.fftn(psi.amplitudes) * self.phase)
+        elif self.phase is not None:
+            amps = self._shifted(psi.amplitudes)
         else:
             amps = psi.amplitudes.flatten()
             amps[self.moved] = self.sampler(psi.amplitudes) * self.weights
             amps = amps.reshape(psi.grid.shape)
-        pushed = WaveFunction._adopt(psi.grid, amps, psi.label)
-        drift = norm(pushed) - 1.0
+        if not np.isfinite(amps.view(np.float64)).all():
+            raise NumericalBlowup(f"non-finite amplitudes in wavefunction {psi.label!r}")
+        size = _norm(amps, psi.grid.cell_volume)
+        drift = size - 1.0
         if abs(drift) > PUSHFORWARD_NORM_TOL:
             raise NormViolation(
                 f"pushforward norm drift {drift:.3e} exceeds {PUSHFORWARD_NORM_TOL:.0e};"
                 " state not resolved enough for the map"
             )
         log.debug("pushforward norm drift %.3e at ramp %s", drift, self.ramp)
-        if renormalize:
-            return WaveFunction._adopt(psi.grid, pushed.amplitudes / (1.0 + drift), psi.label)
-        return pushed
+        return amps, size
+
+    def _shifted(self, amplitudes: np.ndarray) -> np.ndarray:
+        """ifftn(fftn(amplitudes) * phase) in one fresh array, the phase
+        built from its axis factors in axis order for a block of leading
+        rows at a time (a 1D grid in one): the bits of the whole product."""
+        amps = np.fft.fftn(amplitudes, out=np.empty_like(amplitudes))
+        first, *rest = self.phase
+        rows = max(1, PHASE_BLOCK_BYTES // (16 * amps[0].size)) if rest else len(first)
+        for lo in range(0, len(first), rows):
+            phase = np.ones((1,) * amps.ndim, dtype=complex) * first[lo:lo + rows]
+            for factor in rest:
+                phase = phase * factor
+            np.multiply(amps[lo:lo + rows], phase, out=amps[lo:lo + rows])
+        return np.fft.ifftn(amps, out=amps)
 
 
 def pushforward_wavefunction(psi: WaveFunction, phi: SpatialDiffeomorphism,

@@ -16,10 +16,11 @@ stacked branch has the bits of a lone one.
 A call over STACK_BYTES of amplitudes is cut into one contiguous part per
 CPU, each stepped on its own thread in FFTs and multiplies that release
 the GIL. The calling thread allocates every part's stack and phase factor
-and one (T-1, B, *grid) block for all but the last snapshot before any
-worker starts, so a worker only copies into the block (memory it freed
-would stay in its thread's malloc arena); the stepped stack is the last
-snapshot. The core count never changes the bits.
+before any worker starts, so a worker allocates nothing (memory it freed
+would stay in its thread's malloc arena). No snapshot is stored: at each
+snapshot step the parts meet, and the calling thread hands the stacks'
+read-only rows to a consumer before they step on, so a run holds its
+stacks at any snapshot count. The core count never changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -36,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    GridMismatch,
-    NormViolation,
-    NumericalBlowup,
-    StabilityWarning,
-)
+from .errors import DomainError, GridMismatch, NormViolation, NumericalBlowup, StabilityWarning
 from .grid import Grid, WaveFunction, _as_tuple, norm, spectral_sample
 
 __all__ = [
@@ -52,6 +47,7 @@ __all__ = [
     "step",
     "evolve",
     "evolve_branches",
+    "stream_branches",
     "energy_expectation",
 ]
 
@@ -70,6 +66,7 @@ PHASE_PER_STEP_BOUND = np.pi / 4
 # So the 2D 128^2 pair, the 512 x64 recovery bases and the 64^3 pair split;
 # the pairs of the 1D hole runs and the 64^2 pair step as one stack.
 STACK_BYTES = 2**18
+SNAPSHOT_NORM_TOL = 1e-8  # largest norm drift of a snapshot
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +192,7 @@ class Trajectory:
                 raise GridMismatch("all trajectory snapshots must share one grid")
         for t, psi in zip(self.times, self.states):
             drift = abs(norm(psi) - 1.0)
-            if drift > 1e-8:
+            if drift > SNAPSHOT_NORM_TOL:
                 raise NormViolation(f"snapshot at t={t} has norm drift {drift:.3e}")
 
     @property
@@ -257,6 +254,13 @@ def _half_potential_phase(values: np.ndarray, dt: float, out: np.ndarray) -> Non
     np.exp(out, out=out)
 
 
+def _snapshot_steps(config: EvolutionConfig) -> list[int]:
+    """The steps after which a snapshot is taken: every snapshot_stride-th
+    and the last."""
+    n_steps = int(round(config.t_end / config.dt))
+    return [k for k in range(1, n_steps + 1) if k % config.snapshot_stride == 0 or k == n_steps]
+
+
 def _cores() -> int:
     """CPUs this process may run on; not every platform offers the affinity."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -280,24 +284,53 @@ def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) ->
     The final step is always snapshotted, so the trajectory ends within
     dt/2 of t_end regardless of stride alignment.
     """
-    return _evolve_stacked((psi0,), (potential,), config)[0]
+    return _collected((psi0,), (potential,), config)[0]
 
 
 def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """:func:`evolve` of each state in its own potential, all on one grid,
-    stepped as one stack, or in concurrent parts above STACK_BYTES; each
-    trajectory has the bits of its lone evolve, in the order of ``states``;
-    no states give no trajectories."""
-    return _evolve_stacked(states, potentials, config)
+    stepped by :func:`stream_branches`; each trajectory has the bits of its
+    lone evolve, in the order of ``states``; no states give no trajectories.
+    The NumericalBlowup of the first branch in input order that blew up is
+    raised."""
+    return _collected(states, potentials, config)
 
 
-def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
-    """The engine behind both public entry points; warnings name their caller.
+def _collected(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
+    """Trajectories of a stream that copies each snapshot but the first, the
+    states themselves, and the last, rows of stacks that step no further."""
+    times, blocks, last = [], [], len(_snapshot_steps(config))
+
+    def collect(t, rows, blowups) -> bool:
+        if 0 < len(times) < last:
+            rows = np.array(rows)
+            rows.flags.writeable = False
+        blocks.append(rows)
+        times.append(t)
+        return not all(blowups)
+
+    for blowup in filter(None, stream_branches(states, potentials, config, collect)):
+        raise blowup
+    return tuple(Trajectory(tuple(times), (psi0, *(WaveFunction._adopt(psi0.grid, block[b], psi0.label)
+                                                  for block in blocks[1:])))
+                 for b, psi0 in enumerate(states))
+
+
+def stream_branches(states, potentials, config: EvolutionConfig, consume) -> list:
+    """Step each state in its own potential, all on one grid, and hand each
+    snapshot to ``consume(t, rows, blowups)`` in the calling thread: at
+    t = 0 the states' amplitudes, then read-only views of the stacks' rows,
+    in the order of ``states``. A consumer keeps no row past its call, as
+    the stacks step on in place, but the last snapshot's, whose stacks are
+    then made read-only. ``blowups`` holds per branch None or the
+    NumericalBlowup naming the step where its row went non-finite; that
+    row alone fails, zeroed, as rows step independently. Stepping stops
+    once ``consume`` returns False. Returns ``blowups``.
 
     The calling thread steps part 0 and one thread each further part. The
-    block takes every snapshot but the last, which stays in the stacks. If
-    parts fail, the error of the first in input order is raised once every
-    part has finished."""
+    parts meet at a barrier at each snapshot step and wait at a second
+    while the consumer runs. An exception in a part or the consumer breaks
+    the barrier; the first in input order is raised once all parts end."""
     if config.dt < 0:
         raise DomainError("evolve requires a forward (dt > 0) config")
     for psi, potential in zip(states, potentials, strict=True):
@@ -308,41 +341,56 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
         if phase_per_step > PHASE_PER_STEP_BOUND:
             warnings.warn(f"potential phase per step {phase_per_step:.3f} exceeds"
                           f" {PHASE_PER_STEP_BOUND:.3f}; reduce dt or the coupling",
-                          StabilityWarning, stacklevel=3)
-    n_steps = int(round(config.t_end / config.dt))
-    snapshot_steps = [k for k in range(1, n_steps + 1)
-                      if k % config.snapshot_stride == 0 or k == n_steps]
-    if not (states and snapshot_steps):  # nothing to step: nothing is allocated
-        return tuple(Trajectory((0.0,), (psi0,)) for psi0 in states)
+                          StabilityWarning, stacklevel=4)
+    snapshot_steps = _snapshot_steps(config)
+    blowups = [None] * len(states)
+    if not (consume(0.0, [psi.amplitudes for psi in states], blowups)
+            and states and snapshot_steps):  # nothing to step: nothing is allocated
+        return blowups
     grid, count = states[0].grid, len(states)
     kinetic = _kinetic_phase(grid, config.dt, config.mass)
     n_parts = min(count, _cores()) if 16 * grid.size * count > STACK_BYTES else 1
     bounds = [p * count // n_parts for p in range(n_parts + 1)]
-    parts = []
+    parts = []  # _advance's arguments per part
     for lo, hi in zip(bounds, bounds[1:]):
         stack = np.array([psi.amplitudes for psi in states[lo:hi]])
         half_v = np.empty_like(stack)
         for out, potential in zip(half_v, potentials[lo:hi]):
             _half_potential_phase(potential.values, config.dt, out)
-        parts.append((stack, half_v))
-    block = np.empty((len(snapshot_steps) - 1, count, *grid.shape), dtype=np.complex128)
-    errors = [None] * n_parts
+        parts.append((stack, half_v, kinetic))
+    rows = [row for stack, *_ in parts for row in stack]
+    for row in rows:
+        row.flags.writeable = False
+    labels = [psi.label for psi in states]
+    barrier, going, errors = threading.Barrier(n_parts), [True], [None] * n_parts
+    meet = barrier.wait if n_parts > 1 else lambda: None  # a lone part waits for no one
 
     def run(p: int) -> None:
-        stack, half_v = parts[p]
-        k = 0
+        part, k = parts[p], 0
+        stack = part[0]
         try:
-            for rows, last in zip((*block[:, bounds[p]:bounds[p + 1]], None), snapshot_steps):
+            for last in snapshot_steps:
                 for k in range(k + 1, last + 1):
-                    _advance(stack, half_v, kinetic)
-                    if not np.isfinite(np.vdot(stack, stack)):  # then name the first bad row
-                        row = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1).argmin()
-                        raise NumericalBlowup(f"evolution of branch {states[bounds[p] + row].label!r}"
-                                              f" blew up at step {k}")
-                if rows is not None:  # the last snapshot stays in the stack
-                    np.copyto(rows, stack)
-        except Exception as exc:  # re-raised in the calling thread, in input order
+                    _advance(*part)
+                    if not np.isfinite(np.vdot(stack, stack)):  # then fail the bad rows alone
+                        bad = ~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
+                        stack[bad] = 0
+                        for b in bounds[p] + np.flatnonzero(bad):
+                            blowups[b] = blowups[b] or NumericalBlowup(
+                                f"evolution of branch {labels[b]!r} blew up at step {k}")
+                if last == snapshot_steps[-1]:
+                    stack.flags.writeable = False  # stepped no further: its rows may be kept
+                meet()
+                if p == 0:
+                    going[0] = consume(last * config.dt, rows, blowups)
+                meet()
+                if not going[0]:
+                    return
+        except threading.BrokenBarrierError:
+            pass  # another part or the consumer failed: its error is raised
+        except BaseException as exc:  # re-raised in the calling thread, in input order
             errors[p] = exc
+            barrier.abort()
 
     threads = [threading.Thread(target=run, args=(p,)) for p in range(1, n_parts)]
     for thread in threads:
@@ -352,13 +400,7 @@ def _evolve_stacked(states, potentials, config: EvolutionConfig) -> tuple[Trajec
         thread.join()
     for error in filter(None, errors):  # the first in input order
         raise error
-    for done in (block, *(stack for stack, _ in parts)):
-        done.flags.writeable = False
-    finals = [amps for stack, _ in parts for amps in stack]
-    times = (0.0, *(k * config.dt for k in snapshot_steps))
-    return tuple(Trajectory(times, (psi0, *(WaveFunction._adopt(grid, amps, psi0.label)
-                                            for amps in (*block[:, b], finals[b]))))
-                 for b, psi0 in enumerate(states))
+    return blowups
 
 
 def energy_expectation(psi: WaveFunction, potential: Potential, mass: float) -> float:

@@ -244,7 +244,11 @@ def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
 
 def norm(psi: WaveFunction) -> float:
     """L2 norm of a wavefunction."""
-    value = np.vdot(psi.amplitudes, psi.amplitudes).real * psi.grid.cell_volume
+    return _norm(psi.amplitudes, psi.grid.cell_volume)
+
+
+def _norm(amplitudes: np.ndarray, cell_volume: float) -> float:
+    value = np.vdot(amplitudes, amplitudes).real * cell_volume
     return float(np.sqrt(max(value, 0.0)))
 
 

@@ -1,20 +1,19 @@
 """Orchestrates the numerical witness of the hole construction: a
 two-branch decoherence run, versus the same run with a ramped coordinate
-displacement applied to the stored left-branch snapshots only.
+displacement applied to the left-branch snapshots only.
 
 Both branches start from one packet and evolve in their own source
-potential. The transformed branch is produced by pushforwarding stored
-snapshots (wavefunction and potential), never by re-evolving, so the
-comparison isolates the kinematic effect of the map. Applying the map to
-one branch collapses |theta| once the displaced support clears the
-original; applying it to both branches (the two-sided control) leaves
-theta unchanged to interpolation accuracy.
+potential. The transformed branch is produced by pushforwarding each
+snapshot (wavefunction and potential) as the engine hands it over, never
+by re-evolving or keeping it, so the comparison isolates the kinematic
+effect of the map. Applying the map to one branch collapses |theta| once
+the displaced support clears the original; applying it to both branches
+(the two-sided control) leaves theta unchanged to interpolation accuracy.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +26,16 @@ from .diffeo import (
     make_bump_displacement,
     make_translation_ramp,
 )
-# pushforward_wavefunction, pushforward_potential and evolve stay importable
-# here: bench/layers.py wraps them by name.
+# pushforward_wavefunction, pushforward_potential, evolve and theta_time_series
+# stay importable here: bench/layers.py wraps them by name.
 from .diffeo import pushforward_potential, pushforward_wavefunction  # noqa: F401
-from .errors import ConfigError, DomainError, HolesimError, InsufficientDisplacement, SupportViolation
-from .evolve import (STACK_BYTES, EvolutionConfig, Potential, Trajectory,  # noqa: F401
-                     evolve, evolve_branches)
+from .errors import (ConfigError, DomainError, HolesimError, InsufficientDisplacement,
+                     NormViolation, SupportViolation)
+from .evolve import (SNAPSHOT_NORM_TOL, STACK_BYTES, EvolutionConfig, Potential,  # noqa: F401
+                     evolve, stream_branches)
 from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, gaussian_packet,
                    inner_product, norm)
-from .observable import DecoherenceObservable, theta_time_series
+from .observable import DecoherenceObservable, theta_time_series  # noqa: F401
 
 __all__ = [
     "HoleExperimentConfig",
@@ -52,7 +52,7 @@ SUPPORT_TAIL_TOL = 1e-10     # mass allowed outside the declared region U
 OVERLAP_MASS_TOL = 1e-6      # displaced-branch mass allowed back inside U after t1
 SWEEP_PARAMETERS = ("coupling", "displacement", "mass")
 # Largest estimated peak of a run that the CLI accepts (_peak_bytes here,
-# two more estimates in cli); a sweep's groups keep its estimate under it.
+# two more estimates in cli).
 PEAK_BYTES_LIMIT = 4 * 2**30
 
 # The committed weak-coupling 1D scenario in the section layout of a run
@@ -119,11 +119,6 @@ class HoleExperimentConfig:
                 raise DomainError(f"support width {width} exceeds extent {L}")
         if self.coupling < 0:
             raise DomainError(f"coupling must be non-negative, got {self.coupling}")
-
-    def displaced_support(self) -> Region:
-        if self.diffeo.kind != "translation_ramp":
-            raise DomainError("displaced support region is derived for translation ramps only")
-        return self.support.shifted(self.diffeo.displacement_at(self.diffeo.t1))
 
     def initial_packet(self) -> WaveFunction:
         return gaussian_packet(self.grid, self.packet_center, self.packet_width,
@@ -264,135 +259,150 @@ def default_config(**overrides) -> HoleExperimentConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _check_support(trajectories: tuple[Trajectory, ...], mask: np.ndarray) -> float:
-    worst = 0.0
-    for traj in trajectories:
-        for t, psi in zip(traj.times, traj.states):
-            outside = max(0.0, norm(psi) ** 2 - mass_in_region(psi, mask))
-            worst = max(worst, outside)
-            if outside > SUPPORT_TAIL_TOL:
-                raise SupportViolation(f"mass {outside:.3e} outside declared support at t={t}"
-                                       f" (branch {psi.label!r})")
-    return worst
+class _Run:
+    """The consumer of one config's branches, two from one packet or one at
+    zero coupling: at each snapshot each branch's norm drift and support
+    tail, left before right, theta, and a _Hole per (config, strict) pair
+    in ``holes``. Its first HolesimError fails the run and its holes."""
+
+    def __init__(self, config: HoleExperimentConfig, holes=()):
+        self.config, self.mask = config, config.support.mask(config.grid)
+        pair = config.branch_potentials()
+        self.potentials = pair[:1] if np.array_equal(pair[0].values, pair[1].values) else pair
+        psi0 = config.initial_packet()
+        self.branches = [psi0.with_label(label) for label in ("psi_l", "psi_r")[:len(self.potentials)]]
+        self.holes = [_Hole(derived, strict, self.mask) for derived, strict in holes]
+        self.times, self.thetas, self.worst, self.error = [], [], 0.0, None
+
+    def __call__(self, t: float, rows, blowups) -> None:
+        self.error = self.error or next(filter(None, blowups), None)
+        if self.error:
+            return
+        try:
+            states = [WaveFunction._adopt(self.config.grid, row, psi.label)
+                      for row, psi in zip(rows, self.branches)]
+            for psi in states:
+                size = norm(psi)
+                if abs(size - 1.0) > SNAPSHOT_NORM_TOL:
+                    raise NormViolation(f"snapshot at t={t} has norm drift {abs(size - 1.0):.3e}")
+                outside = max(0.0, size ** 2 - mass_in_region(psi, self.mask))
+                self.worst = max(self.worst, outside)
+                if outside > SUPPORT_TAIL_TOL:
+                    raise SupportViolation(f"mass {outside:.3e} outside declared support at t={t}"
+                                           f" (branch {psi.label!r})")
+            self.thetas.append(DecoherenceObservable(inner_product(states[0], states[-1])).theta)
+        except HolesimError as exc:
+            self.error = exc
+            return
+        self.times.append(t)
+        for hole in self.holes:
+            hole(t, states[0], states[-1])
+
+    def report(self) -> HoleReport:
+        if self.error:
+            raise self.error
+        return HoleReport(times=np.asarray(self.times, dtype=float),
+                          theta_baseline=np.array(self.thetas, dtype=complex), theta_hole=None,
+                          config=self.config, diagnostics={"max_mass_outside_support": self.worst,
+                                                           "softening": self.potentials[0].softening})
 
 
-def _evolve(configs) -> list:
-    """(potentials, trajectories) of each config's branches, evolved in one
-    call: two from one packet, or one if both potentials are equal (zero
-    coupling). The configs share one EvolutionConfig."""
-    states, potentials = [], []
-    for config in configs:
-        psi0, pair = config.initial_packet(), config.branch_potentials()
-        pair = pair[:1] if np.array_equal(pair[0].values, pair[1].values) else pair
-        states += [psi0.with_label("psi_l"), psi0.with_label("psi_r")][:len(pair)]
-        potentials.append(pair)
-    trajectories = iter(evolve_branches(states, [v for pair in potentials for v in pair],
-                                        configs[0].evolution))
-    return [(pair, tuple(next(trajectories) for _ in pair)) for pair in potentials]
+def _stream(runs) -> list:
+    """Evolve the branches of ``runs``, of one EvolutionConfig, in one call,
+    handing each run its rows while any run still reads them."""
 
+    def consume(t, rows, blowups) -> bool:
+        at = 0
+        for run in runs:
+            n = len(run.branches)
+            run(t, rows[at:at + n], blowups[at:at + n])
+            at += n
+        return any(run.error is None for run in runs)
 
-def _baseline(config: HoleExperimentConfig, evolved=None):
-    """Check both branches against the declared support and report
-    theta(t): returns (left, right, v_left, support mask, report).
-    ``evolved`` is the _evolve entry of ``config``, made here if not given."""
-    mask = config.support.mask(config.grid)
-    (v_left, *_), branches = evolved or _evolve([config])[0]
-    worst_tail = _check_support(branches, mask)
-    left, right = branches[0], branches[-1]
-    times, thetas = theta_time_series(left, right)
-    report = HoleReport(times=times, theta_baseline=thetas, theta_hole=None, config=config,
-                        diagnostics={"max_mass_outside_support": worst_tail,
-                                     "softening": v_left.softening})
-    return left, right, v_left, mask, report
+    stream_branches([psi for run in runs for psi in run.branches],
+                    [v for run in runs for v in run.potentials], runs[0].config.evolution, consume)
+    return runs
 
 
 def run_baseline(config: HoleExperimentConfig) -> HoleReport:
     """Evolve both branches and report theta(t) at every snapshot."""
-    return _baseline(config)[-1]
+    return _stream([_Run(config)])[0].report()
 
 
-def run_hole(config: HoleExperimentConfig, strict: bool = True, *,
-             branches=None) -> HoleReport:
-    """Baseline run plus the transformed-branch series.
+class _Hole:
+    """One config's hole stage on its run's snapshots: the left branch, or
+    both (two-sided), pushed by the map at that time, and theta."""
 
-    One-sided (the hole construction proper): stored left-branch snapshots
-    and the left potential are pushforwarded, the right branch is left
-    untouched. A ``two_sided`` config transforms both branches, the
-    covariance control. ``strict`` enforces that the displaced support
-    clears the original region (mask disjointness up front, displaced-branch
-    mass back inside U at most 1e-6 after t1); sweeps over sub-threshold
-    displacements disable it deliberately. ``branches`` is what _baseline
-    returned for a config that differs from ``config`` in its map only;
-    a sweep passes it so that equal branches evolve once.
-    """
-    left, right, v_left, mask, baseline = branches or _baseline(config)
+    def __init__(self, config: HoleExperimentConfig, strict: bool, mask: np.ndarray):
+        self.config, self.mask, self.error = config, mask, None
+        self.plan, self.thetas, self.overlap_masses, self.drift = None, [], {}, 0.0
+        phi = config.diffeo
+        # Maps that are the identity at t1 (zero shifts, the identity map) displace
+        # nothing and skip the displacement gate: they reproduce the baseline exactly.
+        self.gated = strict and not config.two_sided and not phi.is_identity_at(phi.t1)
+        if (self.gated and phi.kind == "translation_ramp" and np.any(
+                mask & config.support.shifted(phi.displacement_at(phi.t1)).mask(config.grid))):
+            self.error = InsufficientDisplacement("declared support and its displaced image"
+                                                  " overlap on the grid")
 
-    # Maps that are the identity at t1 (zero shifts, the identity map) displace
-    # nothing and skip the displacement gate: they reproduce the baseline exactly.
-    check_displacement = (strict and not config.two_sided
-                          and not config.diffeo.is_identity_at(config.diffeo.t1))
-    if check_displacement and config.diffeo.kind == "translation_ramp":
-        displaced = config.displaced_support()
-        if np.any(mask & displaced.mask(config.grid)):
-            raise InsufficientDisplacement("declared support and its displaced image"
-                                           " overlap on the grid")
+    def __call__(self, t: float, left: WaveFunction, right: WaveFunction) -> None:
+        if self.error:
+            return
+        phi = self.config.diffeo
+        try:
+            # The map depends on t through its ramp value only: one plan serves both
+            # branches until the ramp moves, and every snapshot after t1.
+            if self.plan is None or phi.ramp(t) != self.plan.ramp:
+                self.plan = None  # the old plan's tables go before the next plan builds its own
+                self.plan = PushforwardPlan(phi, t, self.config.grid)
+            pushed = self._push(left, "psi_l'")
+            if self.config.two_sided:
+                right = self._push(right, "psi_r'")
+            elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
+                back_inside = self.overlap_masses[float(t)] = mass_in_region(pushed, self.mask)
+                if self.gated and back_inside > OVERLAP_MASS_TOL:
+                    raise InsufficientDisplacement(f"displaced branch keeps mass {back_inside:.3e}"
+                                                   f" inside the original support at t={t}")
+            self.thetas.append(DecoherenceObservable(inner_product(pushed, right)).theta)
+        except HolesimError as exc:
+            self.error, self.plan = exc, None
 
-    phi = config.diffeo
-    drift_max = 0.0
+    def _push(self, psi: WaveFunction, label: str) -> WaveFunction:
+        if self.plan.identity:
+            return psi  # identity fast path: keep the snapshot bit-exact
+        amps, size = self.plan.pushed(psi)
+        self.drift = max(self.drift, abs(size - 1.0))
+        amps /= size  # in place: the bits of a division into a new array
+        return WaveFunction._adopt(psi.grid, amps, label)
 
-    def push(plan: PushforwardPlan, psi: WaveFunction, label: str) -> WaveFunction:
-        nonlocal drift_max
-        raw = plan.apply(psi, renormalize=False)
-        if raw is psi:
-            return raw  # identity fast path: keep the snapshot bit-exact
-        size = norm(raw)
-        drift_max = max(drift_max, abs(size - 1.0))
-        return WaveFunction._adopt(config.grid, raw.amplitudes / size, label)
+    def report(self, baseline: HoleReport) -> HoleReport:
+        """The run's baseline report with this stage's series and diagnostics."""
+        if self.error:
+            raise self.error
+        # The transformed source is defined only while the pushed potential is
+        # still a point mass: under a translation or an identity, not a bump.
+        phi, t_final, source = self.config.diffeo, baseline.times[-1], self.config.source_left
+        if not phi.is_identity_at(t_final):
+            source = (_moved_source(source, phi, t_final, self.config.grid.extent)
+                      if phi.kind == "translation_ramp" else None)
+        return dataclasses.replace(baseline, theta_hole=np.asarray(self.thetas, dtype=complex),
+                                   config=self.config, diagnostics={
+                                       **baseline.diagnostics, "max_pushforward_norm_drift": self.drift,
+                                       "overlap_mass_after_ramp": self.overlap_masses,
+                                       "transformed_source_final": source})
 
-    # The map depends on t through its ramp value only: one plan serves both
-    # branches until the ramp moves, and every snapshot after t1.
-    plan = None
-    thetas_hole = []
-    overlap_masses = {}
-    for i, t in enumerate(baseline.times):
-        if plan is None or phi.ramp(t) != plan.ramp:
-            plan = None  # the old plan's tables go before the next plan builds its own
-            plan = PushforwardPlan(phi, t, config.grid)
-        pushed_l = push(plan, left.states[i], "psi_l'")
-        other = right.states[i]
-        if config.two_sided:
-            other = push(plan, other, "psi_r'")
-        elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
-            back_inside = mass_in_region(pushed_l, mask)
-            overlap_masses[float(t)] = back_inside
-            if check_displacement and back_inside > OVERLAP_MASS_TOL:
-                raise InsufficientDisplacement(
-                    f"displaced branch keeps mass {back_inside:.3e} inside the"
-                    f" original support at t={t}"
-                )
-        theta = DecoherenceObservable(inner_product(pushed_l, other))
-        thetas_hole.append(theta.theta)
-        pushed_l = other = None  # freed before the next snapshot is pushed
 
-    # The transformed source is defined only while the pushed potential is
-    # still a point mass: under a translation or an identity, not a bump.
-    t_final = baseline.times[-1]
-    source_final = None
-    if phi.is_identity_at(t_final):
-        source_final = v_left.source_position
-    elif phi.kind == "translation_ramp":
-        source_final = _moved_source(v_left.source_position, phi, t_final, config.grid.extent)
-    return dataclasses.replace(
-        baseline,
-        theta_hole=np.asarray(thetas_hole, dtype=complex),
-        config=config,
-        diagnostics={
-            **baseline.diagnostics,
-            "max_pushforward_norm_drift": drift_max,
-            "overlap_mass_after_ramp": overlap_masses,
-            "transformed_source_final": source_final,
-        },
-    )
+def run_hole(config: HoleExperimentConfig, strict: bool = True) -> HoleReport:
+    """Baseline run plus the transformed-branch series, each snapshot pushed
+    as the branches evolve. One-sided (the hole construction proper): the
+    left-branch snapshots and potential are pushforwarded, the right branch
+    is untouched. A ``two_sided`` config transforms both, the covariance
+    control. ``strict`` enforces that the displaced support clears the
+    original region (mask disjointness up front, displaced-branch mass back
+    inside U at most 1e-6 after t1); sweeps over sub-threshold displacements
+    disable it deliberately. A baseline error is raised first."""
+    run, = _stream([_Run(config, [(config, strict)])])
+    return run.holes[0].report(run.report())
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,32 +431,39 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
     return dataclasses.replace(config, diffeo=phi), False
 
 
-def _peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2) -> float:
+# Bytes a run may hold per snapshot and value, the Python objects of its
+# series and its result text (measured on 1D runs of 2001-10001 snapshots:
+# 0.82 KB a baseline, 1.6 KB a two-sided and 1.95 KB a one-sided hole run),
+# and for its config, parser and other small objects.
+SNAPSHOT_BYTES = 2560
+RUN_BYTES = 2**20
+
+
+def _peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2,
+                values: int = 1) -> float:
     """Upper estimate of a run's peak bytes. In complex fields of the grid:
-    for each branch evolved at once (a run's two, a sweep's largest group)
-    its snapshots, the last of which is its stack, and its potential phase,
-    as their stacks may step at once; one kinetic factor; a pushed state
-    and an intermediate per pushed branch. A bump map's plan adds its kept
-    sampler tables and one chunk's temporaries, each at most
-    SAMPLE_CHUNK_BYTES, the spectral coefficients of the state it samples
-    and their transform, and, in eight arrays of dim floats per grid point,
-    its targets, their coordinate mesh and the preimage iteration's arrays."""
+    per branch evolved at once (a run's two, a sweep's largest group) its
+    stack, potential phase, packet and potential; one kinetic factor; a
+    pushed state and an intermediate per pushed branch; per value its
+    map's plan. A bump's plans add their sampler tables, each at most
+    SAMPLE_CHUNK_BYTES, and while one builds, one chunk's temporaries, the
+    spectral coefficients and their transform, and eight arrays of dim
+    floats per grid point. Besides, RUN_BYTES and SNAPSHOT_BYTES per
+    snapshot and value, at any stride."""
     evolution = config.evolution
     snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
-    fields = branches * (snapshots + 1) + 1 + 2 * pushed
+    fields = 4 * branches + 1 + (2 * pushed + values if pushed else 0)
     tables = 0
     if pushed and config.diffeo.kind == "bump_displacement":
         fields += 2 + 4 * config.grid.dim
-        tables = 2 * SAMPLE_CHUNK_BYTES
-    return 16.0 * config.grid.size * fields + tables
+        tables = (values + 1) * SAMPLE_CHUNK_BYTES
+    return 16.0 * config.grid.size * fields + tables + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
 
 
-def _group_branches(config: HoleExperimentConfig, values: int) -> int:
-    """Most branches a sweep of ``values`` values evolves in one call: as
-    many as fit STACK_BYTES, but one value's pair at least, and that pair
-    alone if more would put the peak estimate over PEAK_BYTES_LIMIT."""
-    most = max(2, min(2 * values, STACK_BYTES // (16 * config.grid.size)))
-    return most if _peak_bytes(config, 2 if config.two_sided else 1, most) <= PEAK_BYTES_LIMIT else 2
+def _group_branches(config: HoleExperimentConfig, branches: int) -> int:
+    """Most branches a sweep evolves in one call: as many of its
+    ``branches`` as fit STACK_BYTES, but one value's pair at least."""
+    return max(2, min(branches, STACK_BYTES // (16 * config.grid.size)))
 
 
 def _failed(value: float, exc: HolesimError) -> SweepEntry:
@@ -455,16 +472,12 @@ def _failed(value: float, exc: HolesimError) -> SweepEntry:
 
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
     """Hole runs across one swept parameter. Values whose derived configs
-    differ in the map only share one run of both branches, wherever they
-    stand. Runs of one EvolutionConfig evolve in groups of _group_branches
-    branches, one call each; then each value's support check, theta and
-    hole stage run on its run's trajectories, one group at a time.
-
-    Per-run HolesimErrors are collected into the entries instead of
-    aborting the sweep; any other exception is a bug and propagates. If a
-    group's call fails, its runs evolve one at a time, so each value
-    records its own error. The entry order matches ``values``.
-    """
+    differ in the map only share one run, wherever they stand, each read by
+    its own hole stage. Runs of one EvolutionConfig evolve in groups, one
+    call each, while their branches (one at zero coupling) and a next pair
+    fit _group_branches. Per-run HolesimErrors, a blow-up among them, are
+    collected into their own values' entries; any other exception is a
+    bug and propagates. The entry order matches ``values``."""
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
     values = [float(value) for value in values]
@@ -477,27 +490,26 @@ def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEnt
             runs.setdefault(key, []).append((i, derived, strict))
         except HolesimError as exc:  # collected, not raised
             entries[i] = _failed(value, exc)
-    size, groups = _group_branches(config, len(values)) // 2, []  # runs, a pair of branches each
-    for _, same in itertools.groupby(runs.values(), key=lambda run: run[0][1].evolution):
-        same = list(same)
-        groups += [same[lo:lo + size] for lo in range(0, len(same), size)]
-    for group in groups:
-        try:
-            evolved = _evolve([run[0][1] for run in group])
-        except HolesimError as exc:
-            if len(group) > 1:
-                groups += [[run] for run in group]  # evolved again one at a time
-            else:
-                entries.update((i, _failed(values[i], exc)) for i, *_ in group[0])
-            continue
-        for run, shared in zip(group, evolved):
-            branches = None  # a failed check is made again by the run's next value
-            for i, derived, strict in run:
+
+    def finish(group) -> None:
+        _stream([run for run, _ in group])
+        for run, same in group:
+            for (i, *_), hole in zip(same, run.holes):
                 try:
-                    branches = branches or _baseline(derived, shared)
-                    report = run_hole(derived, strict=strict, branches=branches)
-                    entries[i] = SweepEntry(values[i], report, None)
+                    entries[i] = SweepEntry(values[i], hole.report(run.report()), None)
                 except HolesimError as exc:
                     entries[i] = _failed(values[i], exc)
-        evolved = shared = branches = None  # drop the group's trajectories before the next
+
+    most, group = _group_branches(config, 2 * len(values)), []
+    for same in runs.values():
+        if group and (same[0][1].evolution != group[0][0].config.evolution
+                      or sum(len(run.branches) for run, _ in group) + 2 > most):
+            finish(group)
+            group = []  # its branches and plans go before the next group's are built
+        try:
+            group.append((_Run(same[0][1], [(derived, strict) for _, derived, strict in same]), same))
+        except HolesimError as exc:
+            entries.update((i, _failed(values[i], exc)) for i, *_ in same)
+    if group:
+        finish(group)
     return [entries[i] for i in range(len(values))]

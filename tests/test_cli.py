@@ -29,7 +29,7 @@ from holesim.cli import (
     write_bundle,
     write_metric_field,
 )
-from holesim.harmonic import MetricField, minkowski_metric
+from holesim.harmonic import MetricField, harmonic_residual, minkowski_metric
 from holesim.hole_experiment import _peak_bytes
 from oracles import grid_field_rows, sinusoidal_metric_family
 
@@ -260,6 +260,27 @@ def traced_peak(function, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_residual_text_is_written_block_by_block(tmp_path):
+    """The 16^4 residual's 3 MiB of text is rendered block by block as
+    write_bundle writes it, with the bytes of render_grid_field: the bundle
+    holds none of it, and writing traces under half of it. A whole text
+    traced its size again while it was written, as its encoded copy."""
+    metric = metric_16_4()
+    metric_path = tmp_path / "metric16.gridfield"
+    write_metric_field(metric_path, metric)
+    path = write_config(tmp_path, "harmonic16.yaml", {
+        "experiment": "check-harmonic", "output_dir": str(tmp_path / "out"),
+        "harmonic": {"metric_file": str(metric_path)}})
+    config = load_config(path)
+    bundle = execute(config)
+    assert not isinstance(bundle.files["residual.gridfield"], str)
+    peak = traced_peak(write_bundle, bundle, config.output_dir, config.formats)
+    text = (config.output_dir / "residual.gridfield").read_text()
+    assert len(text) > 3 * 2**20
+    assert peak < len(text) / 2
+    assert text == render_grid_field("residual", metric.spacings, harmonic_residual(metric))
 
 
 def test_metric_field_16_4_round_trip(tmp_path):
@@ -537,9 +558,11 @@ def test_run_over_the_memory_limit_fails_validate(tmp_path, capsys, experiment):
 
 
 def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
-    """One value of this 1D sweep needs about 1.3 GB of snapshots, its 7
-    distinct branches stacked about 4.6 GB: over the limit as one group,
-    so the sweep evolves one value at a time and validates."""
+    """One value of this 1D sweep has 40001 snapshots. Stored, they took
+    about 1.3 GB, and the 7 distinct branches stacked about 4.6 GB. Streamed,
+    its estimate counts SNAPSHOT_BYTES per snapshot and value, about 0.4 GB
+    for the four values, and no snapshot fields: the 7 branches evolve in
+    one call, and the sweep validates."""
     from holesim.hole_experiment import PEAK_BYTES_LIMIT, _group_branches
 
     path = write_config(tmp_path, "long_sweep.yaml", {
@@ -551,8 +574,9 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     assert code == 0
     assert peak < 2**20
     config = load_config(path).settings[0]
-    assert _peak_bytes(config, pushed=1) < PEAK_BYTES_LIMIT < _peak_bytes(config, 1, branches=7)
-    assert _group_branches(config, 4) == 2
+    assert _group_branches(config, 8) == 8
+    assert 0.4e9 < _peak_bytes(config, 1, branches=8, values=4) < 0.5e9 < PEAK_BYTES_LIMIT
+    assert _peak_bytes(config, 1, branches=8, values=4) < 1.05 * 4 * _peak_bytes(config, 1)
 
 
 def validate_traced(path):
@@ -603,11 +627,15 @@ def traced_run_peak(path):
     return traced_peak(lambda: execute(load_config(path)))
 
 
-# Two-sided hole runs whose peaks are held by different things: the bench's
-# 2D 128^2 bump at seed 77, whose pushforward plans keep sampler tables, and
-# a short 3D 64^3 run with a grid-aligned shift, whose snapshots dominate.
+# Runs whose peaks are held by different things: the bench's two-sided 2D
+# 128^2 bump at seed 77, whose pushforward plans keep sampler tables; a short
+# two-sided 3D 64^3 run with a grid-aligned shift, whose stacks dominate; a
+# stride-1 1D baseline of 2001 snapshots and a stride-1 one-sided 1D hole
+# run, whose series and result text dominate; and a 2D 64^2 coupling sweep,
+# whose 9 branches evolve in three groups.
 PEAK_HOLE_RUNS = {
     "bump_2d": {
+        "experiment": "hole",
         "grid": {"points": [128, 128], "extent": [40.0, 40.0]},
         "packet": {"center": [-1.0, 0.0], "width": 1.0, "momentum": [0.0, 0.0]},
         "potentials": {"left_position": [-2.4744140220998423, 0.0],
@@ -618,6 +646,7 @@ PEAK_HOLE_RUNS = {
         "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
     },
     "aligned_3d": {
+        "experiment": "hole",
         "grid": {"points": [64, 64, 64], "extent": [40.0, 40.0, 40.0]},
         "packet": {"center": [-1.0, 0.0, 0.0], "width": 1.9, "momentum": [0.0, 0.0, 0.0]},
         "evolution": {"dt": 0.04, "t_end": 0.4, "mass": 4.0, "snapshot_stride": 5},
@@ -625,7 +654,40 @@ PEAK_HOLE_RUNS = {
                    "t0": 0.1, "t1": 0.3, "two_sided": True},
         "support": {"lower": [-19.9] * 3, "upper": [19.9] * 3},
     },
+    "baseline_1d_stride_1": {
+        "experiment": "baseline",
+        "grid": {"points": 128, "extent": 40.0},
+        "evolution": {"dt": 0.02, "t_end": 40.0, "mass": 4.0, "snapshot_stride": 1},
+        "support": {"lower": -20.0, "upper": 20.0},
+    },
+    "one_sided_1d": {
+        "experiment": "hole",
+        "evolution": {"snapshot_stride": 1},
+    },
+    "sweep_2d": {
+        "experiment": "sweep",
+        "grid": {"points": [64, 64], "extent": [40.0, 40.0]},
+        "packet": {"center": [-1.0, 0.0], "width": 1.9},
+        "potentials": {"left_position": [-2.5, 0.0], "right_position": [2.5, 0.0]},
+        "diffeo": {"shift": [17.5, 0.0]},
+        "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
+        "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.1, 0.2, 0.3]},
+    },
 }
+
+
+def hole_peak_estimate(config):
+    """The load-time estimate of a baseline, hole or sweep config, as
+    cli._read_hole makes it."""
+    from holesim.hole_experiment import _group_branches
+
+    if config.experiment == "sweep":
+        settings, _, values = config.settings
+        runs = len(values)
+    else:
+        settings, runs = config.settings, 1
+    pushed = 0 if config.experiment == "baseline" else 2 if settings.two_sided else 1
+    return _peak_bytes(settings, pushed, _group_branches(settings, 2 * runs), runs)
 
 
 def test_peak_estimates_bound_traced_runs(tmp_path):
@@ -633,7 +695,7 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
     load and execute together: a static and an evolved recovery; a check
     of a Minkowski metric as write_metric_field writes it ("0.0"), and of a
     16^4 one as integer entries ("0"), the most values per byte of text the
-    parser accepts; and the two-sided hole runs of PEAK_HOLE_RUNS."""
+    parser accepts; and the runs of PEAK_HOLE_RUNS."""
     for recover in ({"points": 256, "n": 32},
                     {"points": 512, "n": 64, "oracle": "evolved", "translation_cells": 8}):
         path = write_config(tmp_path, "recover.yaml", {
@@ -650,8 +712,54 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
             "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
         assert traced_run_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
     for name, sections in PEAK_HOLE_RUNS.items():
-        path = write_config(tmp_path, f"{name}.yaml", {"experiment": "hole", **sections})
-        assert traced_run_peak(path) < _peak_bytes(load_config(path).settings, pushed=2), name
+        path = write_config(tmp_path, f"{name}.yaml", sections)
+        assert traced_run_peak(path) < hole_peak_estimate(load_config(path)), name
+
+
+def test_hole_run_peak_does_not_grow_with_its_snapshot_count(tmp_path, monkeypatch):
+    """The aligned 3D run traced at strides 1 (10 snapshots, some of them
+    pushed off-grid mid-ramp) and 10 (one snapshot): within 2 MiB of each
+    other, and below the 60.9 MiB that its stride-10 run traced while every
+    snapshot was stored. At 1, 2 and 4 workers, the streamed run_hole and
+    sweep have the bits of theta_time_series over collected evolve_branches
+    trajectories, pushed one snapshot at a time."""
+    from holesim import WaveFunction, evolve_branches, norm, pushforward_wavefunction, run_hole
+    from holesim.evolve import Trajectory
+    from holesim.observable import theta_time_series
+
+    evolve_module = importlib.import_module("holesim.evolve")
+    peaks = {}
+    for stride in (1, 10):
+        sections = PEAK_HOLE_RUNS["aligned_3d"]
+        path = write_config(tmp_path, f"aligned_{stride}.yaml", {
+            **sections, "evolution": {**sections["evolution"], "snapshot_stride": stride}})
+        peaks[stride] = traced_run_peak(path)
+    assert abs(peaks[1] - peaks[10]) < 2 * 2**20
+    assert max(peaks.values()) < 60.9 * 2**20
+
+    config = load_config(tmp_path / "aligned_1.yaml").settings
+    phi = config.diffeo
+
+    def pushed(trajectory):
+        states = []
+        for t, psi in zip(trajectory.times, trajectory.states):
+            raw = pushforward_wavefunction(psi, phi, t, renormalize=False)
+            states.append(raw if raw is psi else WaveFunction(psi.grid, raw.amplitudes / norm(raw)))
+        return Trajectory(trajectory.times, tuple(states))
+
+    psi0 = config.initial_packet()
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+        left, right = evolve_branches([psi0, psi0], config.branch_potentials(), config.evolution)
+        times, baseline = theta_time_series(left, right)
+        _, hole = theta_time_series(pushed(left), pushed(right))
+        assert len(times) == 11
+        streamed = run_hole(config)
+        entry, = sweep(config, "coupling", [config.coupling])
+        for report in (streamed, entry.report):
+            assert np.array_equal(report.times, times), workers
+            assert np.array_equal(report.theta_baseline, baseline), workers
+            assert np.array_equal(report.theta_hole, hole), workers
 
 
 def test_generated_bench_configs_validate(tmp_path, monkeypatch):

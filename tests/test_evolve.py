@@ -581,7 +581,9 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
     turns, so that each reads the traced array memory after a step while
     the other waits at its own next step: every reading of a thread equals
     its first. The turn taken at the last step of the thread that ends
-    first finds the other thread running on, so it is not compared.
+    first finds the other thread running on, so it is not compared. The
+    one snapshot is the last step's, so the parts meet only after every
+    reading.
 
     Only numpy's array data counts: the interpreter keeps small objects in
     free lists, which move the total by a few bytes whatever the engine
@@ -590,7 +592,7 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
     monkeypatch.setattr(evolve_module, "STACK_BYTES", 16 * 1024)
     states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 4)
     n_steps = 20
-    config = EvolutionConfig(dt=0.05, t_end=n_steps * 0.05, mass=1.0)
+    config = EvolutionConfig(dt=0.05, t_end=n_steps * 0.05, mass=1.0, snapshot_stride=n_steps)
     real = evolve_module._advance
     turns = threading.Condition()
     order = []  # thread idents in the order of their first step
@@ -629,7 +631,7 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
     assert (readings[0] == readings[0, 0]).all()
     assert (readings[1, :-1] == readings[1, 0]).all()
     assert calls == [n_steps, n_steps]
-    assert [len(t.states) for t in trajectories] == [n_steps + 1] * 4
+    assert [len(t.states) for t in trajectories] == [2] * 4
 
 
 def test_stacked_branches_share_one_grid(grid256):

@@ -27,7 +27,8 @@ from holesim import (
     sweep,
     theta_time_series,
 )
-from holesim.hole_experiment import DEFAULT_SCENARIO, _baseline, config_from_sections
+from holesim.hole_experiment import DEFAULT_SCENARIO, config_from_sections
+from holesim.evolve import stream_branches
 
 # Regression pin for the committed default config (first validated run).
 PINNED_THETA_BASELINE_FINAL = 0.9857452284116655 - 0.11776562038866381j
@@ -91,11 +92,11 @@ def test_zero_coupling_baseline_evolves_once(monkeypatch):
 
     branches = []
 
-    def counting(states, potentials, evolution):
+    def counting(states, potentials, evolution, consume):
         branches.extend(states)
-        return evolve_branches(states, potentials, evolution)
+        return stream_branches(states, potentials, evolution, consume)
 
-    monkeypatch.setattr(hole_experiment, "evolve_branches", counting)
+    monkeypatch.setattr(hole_experiment, "stream_branches", counting)
     report = run_baseline(config)
     assert len(branches) == 1
     assert np.array_equal(report.theta_baseline, separate)
@@ -176,13 +177,14 @@ def test_two_sided_bump_run_builds_one_map_per_ramp_value(monkeypatch):
         calls.append(t)
         return inverse(self, points, t)
 
-    branches = _baseline(config)
     monkeypatch.setattr(SpatialDiffeomorphism, "inverse", counting)
-    report = run_hole(config, branches=branches)
+    report = run_hole(config)
     assert len(calls) == 2
     assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
+    monkeypatch.setattr(SpatialDiffeomorphism, "inverse", inverse)
+    psi0 = config.initial_packet()
     drifts = []
-    for trajectory in branches[:2]:
+    for trajectory in evolve_branches([psi0, psi0], config.branch_potentials(), config.evolution):
         for t, psi in zip(trajectory.times, trajectory.states):
             raw = pushforward_wavefunction(psi, config.diffeo, t, renormalize=False)
             if raw is not psi:
@@ -202,6 +204,19 @@ def test_support_violation_detected():
     config = default_config(support=Region(-3.0, 3.0))
     with pytest.raises(SupportViolation):
         run_baseline(config)
+
+
+@pytest.mark.parametrize("lower, named", [(-9.0, "psi_r"), (-8.5, "psi_l")],
+                         ids=["right_first", "same_snapshot"])
+def test_support_violation_names_the_earliest_snapshot_left_first(lower, named):
+    """Both branches leave these supports. From [-9, 6] the right branch
+    leaves at t = 3.6 and the left at t = 4.0: the check meets the earliest
+    snapshot first, so it names the right branch. From [-8.5, 6] both
+    leave at t = 3.6, and within one snapshot the left branch is checked
+    first."""
+    with pytest.raises(SupportViolation,
+                       match=rf"outside declared support at t=3\.6 \(branch '{named}'\)$"):
+        run_baseline(default_config(support=Region(lower, 6.0)))
 
 
 def test_insufficient_displacement_rejected():
@@ -259,11 +274,11 @@ def test_sweep_evolves_each_distinct_branch_once(monkeypatch, parameter, values,
 
     branches = []
 
-    def counting(states, potentials, evolution):
+    def counting(states, potentials, evolution, consume):
         branches.extend(states)
-        return evolve_branches(states, potentials, evolution)
+        return stream_branches(states, potentials, evolution, consume)
 
-    monkeypatch.setattr(hole_experiment, "evolve_branches", counting)
+    monkeypatch.setattr(hole_experiment, "stream_branches", counting)
     entries = sweep(default_config(), parameter, values)
     assert all(e.error is None for e in entries)
     assert len(branches) == evolves
@@ -327,16 +342,16 @@ def test_sweep_blowup_is_recorded_for_its_value_only():
 
 
 def counted_calls(monkeypatch):
-    """The states of each evolve_branches call the sweep makes, in order."""
+    """The states of each stream_branches call the sweep makes, in order."""
     import holesim.hole_experiment as hole_experiment
 
     calls = []
 
-    def counting(states, potentials, evolution):
+    def counting(states, potentials, evolution, consume):
         calls.append(len(states))
-        return evolve_branches(states, potentials, evolution)
+        return stream_branches(states, potentials, evolution, consume)
 
-    monkeypatch.setattr(hole_experiment, "evolve_branches", counting)
+    monkeypatch.setattr(hole_experiment, "stream_branches", counting)
     return calls
 
 
@@ -364,13 +379,15 @@ def test_sweep_repeated_value_evolves_once_wherever_it_repeats(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the potential
 def test_sweep_values_beside_a_failed_group_match_lone_runs(monkeypatch):
-    """The group of all three values blows up, so each value evolves
-    alone: its neighbours' series have the bits of lone run_hole calls."""
+    """One branch of the group of all three values blows up, and fails its
+    own value only: the group evolves once, and its neighbours' series
+    have the bits of lone run_hole calls."""
     config = default_config(softening=0.9)
     calls = counted_calls(monkeypatch)
     with pytest.warns(StabilityWarning):
         entries = sweep(config, "coupling", [0.1, 1.7e308, 0.05])
-    assert calls == [6, 2, 2, 2]
+    assert entries[1].error.startswith("NumericalBlowup")
+    assert calls == [6]
     for entry in (entries[0], entries[2]):
         lone = run_hole(default_config(softening=0.9, coupling=entry.value))
         assert np.array_equal(entry.report.theta_baseline, lone.theta_baseline)
@@ -426,10 +443,10 @@ def test_bump_map_reports_no_transformed_source():
 def test_sweep_propagates_programming_errors(monkeypatch):
     import holesim.hole_experiment as hole_experiment
 
-    def broken(config, strict=True, **kwargs):
+    def broken(*args):
         raise TypeError("bug, not a sweep outcome")
 
-    monkeypatch.setattr(hole_experiment, "run_hole", broken)
+    monkeypatch.setattr(hole_experiment, "PushforwardPlan", broken)
     with pytest.raises(TypeError):
         sweep(default_config(), "coupling", [0.1])
 
