@@ -53,17 +53,15 @@ from .errors import (
 )
 # evolve stays importable here: bench/layers.py wraps it by name.
 from .evolve import Potential, evolve, evolve_branches  # noqa: F401
-from .grid import Grid, _as_tuple, check_packet_width, inner_product
+from .grid import SAMPLE_CHUNK_BYTES, Grid, _as_tuple, check_packet_width, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
     DEFAULT_SCENARIO,
-    PEAK_BYTES_LIMIT,
     SWEEP_PARAMETERS,
     HoleExperimentConfig,
     HoleReport,
     _config_for,
     _group_branches,
-    _peak_bytes,
     config_from_sections,
     default_config,
     run_baseline,
@@ -273,6 +271,40 @@ def load_config(path) -> RunConfig:
     return RunConfig(experiment, output_dir, tuple(sorted(formats)), echo, settings)
 
 
+# Largest estimated peak of a run that validate accepts: _hole_peak_bytes,
+# _recover_peak_bytes or _harmonic_peak_bytes.
+PEAK_BYTES_LIMIT = 4 * 2**30
+# Bytes a hole run may hold per snapshot and value, the Python objects of its
+# series and its result text (measured on 1D runs of 2001-10001 snapshots:
+# 0.82 KB a baseline, 1.6 KB a two-sided and 1.95 KB a one-sided hole run),
+# and for its config, parser and other small objects.
+SNAPSHOT_BYTES = 2560
+RUN_BYTES = 2**20
+
+
+def _hole_peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2,
+                     values: int = 1) -> float:
+    """Upper estimate of a hole run's peak bytes. In complex fields of the grid:
+    per branch evolved at once (a run's two, a sweep's largest group) its
+    stack, potential phase, packet and potential; one kinetic factor; a
+    pushed state and an intermediate per pushed branch; no field for a
+    translation's plan. A bump's plans, one per run of a group (a bump is
+    not displacement-swept, and equal values share one), keep each its
+    mask, weights and preimages, at most 1 + dim/2 fields, and
+    sampler tables of at most SAMPLE_CHUNK_BYTES; while one builds, one
+    chunk's temporaries, the spectral coefficients and their transform,
+    and eight arrays of dim floats per grid point. Besides, RUN_BYTES and
+    SNAPSHOT_BYTES per snapshot and value, at any stride."""
+    evolution, dim = config.evolution, config.grid.dim
+    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
+    fields, tables = 4 * branches + 1 + 2 * pushed, 0
+    if pushed and config.diffeo.kind == "bump_displacement":
+        plans = min(values, (branches + 1) // 2)  # a group's runs: pairs, and one at zero coupling
+        fields += 2 + 4 * dim + plans * (1 + dim / 2)
+        tables = (plans + 1) * SAMPLE_CHUNK_BYTES
+    return 16.0 * config.grid.size * fields + tables + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
+
+
 def _recover_peak_bytes(points: int, n: int) -> float:
     """Upper estimate of a recovery's peak bytes: 7n + 2 complex grid fields
     (bases, evolved stack, phases and states, orthonormality check) and
@@ -322,7 +354,7 @@ def _read_hole(sections, errors, runs: int = 1) -> HoleExperimentConfig:
     # A sweep's branches evolve in groups: its estimate counts the largest.
     pushed = 0 if "diffeo" not in sections else 2 if config.two_sided else 1
     _fits(f"grid: a run on {config.grid.shape} points",
-          _peak_bytes(config, pushed, _group_branches(config, 2 * runs), runs), errors)
+          _hole_peak_bytes(config, pushed, _group_branches(config, 2 * runs), runs), errors)
     return config
 
 

@@ -284,20 +284,18 @@ class PushforwardPlan:
             self.sampler = SpectralSampler(grid, preimages)
 
     def apply(self, psi: WaveFunction, renormalize: bool = True) -> WaveFunction:
-        """The pushed state; see :func:`pushforward_wavefunction`."""
+        """The pushed state; see :func:`pushforward_wavefunction`. A roll
+        moves the amplitudes unchanged, so it is never renormalized."""
+        return self.pushed(psi, renormalize and self.cells is None)[0]
+
+    def pushed(self, psi: WaveFunction, renormalize: bool) -> tuple[WaveFunction, float]:
+        """``psi`` pushed, divided by its norm if ``renormalize``, and that
+        norm, checked to lie within PUSHFORWARD_NORM_TOL of one; the
+        identity gives ``psi`` itself and 1.0."""
         if psi.grid != self.grid:
             raise GridMismatch(f"plan grid {self.grid} does not match state grid {psi.grid}")
         if self.identity:
-            return psi
-        amps, size = self.pushed(psi)
-        if renormalize and self.cells is None:  # a roll moves the amplitudes unchanged
-            amps /= 1.0 + (size - 1.0)
-        return WaveFunction._adopt(psi.grid, amps, psi.label)
-
-    def pushed(self, psi: WaveFunction) -> tuple[np.ndarray, float]:
-        """The amplitudes of ``psi`` pushed by a plan that is not the
-        identity, in a fresh array that the caller may scale in place, and
-        their norm, checked to lie within PUSHFORWARD_NORM_TOL of one."""
+            return psi, 1.0
         input_drift = abs(norm(psi) - 1.0)
         if input_drift > PUSHFORWARD_NORM_TOL:
             raise NormViolation(f"input norm drift {input_drift:.3e}; normalize first")
@@ -319,7 +317,9 @@ class PushforwardPlan:
                 " state not resolved enough for the map"
             )
         log.debug("pushforward norm drift %.3e at ramp %s", drift, self.ramp)
-        return amps, size
+        if renormalize:
+            amps /= size  # in place, with the bits of amps / (1 + drift): size - 1 is exact
+        return WaveFunction._adopt(psi.grid, amps, psi.label), size
 
     def _shifted(self, amplitudes: np.ndarray) -> np.ndarray:
         """ifftn(fftn(amplitudes) * phase) in one fresh array, the phase

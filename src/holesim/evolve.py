@@ -18,9 +18,8 @@ CPU, each stepped on its own thread in FFTs and multiplies that release
 the GIL. The calling thread allocates every part's stack and phase factor
 before any worker starts, so a worker allocates nothing (memory it freed
 would stay in its thread's malloc arena). No snapshot is stored: at each
-snapshot step the parts meet, and the calling thread hands the stacks'
-read-only rows to a consumer before they step on, so a run holds its
-stacks at any snapshot count. The core count never changes the bits.
+snapshot step the parts meet and the calling thread hands the stacks'
+read-only rows to a consumer. The core count never changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -254,13 +253,6 @@ def _half_potential_phase(values: np.ndarray, dt: float, out: np.ndarray) -> Non
     np.exp(out, out=out)
 
 
-def _snapshot_steps(config: EvolutionConfig) -> list[int]:
-    """The steps after which a snapshot is taken: every snapshot_stride-th
-    and the last."""
-    n_steps = int(round(config.t_end / config.dt))
-    return [k for k in range(1, n_steps + 1) if k % config.snapshot_stride == 0 or k == n_steps]
-
-
 def _cores() -> int:
     """CPUs this process may run on; not every platform offers the affinity."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -279,35 +271,31 @@ def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> Wa
 
 
 def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) -> Trajectory:
-    """Propagate psi0 to t_end, snapshotting every snapshot_stride steps.
-
-    The final step is always snapshotted, so the trajectory ends within
-    dt/2 of t_end regardless of stride alignment.
-    """
+    """Propagate psi0 to t_end, snapshotting every snapshot_stride steps and
+    the final one, which ends within dt/2 of t_end at any stride alignment."""
     return _collected((psi0,), (potential,), config)[0]
 
 
 def evolve_branches(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
-    """:func:`evolve` of each state in its own potential, all on one grid,
-    stepped by :func:`stream_branches`; each trajectory has the bits of its
-    lone evolve, in the order of ``states``; no states give no trajectories.
-    The NumericalBlowup of the first branch in input order that blew up is
-    raised."""
+    """:func:`evolve` of each state in its own potential, all on one grid, by
+    :func:`stream_branches`, each with the bits of its lone evolve, in the
+    order of ``states``. The NumericalBlowup of the first branch in input
+    order that blew up is raised; stepping stops once that is settled."""
     return _collected(states, potentials, config)
 
 
 def _collected(states, potentials, config: EvolutionConfig) -> tuple[Trajectory, ...]:
     """Trajectories of a stream that copies each snapshot but the first, the
     states themselves, and the last, rows of stacks that step no further."""
-    times, blocks, last = [], [], len(_snapshot_steps(config))
+    times, blocks = [], []
 
     def collect(t, rows, blowups) -> bool:
-        if 0 < len(times) < last:
+        if times and rows[0].base.flags.writeable:  # a stack that steps on
             rows = np.array(rows)
             rows.flags.writeable = False
         blocks.append(rows)
         times.append(t)
-        return not all(blowups)
+        return not (blowups and blowups[0])  # the raised blow-up is settled
 
     for blowup in filter(None, stream_branches(states, potentials, config, collect)):
         raise blowup
@@ -317,20 +305,19 @@ def _collected(states, potentials, config: EvolutionConfig) -> tuple[Trajectory,
 
 
 def stream_branches(states, potentials, config: EvolutionConfig, consume) -> list:
-    """Step each state in its own potential, all on one grid, and hand each
+    """Step each state in its own potential, all on one grid, handing each
     snapshot to ``consume(t, rows, blowups)`` in the calling thread: at
     t = 0 the states' amplitudes, then read-only views of the stacks' rows,
-    in the order of ``states``. A consumer keeps no row past its call, as
-    the stacks step on in place, but the last snapshot's, whose stacks are
-    then made read-only. ``blowups`` holds per branch None or the
-    NumericalBlowup naming the step where its row went non-finite; that
-    row alone fails, zeroed, as rows step independently. Stepping stops
-    once ``consume`` returns False. Returns ``blowups``.
+    in the order of ``states``. Only the last snapshot's rows, whose stacks
+    are then made read-only, may be kept past the call. ``blowups`` holds
+    per branch None or the NumericalBlowup naming the step where its row
+    went non-finite; that row alone fails, zeroed. Stepping stops once
+    ``consume`` returns False. Returns ``blowups``.
 
-    The calling thread steps part 0 and one thread each further part. The
-    parts meet at a barrier at each snapshot step and wait at a second
-    while the consumer runs. An exception in a part or the consumer breaks
-    the barrier; the first in input order is raised once all parts end."""
+    The calling thread steps part 0, and one thread each further part. The
+    parts meet at a barrier at each snapshot step and again after the
+    consumer. The first exception of a part or the consumer in input order
+    is raised once all parts end."""
     if config.dt < 0:
         raise DomainError("evolve requires a forward (dt > 0) config")
     for psi, potential in zip(states, potentials, strict=True):
@@ -342,7 +329,8 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
             warnings.warn(f"potential phase per step {phase_per_step:.3f} exceeds"
                           f" {PHASE_PER_STEP_BOUND:.3f}; reduce dt or the coupling",
                           StabilityWarning, stacklevel=4)
-    snapshot_steps = _snapshot_steps(config)
+    n_steps = int(round(config.t_end / config.dt))
+    snapshot_steps = [k for k in range(1, n_steps + 1) if k % config.snapshot_stride == 0 or k == n_steps]
     blowups = [None] * len(states)
     if not (consume(0.0, [psi.amplitudes for psi in states], blowups)
             and states and snapshot_steps):  # nothing to step: nothing is allocated
@@ -361,13 +349,11 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
     rows = [row for stack, *_ in parts for row in stack]
     for row in rows:
         row.flags.writeable = False
-    labels = [psi.label for psi in states]
     barrier, going, errors = threading.Barrier(n_parts), [True], [None] * n_parts
     meet = barrier.wait if n_parts > 1 else lambda: None  # a lone part waits for no one
 
     def run(p: int) -> None:
-        part, k = parts[p], 0
-        stack = part[0]
+        part, stack, k = parts[p], parts[p][0], 0
         try:
             for last in snapshot_steps:
                 for k in range(k + 1, last + 1):
@@ -377,7 +363,7 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
                         stack[bad] = 0
                         for b in bounds[p] + np.flatnonzero(bad):
                             blowups[b] = blowups[b] or NumericalBlowup(
-                                f"evolution of branch {labels[b]!r} blew up at step {k}")
+                                f"evolution of branch {states[b].label!r} blew up at step {k}")
                 if last == snapshot_steps[-1]:
                     stack.flags.writeable = False  # stepped no further: its rows may be kept
                 meet()

@@ -14,6 +14,7 @@ the displaced support clears the original; applying it to both branches
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,7 @@ from .errors import (ConfigError, DomainError, HolesimError, InsufficientDisplac
                      NormViolation, SupportViolation)
 from .evolve import (SNAPSHOT_NORM_TOL, STACK_BYTES, EvolutionConfig, Potential,  # noqa: F401
                      evolve, stream_branches)
-from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, gaussian_packet,
-                   inner_product, norm)
+from .grid import Grid, Region, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
 from .observable import DecoherenceObservable, theta_time_series  # noqa: F401
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
 SUPPORT_TAIL_TOL = 1e-10     # mass allowed outside the declared region U
 OVERLAP_MASS_TOL = 1e-6      # displaced-branch mass allowed back inside U after t1
 SWEEP_PARAMETERS = ("coupling", "displacement", "mass")
-# Largest estimated peak of a run that the CLI accepts (_peak_bytes here,
-# two more estimates in cli).
-PEAK_BYTES_LIMIT = 4 * 2**30
 
 # The committed weak-coupling 1D scenario in the section layout of a run
 # config: default_config() builds it, the CLI fills omitted keys from it,
@@ -125,9 +122,8 @@ class HoleExperimentConfig:
                                self.packet_momentum, label="psi0")
 
     def branch_potentials(self) -> tuple[Potential, Potential]:
-        left = Potential.point_mass(self.grid, self.source_left, self.coupling, self.softening)
-        right = Potential.point_mass(self.grid, self.source_right, self.coupling, self.softening)
-        return left, right
+        return tuple(Potential.point_mass(self.grid, source, self.coupling, self.softening)
+                     for source in (self.source_left, self.source_right))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,14 +287,15 @@ class _Run:
                     raise SupportViolation(f"mass {outside:.3e} outside declared support at t={t}"
                                            f" (branch {psi.label!r})")
             self.thetas.append(DecoherenceObservable(inner_product(states[0], states[-1])).theta)
+            self.times.append(t)
+            for hole in self.holes:  # each keeps its own HolesimErrors
+                hole(t, states[0], states[-1])
         except HolesimError as exc:
             self.error = exc
-            return
-        self.times.append(t)
-        for hole in self.holes:
-            hole(t, states[0], states[-1])
 
-    def report(self) -> HoleReport:
+    @functools.cached_property
+    def baseline(self) -> HoleReport:
+        """The run's report, built once for all its holes."""
         if self.error:
             raise self.error
         return HoleReport(times=np.asarray(self.times, dtype=float),
@@ -312,11 +309,9 @@ def _stream(runs) -> list:
     handing each run its rows while any run still reads them."""
 
     def consume(t, rows, blowups) -> bool:
-        at = 0
+        rows, blowups = iter(rows), iter(blowups)
         for run in runs:
-            n = len(run.branches)
-            run(t, rows[at:at + n], blowups[at:at + n])
-            at += n
+            run(t, [next(rows) for _ in run.branches], [next(blowups) for _ in run.branches])
         return any(run.error is None for run in runs)
 
     stream_branches([psi for run in runs for psi in run.branches],
@@ -326,7 +321,7 @@ def _stream(runs) -> list:
 
 def run_baseline(config: HoleExperimentConfig) -> HoleReport:
     """Evolve both branches and report theta(t) at every snapshot."""
-    return _stream([_Run(config)])[0].report()
+    return _stream([_Run(config)])[0].baseline
 
 
 class _Hole:
@@ -355,9 +350,9 @@ class _Hole:
             if self.plan is None or phi.ramp(t) != self.plan.ramp:
                 self.plan = None  # the old plan's tables go before the next plan builds its own
                 self.plan = PushforwardPlan(phi, t, self.config.grid)
-            pushed = self._push(left, "psi_l'")
+            pushed = self._push(left)
             if self.config.two_sided:
-                right = self._push(right, "psi_r'")
+                right = self._push(right)
             elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
                 back_inside = self.overlap_masses[float(t)] = mass_in_region(pushed, self.mask)
                 if self.gated and back_inside > OVERLAP_MASS_TOL:
@@ -367,13 +362,10 @@ class _Hole:
         except HolesimError as exc:
             self.error, self.plan = exc, None
 
-    def _push(self, psi: WaveFunction, label: str) -> WaveFunction:
-        if self.plan.identity:
-            return psi  # identity fast path: keep the snapshot bit-exact
-        amps, size = self.plan.pushed(psi)
+    def _push(self, psi: WaveFunction) -> WaveFunction:
+        pushed, size = self.plan.pushed(psi, renormalize=True)  # the identity: psi itself
         self.drift = max(self.drift, abs(size - 1.0))
-        amps /= size  # in place: the bits of a division into a new array
-        return WaveFunction._adopt(psi.grid, amps, label)
+        return pushed
 
     def report(self, baseline: HoleReport) -> HoleReport:
         """The run's baseline report with this stage's series and diagnostics."""
@@ -402,7 +394,7 @@ def run_hole(config: HoleExperimentConfig, strict: bool = True) -> HoleReport:
     inside U at most 1e-6 after t1); sweeps over sub-threshold displacements
     disable it deliberately. A baseline error is raised first."""
     run, = _stream([_Run(config, [(config, strict)])])
-    return run.holes[0].report(run.report())
+    return run.holes[0].report(run.baseline)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,74 +423,40 @@ def _config_for(config: HoleExperimentConfig, parameter: str,
     return dataclasses.replace(config, diffeo=phi), False
 
 
-# Bytes a run may hold per snapshot and value, the Python objects of its
-# series and its result text (measured on 1D runs of 2001-10001 snapshots:
-# 0.82 KB a baseline, 1.6 KB a two-sided and 1.95 KB a one-sided hole run),
-# and for its config, parser and other small objects.
-SNAPSHOT_BYTES = 2560
-RUN_BYTES = 2**20
-
-
-def _peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2,
-                values: int = 1) -> float:
-    """Upper estimate of a run's peak bytes. In complex fields of the grid:
-    per branch evolved at once (a run's two, a sweep's largest group) its
-    stack, potential phase, packet and potential; one kinetic factor; a
-    pushed state and an intermediate per pushed branch; per value its
-    map's plan. A bump's plans add their sampler tables, each at most
-    SAMPLE_CHUNK_BYTES, and while one builds, one chunk's temporaries, the
-    spectral coefficients and their transform, and eight arrays of dim
-    floats per grid point. Besides, RUN_BYTES and SNAPSHOT_BYTES per
-    snapshot and value, at any stride."""
-    evolution = config.evolution
-    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
-    fields = 4 * branches + 1 + (2 * pushed + values if pushed else 0)
-    tables = 0
-    if pushed and config.diffeo.kind == "bump_displacement":
-        fields += 2 + 4 * config.grid.dim
-        tables = (values + 1) * SAMPLE_CHUNK_BYTES
-    return 16.0 * config.grid.size * fields + tables + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
-
-
 def _group_branches(config: HoleExperimentConfig, branches: int) -> int:
     """Most branches a sweep evolves in one call: as many of its
     ``branches`` as fit STACK_BYTES, but one value's pair at least."""
     return max(2, min(branches, STACK_BYTES // (16 * config.grid.size)))
 
 
-def _failed(value: float, exc: HolesimError) -> SweepEntry:
-    return SweepEntry(value, None, f"{type(exc).__name__}: {exc}")
-
-
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
-    """Hole runs across one swept parameter. Values whose derived configs
-    differ in the map only share one run, wherever they stand, each read by
-    its own hole stage. Runs of one EvolutionConfig evolve in groups, one
-    call each, while their branches (one at zero coupling) and a next pair
-    fit _group_branches. Per-run HolesimErrors, a blow-up among them, are
-    collected into their own values' entries; any other exception is a
-    bug and propagates. The entry order matches ``values``."""
+    """Hole runs across one swept parameter. Equal values share one hole
+    stage, and values whose derived configs differ in the map only share
+    one run, wherever they stand. Runs of one EvolutionConfig evolve in
+    groups, one call each, while their branches (one at zero coupling) and
+    a next pair fit _group_branches. Per-run HolesimErrors, a blow-up among
+    them, are collected into their own values' entries; any other
+    exception is a bug and propagates. Entries are in the order of ``values``."""
     if parameter not in SWEEP_PARAMETERS:
         raise DomainError(f"unknown sweep parameter {parameter!r}; use one of {SWEEP_PARAMETERS}")
     values = [float(value) for value in values]
-    entries, runs = {}, {}  # runs: the map-free fields of a derived config -> its values
-    for i, value in enumerate(values):
+    outcomes, runs = {}, {}  # runs: the map-free fields of a derived config -> its values
+    for value in dict.fromkeys(values):
         try:
             derived, strict = _config_for(config, parameter, value)
             key = tuple(getattr(derived, f.name) for f in dataclasses.fields(derived)
                         if f.name != "diffeo")
-            runs.setdefault(key, []).append((i, derived, strict))
+            runs.setdefault(key, []).append((value, derived, strict))
         except HolesimError as exc:  # collected, not raised
-            entries[i] = _failed(value, exc)
+            outcomes[value] = exc
 
     def finish(group) -> None:
-        _stream([run for run, _ in group])
-        for run, same in group:
-            for (i, *_), hole in zip(same, run.holes):
+        for run, same in zip(_stream([run for run, _ in group]), (same for _, same in group)):
+            for (value, *_), hole in zip(same, run.holes):
                 try:
-                    entries[i] = SweepEntry(values[i], hole.report(run.report()), None)
+                    outcomes[value] = hole.report(run.baseline)
                 except HolesimError as exc:
-                    entries[i] = _failed(values[i], exc)
+                    outcomes[value] = exc
 
     most, group = _group_branches(config, 2 * len(values)), []
     for same in runs.values():
@@ -509,7 +467,9 @@ def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEnt
         try:
             group.append((_Run(same[0][1], [(derived, strict) for _, derived, strict in same]), same))
         except HolesimError as exc:
-            entries.update((i, _failed(values[i], exc)) for i, *_ in same)
+            outcomes.update((value, exc) for value, *_ in same)
     if group:
         finish(group)
-    return [entries[i] for i in range(len(values))]
+    return [SweepEntry(value, outcome, None) if isinstance(outcome, HoleReport) else
+            SweepEntry(value, None, f"{type(outcome).__name__}: {outcome}")
+            for value, outcome in zip(values, map(outcomes.get, values))]

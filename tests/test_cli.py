@@ -16,9 +16,11 @@ import yaml
 from holesim import ConfigError, DomainError, HolesimError, sweep
 from holesim.cli import (
     EXIT_CODES,
+    PEAK_BYTES_LIMIT,
     RENDER_BLOCK_ROWS,
     ResultBundle,
     _harmonic_peak_bytes,
+    _hole_peak_bytes,
     _parse_grid_field,
     _recover_peak_bytes,
     execute,
@@ -30,7 +32,6 @@ from holesim.cli import (
     write_metric_field,
 )
 from holesim.harmonic import MetricField, harmonic_residual, minkowski_metric
-from holesim.hole_experiment import _peak_bytes
 from oracles import grid_field_rows, sinusoidal_metric_family
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -563,7 +564,7 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     its estimate counts SNAPSHOT_BYTES per snapshot and value, about 0.4 GB
     for the four values, and no snapshot fields: the 7 branches evolve in
     one call, and the sweep validates."""
-    from holesim.hole_experiment import PEAK_BYTES_LIMIT, _group_branches
+    from holesim.hole_experiment import _group_branches
 
     path = write_config(tmp_path, "long_sweep.yaml", {
         "experiment": "sweep",
@@ -575,8 +576,36 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     assert peak < 2**20
     config = load_config(path).settings[0]
     assert _group_branches(config, 8) == 8
-    assert 0.4e9 < _peak_bytes(config, 1, branches=8, values=4) < 0.5e9 < PEAK_BYTES_LIMIT
-    assert _peak_bytes(config, 1, branches=8, values=4) < 1.05 * 4 * _peak_bytes(config, 1)
+    assert 0.4e9 < _hole_peak_bytes(config, 1, branches=8, values=4) < 0.5e9 < PEAK_BYTES_LIMIT
+    assert _hole_peak_bytes(config, 1, branches=8, values=4) < 1.05 * 4 * _hole_peak_bytes(config, 1)
+
+
+@pytest.mark.parametrize("sections", [
+    {"grid": {"points": [128, 128], "extent": [40.0, 40.0]},
+     "packet": {"center": [-1.0, 0.0], "width": 1.0, "momentum": [0.0, 0.0]},
+     "potentials": {"left_position": [-2.5, 0.0], "right_position": [2.5, 0.0]},
+     "diffeo": {"kind": "bump_displacement", "center": [0.0, 0.0], "radius": 5.0,
+                "peak_shift": [1.0, 0.0], "t0": 0.8, "t1": 1.6, "two_sided": True},
+     "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]}},
+    {"grid": {"points": [64, 64, 64], "extent": [40.0] * 3},
+     "packet": {"center": [-1.0, 0.0, 0.0], "width": 1.9, "momentum": [0.0] * 3},
+     "potentials": {"left_position": [-2.5, 0.0, 0.0], "right_position": [2.5, 0.0, 0.0]},
+     "diffeo": {"shift": [17.5, 0.0, 0.0], "two_sided": True},
+     "support": {"lower": [-19.9] * 3, "upper": [19.9] * 3}},
+], ids=["bump_2d", "translation_3d"])
+def test_many_value_sweep_counts_one_group_of_plans(tmp_path, sections):
+    """A sweep's groups run one after another, and a translation's plan
+    holds no field: 1200 coupling values validate, of a 2D 128^2 bump,
+    whose plans keep up to 32 MiB of sampler tables each, or of a 3D 64^3
+    translation, of 4 MiB a field."""
+    values = [round(0.01 + 0.0001 * i, 6) for i in range(1200)]
+    path = write_config(tmp_path, "many.yaml", {
+        "experiment": "sweep", **sections, "sweep": {"parameter": "coupling", "values": values}})
+    code, peak = validate_traced(path)
+    assert code == 0
+    assert peak < 2**22
+    config, _, values = load_config(path).settings
+    assert _hole_peak_bytes(config, 2, 2, len(values)) < 0.25 * PEAK_BYTES_LIMIT
 
 
 def validate_traced(path):
@@ -631,8 +660,9 @@ def traced_run_peak(path):
 # 128^2 bump at seed 77, whose pushforward plans keep sampler tables; a short
 # two-sided 3D 64^3 run with a grid-aligned shift, whose stacks dominate; a
 # stride-1 1D baseline of 2001 snapshots and a stride-1 one-sided 1D hole
-# run, whose series and result text dominate; and a 2D 64^2 coupling sweep,
-# whose 9 branches evolve in three groups.
+# run, whose series and result text dominate; a 2D 64^2 coupling sweep,
+# whose 9 branches evolve in three groups; and a two-sided 2D 64^2 bump
+# coupling sweep, whose groups of two runs keep two plans at once.
 PEAK_HOLE_RUNS = {
     "bump_2d": {
         "experiment": "hole",
@@ -669,9 +699,19 @@ PEAK_HOLE_RUNS = {
         "grid": {"points": [64, 64], "extent": [40.0, 40.0]},
         "packet": {"center": [-1.0, 0.0], "width": 1.9},
         "potentials": {"left_position": [-2.5, 0.0], "right_position": [2.5, 0.0]},
-        "diffeo": {"shift": [17.5, 0.0]},
-        "support": {"lower": [-9.0, -9.0], "upper": [7.0, 9.0]},
+        "diffeo": {"shift": [17.5, 0.0], "two_sided": True},
+        "support": {"lower": [-19.0, -19.0], "upper": [19.0, 19.0]},
         "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.1, 0.2, 0.3]},
+    },
+    "bump_sweep_2d": {
+        "experiment": "sweep",
+        "grid": {"points": [64, 64], "extent": [40.0, 40.0]},
+        "packet": {"center": [-1.0, 0.0], "width": 1.9},
+        "potentials": {"left_position": [-2.5, 0.0], "right_position": [2.5, 0.0]},
+        "diffeo": {"kind": "bump_displacement", "center": [0.0, 0.0], "radius": 10.0,
+                   "peak_shift": [1.0, 0.0], "t0": 0.8, "t1": 1.6, "two_sided": True},
+        "support": {"lower": [-19.0, -19.0], "upper": [19.0, 19.0]},
+        "sweep": {"parameter": "coupling", "values": [0.05, 0.1, 0.2, 0.3]},
     },
 }
 
@@ -687,7 +727,7 @@ def hole_peak_estimate(config):
     else:
         settings, runs = config.settings, 1
     pushed = 0 if config.experiment == "baseline" else 2 if settings.two_sided else 1
-    return _peak_bytes(settings, pushed, _group_branches(settings, 2 * runs), runs)
+    return _hole_peak_bytes(settings, pushed, _group_branches(settings, 2 * runs), runs)
 
 
 def test_peak_estimates_bound_traced_runs(tmp_path):
@@ -712,8 +752,10 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
             "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
         assert traced_run_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
     for name, sections in PEAK_HOLE_RUNS.items():
-        path = write_config(tmp_path, f"{name}.yaml", sections)
-        assert traced_run_peak(path) < hole_peak_estimate(load_config(path)), name
+        path, bundles = write_config(tmp_path, f"{name}.yaml", sections), []
+        peak = traced_peak(lambda: bundles.append(execute(load_config(path))))
+        assert peak < hole_peak_estimate(load_config(path)), name
+        assert ",error:" not in "".join(bundles[0].files.get("sweep.csv", "")), name
 
 
 def test_hole_run_peak_does_not_grow_with_its_snapshot_count(tmp_path, monkeypatch):

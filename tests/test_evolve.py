@@ -5,6 +5,7 @@ import importlib
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -543,6 +544,25 @@ def test_first_failing_group_in_input_order_is_raised(monkeypatch, workers):
         evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
 
 
+def test_stepping_stops_once_the_first_branch_blew_up(monkeypatch):
+    """The first branch's blow-up settles the error raised, so the stack
+    steps on only to the next snapshot, not to t_end."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: 1)
+    states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 3)
+    poison_groups(monkeypatch, {3: 2})
+    poisoning, steps = evolve_module._advance, []
+
+    def counting(stack, half_v, kinetic):
+        steps.append(len(stack))
+        poisoning(stack, half_v, kinetic)
+
+    monkeypatch.setattr(evolve_module, "_advance", counting)
+    config = EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0, snapshot_stride=3)
+    with pytest.raises(NumericalBlowup, match="^evolution of branch 'b0' blew up at step 2$"):
+        evolve_branches(states, potentials, config)
+    assert steps == [3] * 3
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
     """Traced peaks of a two-branch 64^3 evolve with two snapshots, within
@@ -577,13 +597,12 @@ def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
 
 
 def test_workers_allocate_nothing_per_step(monkeypatch):
-    """Two parts of two 1D branches on two threads. The threads take strict
-    turns, so that each reads the traced array memory after a step while
-    the other waits at its own next step: every reading of a thread equals
-    its first. The turn taken at the last step of the thread that ends
-    first finds the other thread running on, so it is not compared. The
-    one snapshot is the last step's, so the parts meet only after every
-    reading.
+    """Two parts of two 1D branches on two threads, a snapshot at every
+    step. The threads take strict turns, so that each reads the traced
+    array memory after a step while the other waits, at its own next step
+    or at the parts' barrier: every reading equals the first. A thread
+    hands its turn over when it next waits, in either place. The consumer
+    runs at the barrier and keeps no array.
 
     Only numpy's array data counts: the interpreter keeps small objects in
     free lists, which move the total by a few bytes whatever the engine
@@ -592,14 +611,20 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
     monkeypatch.setattr(evolve_module, "STACK_BYTES", 16 * 1024)
     states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 4)
     n_steps = 20
-    config = EvolutionConfig(dt=0.05, t_end=n_steps * 0.05, mass=1.0, snapshot_stride=n_steps)
+    config = EvolutionConfig(dt=0.05, t_end=n_steps * 0.05, mass=1.0)
     real = evolve_module._advance
     turns = threading.Condition()
     order = []  # thread idents in the order of their first step
     handed = [0]  # turns handed over so far
+    owing = set()  # threads that stepped and have not yet handed over
     calls = [0, 0]
     readings = np.zeros((2, n_steps), dtype=np.int64)
     arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def hand_over(me):  # with turns held
+        if me in owing:
+            owing.discard(me)
+            handed[0] += 1
 
     def step_in_turn(stack, half_v, kinetic):
         me = threading.get_ident()
@@ -609,29 +634,44 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
             i = order.index(me)
             k = calls[i]
             calls[i] = k + 1
-            if 0 < k < n_steps:  # hand over the turn this thread took at its last step
-                handed[0] += 1
-            turns.notify_all()
-            while k < n_steps and (len(order) < 2 or handed[0] != 2 * k + i):
+            hand_over(me)
+            turns.notify_all()  # a first thread waits for the second
+            while len(order) < 2 or handed[0] != 2 * k + i:
                 assert turns.wait(30), "the other thread never handed over"
             real(stack, half_v, kinetic)
-            if k < n_steps:
-                traces = tracemalloc.take_snapshot().filter_traces(arrays).traces
-                readings[i, k] = sum(trace.size for trace in traces)
-            if k == n_steps - 1:  # no later step of this thread hands over
-                handed[0] += 1
-            turns.notify_all()
+            traces = tracemalloc.take_snapshot().filter_traces(arrays).traces
+            readings[i, k] = sum(trace.size for trace in traces)
+            owing.add(me)
+
+    class HandingBarrier(threading.Barrier):
+        def wait(self, timeout=None):
+            with turns:
+                hand_over(threading.get_ident())
+                turns.notify_all()
+            return super().wait(30)
+
+    norms = np.zeros((n_steps + 1, 4))
+    seen = [0]
+
+    def consume(t, rows, blowups):  # writes into norms, allocates no array
+        for b, row in enumerate(rows):
+            norms[seen[0], b] = np.vdot(row, row).real
+        seen[0] += 1
+        return True
 
     monkeypatch.setattr(evolve_module, "_advance", step_in_turn)
+    monkeypatch.setattr(evolve_module, "threading", SimpleNamespace(
+        Barrier=HandingBarrier, Thread=threading.Thread,
+        BrokenBarrierError=threading.BrokenBarrierError))
     tracemalloc.start()
     try:
-        trajectories = evolve_branches(states, potentials, config)
+        blowups = evolve_module.stream_branches(states, potentials, config, consume)
     finally:
         tracemalloc.stop()
-    assert (readings[0] == readings[0, 0]).all()
-    assert (readings[1, :-1] == readings[1, 0]).all()
+    assert (readings == readings[0, 0]).all()
     assert calls == [n_steps, n_steps]
-    assert [len(t.states) for t in trajectories] == [2] * 4
+    assert seen[0] == n_steps + 1 and blowups == [None] * 4
+    assert np.allclose(norms, norms[0], rtol=1e-12, atol=0.0)
 
 
 def test_stacked_branches_share_one_grid(grid256):

@@ -374,7 +374,7 @@ def test_sweep_repeated_value_evolves_once_wherever_it_repeats(monkeypatch):
     entries = sweep(default_config(), "coupling", [0.1, 0.2, 0.1])
     assert all(e.error is None for e in entries)
     assert calls == [4]
-    assert np.array_equal(entries[0].report.theta_hole, entries[2].report.theta_hole)
+    assert entries[0].report is entries[2].report  # one hole stage per distinct value
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow in the potential
