@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -148,7 +149,8 @@ class ResultBundle:
     payloads: a string (CSV tables) or a re-iterable of text blocks that
     write_bundle writes one at a time (grid fields). Every numeric entry
     must be finite and the JSON report must round-trip losslessly;
-    ``json_text`` is that report as result.json holds it.
+    ``json_text`` is that report as result.json holds it. The encoder
+    checks the numbers; only data it refuses is walked, to name the path.
     """
 
     experiment: str
@@ -158,10 +160,10 @@ class ResultBundle:
     json_text: str = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_finite(self.data, "data")
         try:
-            text = json.dumps(self.data, sort_keys=True, indent=2) + "\n"
+            text = json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except (TypeError, ValueError) as exc:
+            _check_finite(self.data, "data")
             raise DomainError("result data does not round-trip through JSON") from exc
         if json.loads(text) != self.data:
             raise DomainError("result data does not round-trip through JSON")
@@ -201,6 +203,16 @@ def _merge_section(name, user, errors):
     return base
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML that reads 1e-3 as a float, as JSON does, where YAML 1.1
+    reads a string: a result.json config echo loads as the config it echoes."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+
+
 def load_config(path) -> RunConfig:
     """Parse and fully validate a run config.
 
@@ -214,7 +226,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"])
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"config parse error in {path}: {exc}"])
     if not isinstance(raw, dict):
@@ -314,13 +326,12 @@ def _recover_peak_bytes(points: int, n: int) -> float:
 
 def _harmonic_peak_bytes(size: int) -> float:
     """Upper estimate of a check-harmonic run's peak bytes from its metric
-    file's size, at 4+ bytes per value ("0.0 "); the file is streamed, so no
-    text or line is held: the values; four full tensors of 1.6 values per
-    stored value (tensor, checked copy, inverse, densitized); and 2/3 value
-    at 25 bytes twice, the room of a residual text held twice: the text is
-    now written block by block, and a file of integer entries, under 4
-    bytes a value, needs that margin."""
-    return size / 4 * (8 + 4 * 1.6 * 8 + 2 * 2 / 3 * 25)
+    file's size, at 2+ bytes per value ("0 "), each 1.6 entries of a full
+    tensor (16 per 10 stored in 3+1 dimensions). The streamed text is not
+    held; the load and the check each hold three tensors at once (the parsed
+    tensor or the densitized inverse, the checked copy, the inverse) and
+    half a tensor more of determinants, weights and residual."""
+    return size / 2 * 1.6 * 8 * 3.5
 
 
 def _integer(section, key):
@@ -431,22 +442,38 @@ def render_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _theta_csv(times, thetas) -> str:
-    rows = [
-        (t, z.real, z.imag, abs(z), float(np.angle(z)))
-        for t, z in zip(times, thetas)
-    ]
-    return render_csv(("t", "re_theta", "im_theta", "abs_theta", "arg_theta"), rows)
+_THETA_KEYS = ("times", "re", "im", "abs", "arg")
+_SCALAR_DIAGNOSTICS = ("max_mass_outside_support", "softening", "max_pushforward_norm_drift")
+_SWEEP_COLUMNS = ("value", "abs_theta_baseline", "arg_theta_baseline", "abs_theta_hole",
+                  "contrast")
 
 
-def _theta_block(times, thetas) -> dict:
-    return {
-        "times": [float(t) for t in times],
-        "re": [float(z.real) for z in thetas],
-        "im": [float(z.imag) for z in thetas],
-        "abs": [float(abs(z)) for z in thetas],
-        "arg": [float(np.angle(z)) for z in thetas],
-    }
+def _polar(thetas) -> dict:
+    """abs and arg of each theta, the one place that computes them."""
+    return {"abs": [float(abs(z)) for z in thetas], "arg": [float(np.angle(z)) for z in thetas]}
+
+
+def _theta_block(times: np.ndarray, thetas: np.ndarray) -> dict:
+    return {"times": times.tolist(), "re": thetas.real.tolist(), "im": thetas.imag.tolist(),
+            **_polar(thetas)}
+
+
+def _final_entries(suffix: str, polar: dict) -> dict:
+    """abs_theta<suffix> and arg_theta<suffix> of the last theta in polar."""
+    return {f"abs_theta{suffix}": polar["abs"][-1], f"arg_theta{suffix}": polar["arg"][-1]}
+
+
+def _theta_csv(block: dict) -> str:
+    """theta_*.csv, rendered from the theta block that result.json holds."""
+    return render_csv(("t", "re_theta", "im_theta", "abs_theta", "arg_theta"),
+                      zip(*(block[key] for key in _THETA_KEYS)))
+
+
+def _sweep_csv(entries: list[dict]) -> str:
+    """sweep.csv, rendered from the entries that result.json holds."""
+    rows = [[entry.get(key, "") for key in _SWEEP_COLUMNS]
+            + [f"error:{entry['error']}" if "error" in entry else "ok"] for entry in entries]
+    return render_csv((*_SWEEP_COLUMNS, "status"), rows)
 
 
 def _matrix_block(matrix) -> dict:
@@ -455,13 +482,8 @@ def _matrix_block(matrix) -> dict:
 
 
 def _diagnostics_block(report: HoleReport) -> dict:
-    diag = dict(report.diagnostics)
-    out = {
-        "max_mass_outside_support": float(diag["max_mass_outside_support"]),
-        "softening": float(diag["softening"]),
-    }
-    if "max_pushforward_norm_drift" in diag:
-        out["max_pushforward_norm_drift"] = float(diag["max_pushforward_norm_drift"])
+    diag = report.diagnostics
+    out = {key: float(diag[key]) for key in _SCALAR_DIAGNOSTICS if key in diag}
     if diag.get("overlap_mass_after_ramp"):
         out["overlap_mass_after_ramp"] = {
             _fmt(t): float(m) for t, m in diag["overlap_mass_after_ramp"].items()
@@ -474,78 +496,41 @@ def _diagnostics_block(report: HoleReport) -> dict:
 # --- experiment pipelines ---------------------------------------------------
 
 
-def _execute_baseline(config: RunConfig) -> tuple[dict, dict]:
-    report = run_baseline(config.settings)
-    final = report.final_theta_baseline
-    data = {
-        "theta_baseline": _theta_block(report.times, report.theta_baseline),
-        "final": {
-            "abs_theta": abs(final),
-            "arg_theta": float(np.angle(final)),
-            "density_matrix": _matrix_block(density_matrix(final).entries),
-        },
-        "diagnostics": _diagnostics_block(report),
-    }
-    files = {"theta_baseline.csv": _theta_csv(report.times, report.theta_baseline)}
-    return data, files
-
-
-def _execute_hole(config: RunConfig) -> tuple[dict, dict]:
-    report = run_hole(config.settings)
-    final_b = report.final_theta_baseline
-    final_h = report.final_theta_hole
-    data = {
-        "two_sided": report.config.two_sided,
-        "theta_baseline": _theta_block(report.times, report.theta_baseline),
-        "theta_hole": _theta_block(report.times, report.theta_hole),
-        "contrast": float(report.contrast),
-        "final": {
-            "abs_theta_baseline": abs(final_b),
-            "arg_theta_baseline": float(np.angle(final_b)),
-            "abs_theta_hole": abs(final_h),
-            "arg_theta_hole": float(np.angle(final_h)),
-            "density_matrix_baseline": _matrix_block(density_matrix(final_b).entries),
-            "density_matrix_hole": _matrix_block(density_matrix(final_h).entries),
-        },
-        "diagnostics": _diagnostics_block(report),
-    }
-    files = {
-        "theta_baseline.csv": _theta_csv(report.times, report.theta_baseline),
-        "theta_hole.csv": _theta_csv(report.times, report.theta_hole),
-    }
+def _execute_run(config: RunConfig) -> tuple[dict, dict]:
+    """A baseline or a hole run. A hole run adds the theta_hole series,
+    two_sided and contrast, and suffixes each final key with its series."""
+    hole = config.experiment == "hole"
+    report = (run_hole if hole else run_baseline)(config.settings)
+    series = {"baseline": report.theta_baseline}
+    if hole:
+        series["hole"] = report.theta_hole
+    data, files, final = {}, {}, {}
+    for name, thetas in series.items():
+        block = _theta_block(report.times, thetas)
+        suffix = f"_{name}" if hole else ""
+        data[f"theta_{name}"] = block
+        files[f"theta_{name}.csv"] = _theta_csv(block)
+        final.update(_final_entries(suffix, block))
+        final[f"density_matrix{suffix}"] = _matrix_block(density_matrix(thetas[-1]).entries)
+    data.update(final=final, diagnostics=_diagnostics_block(report))
+    if hole:
+        data.update(two_sided=report.config.two_sided, contrast=float(report.contrast))
     return data, files
 
 
 def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
     hole_config, parameter, values = config.settings
-    entries = sweep(hole_config, parameter, values)
-    rows = []
-    per_value = []
-    for entry in entries:
-        if entry.report is None:
-            rows.append((entry.value, "", "", "", "", f"error:{entry.error}"))
-            per_value.append({"value": entry.value, "error": entry.error})
+    entries = []
+    for entry in sweep(hole_config, parameter, values):
+        report = entry.report
+        if report is None:
+            entries.append({"value": entry.value, "error": entry.error})
             continue
-        fb, fh = entry.report.final_theta_baseline, entry.report.final_theta_hole
-        rows.append((entry.value, abs(fb), float(np.angle(fb)), abs(fh),
-                     entry.report.contrast, "ok"))
-        per_value.append({
-            "value": entry.value,
-            "abs_theta_baseline": abs(fb),
-            "arg_theta_baseline": float(np.angle(fb)),
-            "abs_theta_hole": abs(fh),
-            "arg_theta_hole": float(np.angle(fh)),
-            "contrast": entry.report.contrast,
-        })
-    data = {"parameter": parameter, "entries": per_value}
-    files = {
-        "sweep.csv": render_csv(
-            ("value", "abs_theta_baseline", "arg_theta_baseline", "abs_theta_hole",
-             "contrast", "status"),
-            rows,
-        )
-    }
-    return data, files
+        entries.append({"value": entry.value,
+                        **_final_entries("_baseline", _polar([report.final_theta_baseline])),
+                        **_final_entries("_hole", _polar([report.final_theta_hole])),
+                        "contrast": report.contrast})
+    return {"parameter": parameter, "entries": entries}, {"sweep.csv": _sweep_csv(entries)}
 
 
 def _execute_recover(config: RunConfig) -> tuple[dict, dict]:
@@ -596,8 +581,8 @@ _SCENARIO = ("grid", "packet", "potentials", "evolution")
 # that builds its settings from them, appending what it refuses to the shared
 # error list and raising a ConfigError only where it can check no further; its pipeline.
 _KINDS = {
-    "baseline": ((*_SCENARIO, "support"), _read_hole, _execute_baseline),
-    "hole": ((*_SCENARIO, "diffeo", "support"), _read_hole, _execute_hole),
+    "baseline": ((*_SCENARIO, "support"), _read_hole, _execute_run),
+    "hole": ((*_SCENARIO, "diffeo", "support"), _read_hole, _execute_run),
     "sweep": ((*_SCENARIO, "diffeo", "support", "sweep"), _read_sweep, _execute_sweep),
     "recover-background": (("recover",), _read_recover, _execute_recover),
     "check-harmonic": (("harmonic",), _read_harmonic, _execute_harmonic),

@@ -1,6 +1,7 @@
 """Config loading, validation aggregation, pipelines, serialization
 contracts, and byte determinism."""
 
+import dataclasses
 import importlib.util
 import json
 import re
@@ -162,6 +163,70 @@ def test_sweep_command_and_kind_check(tmp_path):
     # a baseline config is refused by the sweep command
     base_path = small_baseline(tmp_path, "not_sweep")
     assert main(["sweep", "--config", str(base_path)]) == EXIT_CODES[ConfigError]
+
+
+def test_sweep_error_row_through_the_cli(tmp_path):
+    """A mass sweep that validates, then leaves its support at run time for
+    its light value: that value is an error row of sweep.csv and an error
+    entry of result.json, and the other value still runs."""
+    out = tmp_path / "err_out"
+    path = write_config(tmp_path, "err.yaml", {
+        "experiment": "sweep",
+        "output_dir": str(out),
+        "evolution": {"t_end": 2.0},
+        "sweep": {"parameter": "mass", "values": [4.0, 0.05]},
+    })
+    assert main(["run", "--config", str(path)]) == 0
+    error = "SupportViolation: mass 5.183e-02 outside declared support at t=0.4 (branch 'psi_l')"
+    header, ok_row, error_row = (out / "sweep.csv").read_text().splitlines()
+    assert ok_row.startswith("4.0,") and ok_row.endswith(",ok")
+    assert error_row == f"0.05,,,,,error:{error}"
+    entries = json.loads((out / "result.json").read_text())["entries"]
+    assert entries[1] == {"error": error, "value": 0.05}
+    assert "error" not in entries[0]
+
+
+def csv_columns(path) -> dict:
+    """The columns of a CSV table by header name, as text."""
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+def bits(values) -> list[str]:
+    """The exact bits of each number, whether given as float or as text."""
+    return [float(value).hex() for value in values]
+
+
+def test_csv_tables_hold_the_numbers_of_result_json(tmp_path):
+    """theta_*.csv and sweep.csv parse to the floats of result.json's theta
+    blocks and sweep entries, bit for bit, for a baseline, a hole run and a
+    sweep."""
+    short = {"grid": {"points": 256, "extent": 40.0},
+             "evolution": {"dt": 0.05, "t_end": 2.0, "mass": 4.0, "snapshot_stride": 4}}
+    theta_columns = {"t": "times", "re_theta": "re", "im_theta": "im",
+                     "abs_theta": "abs", "arg_theta": "arg"}
+    for experiment, series in (("baseline", ["baseline"]), ("hole", ["baseline", "hole"])):
+        out = tmp_path / experiment
+        path = write_config(tmp_path, f"{experiment}.yaml",
+                            {"experiment": experiment, "output_dir": str(out), **short})
+        assert main(["run", "--config", str(path)]) == 0
+        report = json.loads((out / "result.json").read_text())
+        for name in series:
+            columns = csv_columns(out / f"theta_{name}.csv")
+            assert set(columns) == set(theta_columns)
+            for column, key in theta_columns.items():
+                assert bits(columns[column]) == bits(report[f"theta_{name}"][key])
+    out = tmp_path / "sweep"
+    path = write_config(tmp_path, "sweep.yaml", {
+        "experiment": "sweep", "output_dir": str(out), **short,
+        "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.2]}})
+    assert main(["run", "--config", str(path)]) == 0
+    entries = json.loads((out / "result.json").read_text())["entries"]
+    columns = csv_columns(out / "sweep.csv")
+    assert columns["status"] == ("ok",) * len(entries)
+    for column in ("value", "abs_theta_baseline", "arg_theta_baseline", "abs_theta_hole",
+                   "contrast"):
+        assert bits(columns[column]) == bits(entry[column] for entry in entries)
 
 
 def test_recover_background_outputs(tmp_path):
@@ -385,15 +450,23 @@ def test_result_bundle_rejects_nonfinite():
 
 
 def test_execute_validates_the_result_once(tmp_path, monkeypatch):
+    """The JSON encoder checks a result: a finite one is never walked; one
+    that the encoder refuses is walked once, to name its first bad value."""
     import holesim.cli as cli
 
-    real = cli._check_finite
+    real_check, real_run = cli._check_finite, cli.run_baseline
     roots = []
 
     def counting(node, path):
         if path == "data":
             roots.append(node)
-        return real(node, path)
+        return real_check(node, path)
+
+    def last_theta_nan(settings):
+        report = real_run(settings)
+        thetas = report.theta_baseline.copy()
+        thetas[-1] = complex("nan")
+        return dataclasses.replace(report, theta_baseline=thetas)
 
     monkeypatch.setattr(cli, "_check_finite", counting)
     path = write_config(tmp_path, "baseline.yaml", {
@@ -401,8 +474,12 @@ def test_execute_validates_the_result_once(tmp_path, monkeypatch):
         "evolution": {"t_end": 0.2, "snapshot_stride": 5},
     })
     bundle = cli.execute(load_config(path))
-    assert len(roots) == 1 and roots[0] is bundle.data
+    assert roots == []
     assert bundle.wall_time_s > 0
+    monkeypatch.setattr(cli, "run_baseline", last_theta_nan)
+    with pytest.raises(DomainError, match=r"^non-finite value at data\.theta_baseline\.re\[2\]$"):
+        cli.execute(load_config(path))
+    assert len(roots) == 1
 
 
 def test_result_bundle_roundtrip_guard():
