@@ -54,7 +54,7 @@ from .errors import (
 )
 # evolve stays importable here: bench/layers.py wraps it by name.
 from .evolve import Potential, evolve, evolve_branches  # noqa: F401
-from .grid import SAMPLE_CHUNK_BYTES, Grid, _as_tuple, check_packet_width, inner_product
+from .grid import Grid, _as_tuple, check_packet_width, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
     DEFAULT_SCENARIO,
@@ -62,9 +62,9 @@ from .hole_experiment import (
     HoleExperimentConfig,
     HoleReport,
     _config_for,
-    _group_branches,
     config_from_sections,
     default_config,
+    peak_bytes,
     run_baseline,
     run_hole,
     sweep,
@@ -198,9 +198,16 @@ def _merge_section(name, user, errors):
     for key, value in user.items():
         if key not in base:
             errors.append(f"{name}.{key}: unknown key")
+        elif (all(type(v) in (int, float) for v in _listed(base[key]))  # numbers, no bool
+              and any(isinstance(v, str) for v in _listed(value))):
+            errors.append(f"{name}.{key}: must be a number, got {value!r}")
         else:
             base[key] = value
     return base
+
+
+def _listed(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -283,38 +290,9 @@ def load_config(path) -> RunConfig:
     return RunConfig(experiment, output_dir, tuple(sorted(formats)), echo, settings)
 
 
-# Largest estimated peak of a run that validate accepts: _hole_peak_bytes,
-# _recover_peak_bytes or _harmonic_peak_bytes.
+# Largest estimated peak of a run that validate accepts: hole_experiment's
+# peak_bytes, _recover_peak_bytes or _harmonic_peak_bytes.
 PEAK_BYTES_LIMIT = 4 * 2**30
-# Bytes a hole run may hold per snapshot and value, the Python objects of its
-# series and its result text (measured on 1D runs of 2001-10001 snapshots:
-# 0.82 KB a baseline, 1.6 KB a two-sided and 1.95 KB a one-sided hole run),
-# and for its config, parser and other small objects.
-SNAPSHOT_BYTES = 2560
-RUN_BYTES = 2**20
-
-
-def _hole_peak_bytes(config: HoleExperimentConfig, pushed: int, branches: int = 2,
-                     values: int = 1) -> float:
-    """Upper estimate of a hole run's peak bytes. In complex fields of the grid:
-    per branch evolved at once (a run's two, a sweep's largest group) its
-    stack, potential phase, packet and potential; one kinetic factor; a
-    pushed state and an intermediate per pushed branch; no field for a
-    translation's plan. A bump's plans, one per run of a group (a bump is
-    not displacement-swept, and equal values share one), keep each its
-    mask, weights and preimages, at most 1 + dim/2 fields, and
-    sampler tables of at most SAMPLE_CHUNK_BYTES; while one builds, one
-    chunk's temporaries, the spectral coefficients and their transform,
-    and eight arrays of dim floats per grid point. Besides, RUN_BYTES and
-    SNAPSHOT_BYTES per snapshot and value, at any stride."""
-    evolution, dim = config.evolution, config.grid.dim
-    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
-    fields, tables = 4 * branches + 1 + 2 * pushed, 0
-    if pushed and config.diffeo.kind == "bump_displacement":
-        plans = min(values, (branches + 1) // 2)  # a group's runs: pairs, and one at zero coupling
-        fields += 2 + 4 * dim + plans * (1 + dim / 2)
-        tables = (plans + 1) * SAMPLE_CHUNK_BYTES
-    return 16.0 * config.grid.size * fields + tables + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
 
 
 def _recover_peak_bytes(points: int, n: int) -> float:
@@ -351,9 +329,9 @@ def _fits(sized: str, peak: float, errors) -> bool:
     return peak <= PEAK_BYTES_LIMIT
 
 
-def _read_hole(sections, errors, runs: int = 1) -> HoleExperimentConfig:
+def _read_hole(sections, errors) -> HoleExperimentConfig:
     """The config of a baseline run (no diffeo section: the identity), a hole
-    run or a sweep of ``runs`` values; only the CLI refuses a one-sided bump."""
+    run or a sweep, whose estimate _read_sweep checks; only the CLI refuses a one-sided bump."""
     config = config_from_sections({"diffeo": {"kind": "identity", "two_sided": False}, **sections})
     try:
         check_packet_width(config.grid, config.packet_width)  # set or default
@@ -362,10 +340,8 @@ def _read_hole(sections, errors, runs: int = 1) -> HoleExperimentConfig:
     if config.diffeo.kind == "bump_displacement" and not config.two_sided:
         errors.append("diffeo: a one-sided bump_displacement cannot move the branch out of its"
                       " support, as the gate needs; set two_sided: true for the two-sided control")
-    # A sweep's branches evolve in groups: its estimate counts the largest.
-    pushed = 0 if "diffeo" not in sections else 2 if config.two_sided else 1
-    _fits(f"grid: a run on {config.grid.shape} points",
-          _hole_peak_bytes(config, pushed, _group_branches(config, 2 * runs), runs), errors)
+    if "sweep" not in sections:
+        _fits(f"grid: a run on {config.grid.shape} points", peak_bytes(config), errors)
     return config
 
 
@@ -381,13 +357,15 @@ def _read_sweep(sections, errors) -> tuple[HoleExperimentConfig, str, tuple]:
     except (TypeError, ValueError) as exc:
         errors.append(f"sweep.values: {exc}")
         values = ()
-    config = _read_hole(sections, errors, len(values))
+    config, derived = _read_hole(sections, errors), []
     if parameter in SWEEP_PARAMETERS:
         for i, value in enumerate(values):
             try:
-                _config_for(config, parameter, value)
+                derived.append(_config_for(config, parameter, value)[0])
             except HolesimError as exc:
                 errors.append(f"sweep.values[{i}]: {exc}")
+    _fits(f"grid: a run on {config.grid.shape} points",  # a value may push where config does not
+          max(peak_bytes(one, len(values)) for one in (config, *derived)), errors)
     return config, parameter, values
 
 
@@ -514,7 +492,8 @@ def _execute_run(config: RunConfig) -> tuple[dict, dict]:
         final[f"density_matrix{suffix}"] = _matrix_block(density_matrix(thetas[-1]).entries)
     data.update(final=final, diagnostics=_diagnostics_block(report))
     if hole:
-        data.update(two_sided=report.config.two_sided, contrast=float(report.contrast))
+        data.update(two_sided=report.config.two_sided,
+                    contrast=final["abs_theta_baseline"] - final["abs_theta_hole"])
     return data, files
 
 
@@ -526,10 +505,10 @@ def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
         if report is None:
             entries.append({"value": entry.value, "error": entry.error})
             continue
-        entries.append({"value": entry.value,
-                        **_final_entries("_baseline", _polar([report.final_theta_baseline])),
-                        **_final_entries("_hole", _polar([report.final_theta_hole])),
-                        "contrast": report.contrast})
+        final = {**_final_entries("_baseline", _polar([report.final_theta_baseline])),
+                 **_final_entries("_hole", _polar([report.final_theta_hole]))}
+        entries.append({"value": entry.value, **final,
+                        "contrast": final["abs_theta_baseline"] - final["abs_theta_hole"]})
     return {"parameter": parameter, "entries": entries}, {"sweep.csv": _sweep_csv(entries)}
 
 

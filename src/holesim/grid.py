@@ -96,8 +96,8 @@ class Grid:
         return _axes(self)
 
     def coordinate_mesh(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid ('ij' indexing) coordinate arrays, one per axis."""
-        return _coordinate_mesh(self)
+        """Meshgrid ('ij' indexing) coordinate arrays, one per axis, built per call."""
+        return tuple(np.meshgrid(*_axes(self), indexing="ij"))
 
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         """Per-axis angular wavenumbers matching numpy's FFT layout."""
@@ -117,14 +117,6 @@ def _axes(grid: Grid) -> tuple[np.ndarray, ...]:
         ax.flags.writeable = False
         out.append(ax)
     return tuple(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _coordinate_mesh(grid: Grid) -> tuple[np.ndarray, ...]:
-    mesh = np.meshgrid(*_axes(grid), indexing="ij")
-    for m in mesh:
-        m.flags.writeable = False
-    return tuple(mesh)
 
 
 @functools.lru_cache(maxsize=64)
@@ -315,19 +307,19 @@ def spectral_sample(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.nd
     The interpolant is the band-limited function whose FFT coefficients
     match the samples, evaluated exactly; it is periodic, so points need
     not be wrapped into the domain. Points are evaluated in chunks whose
-    temporaries fit in SAMPLE_CHUNK_BYTES.
+    temporaries fit in SAMPLE_CHUNK_BYTES, by a SpectralSampler.
     """
-    return SpectralSampler(grid, points, keep=False)(values)
+    return SpectralSampler(grid, points)(values)
 
 
 class SpectralSampler:
     """:func:`spectral_sample` at fixed points, for any number of fields.
-    With ``keep``, the plane-wave tables of the leading chunks are built
-    once and kept while they total at most SAMPLE_CHUNK_BYTES; the other
-    chunks build theirs per field. Each field is contracted on its own,
+    The plane-wave tables of the leading chunks are built once and kept
+    while they total at most SAMPLE_CHUNK_BYTES; the other chunks build
+    theirs per field. Each field is contracted on its own,
     chunk by chunk, so the bits are those of a lone spectral_sample."""
 
-    def __init__(self, grid: Grid, points: np.ndarray, keep: bool = True):
+    def __init__(self, grid: Grid, points: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != grid.dim:
             raise GridMismatch(f"points have {points.shape[1]} components, grid dim is {grid.dim}")
@@ -335,8 +327,7 @@ class SpectralSampler:
         # (N0, N1, P) intermediate, complex128 throughout.
         point_bytes = 16 * (sum(grid.shape) + int(np.prod(grid.shape[:-1])))
         chunk = max(1, SAMPLE_CHUNK_BYTES // point_bytes)
-        self.grid, self.points, self._chunks = grid, points, []
-        budget = SAMPLE_CHUNK_BYTES if keep else 0
+        self.grid, self.points, self._chunks, budget = grid, points, [], SAMPLE_CHUNK_BYTES
         for start in range(0, len(points), chunk):
             part = slice(start, start + chunk)
             budget -= 16 * len(points[part]) * sum(grid.shape)

@@ -34,7 +34,8 @@ from .errors import (ConfigError, DomainError, HolesimError, InsufficientDisplac
                      NormViolation, SupportViolation)
 from .evolve import (SNAPSHOT_NORM_TOL, STACK_BYTES, EvolutionConfig, Potential,  # noqa: F401
                      evolve, stream_branches)
-from .grid import Grid, Region, WaveFunction, _as_tuple, gaussian_packet, inner_product, norm
+from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, gaussian_packet,
+                   inner_product, norm)
 from .observable import DecoherenceObservable, theta_time_series  # noqa: F401
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "SweepEntry",
     "config_from_sections",
     "default_config",
+    "peak_bytes",
     "run_baseline",
     "run_hole",
     "sweep",
@@ -143,12 +145,6 @@ class HoleReport:
     @property
     def final_theta_hole(self) -> complex | None:
         return None if self.theta_hole is None else complex(self.theta_hole[-1])
-
-    @property
-    def contrast(self) -> float | None:
-        """|theta_baseline(T)| - |theta_hole(T)|."""
-        hole = self.final_theta_hole
-        return None if hole is None else abs(self.final_theta_baseline) - abs(hole)
 
 
 def _forward_evolution(section) -> EvolutionConfig:
@@ -290,8 +286,8 @@ class _Run:
             self.times.append(t)
             for hole in self.holes:  # each keeps its own HolesimErrors
                 hole(t, states[0], states[-1])
-        except HolesimError as exc:
-            self.error = exc
+        except HolesimError as exc:  # kept without its frames, which hold the rows
+            self.error = exc.with_traceback(None)
 
     @functools.cached_property
     def baseline(self) -> HoleReport:
@@ -359,8 +355,8 @@ class _Hole:
                     raise InsufficientDisplacement(f"displaced branch keeps mass {back_inside:.3e}"
                                                    f" inside the original support at t={t}")
             self.thetas.append(DecoherenceObservable(inner_product(pushed, right)).theta)
-        except HolesimError as exc:
-            self.error, self.plan = exc, None
+        except HolesimError as exc:  # kept without its frames, which hold the pushed states
+            self.error, self.plan = exc.with_traceback(None), None
 
     def _push(self, psi: WaveFunction) -> WaveFunction:
         pushed, size = self.plan.pushed(psi, renormalize=True)  # the identity: psi itself
@@ -429,6 +425,39 @@ def _group_branches(config: HoleExperimentConfig, branches: int) -> int:
     return max(2, min(branches, STACK_BYTES // (16 * config.grid.size)))
 
 
+# Bytes a hole run may hold per snapshot and value, the Python objects of its
+# series and its result text (measured on 1D runs of 2001-10001 snapshots:
+# 0.82 KB a baseline, 1.6 KB a two-sided and 1.95 KB a one-sided hole run),
+# and for its config, parser and other small objects.
+SNAPSHOT_BYTES = 2560
+RUN_BYTES = 2**20
+
+
+def peak_bytes(config: HoleExperimentConfig, values: int = 1) -> float:
+    """Upper estimate of the peak bytes of a run of ``config``, or of one
+    value's ``config`` in a sweep of ``values``. In complex fields of the
+    grid: per branch evolved at once (a run's two, a sweep's largest group)
+    its stack, potential phase, packet and potential; one kinetic factor; a
+    pushed state and an intermediate per pushed branch, none where the map
+    is the identity at t1 (its plan returns psi itself); no field for a
+    translation's plan. A bump's plans, one per run of a group (equal values
+    share one), keep each its mask, weights and preimages, at most 1 + dim/2
+    fields, and sampler tables of at most SAMPLE_CHUNK_BYTES; while one
+    builds, one chunk's temporaries, the spectral coefficients and their
+    transform, and eight arrays of dim floats per grid point. Besides,
+    RUN_BYTES and SNAPSHOT_BYTES per snapshot and value, at any stride."""
+    phi, evolution, dim = config.diffeo, config.evolution, config.grid.dim
+    pushed = 0 if phi.is_identity_at(phi.t1) else 2 if config.two_sided else 1
+    branches = _group_branches(config, 2 * values)
+    snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
+    fields, tables = 4 * branches + 1 + 2 * pushed, 0
+    if pushed and phi.kind == "bump_displacement":
+        plans = min(values, (branches + 1) // 2)  # a group's runs: pairs, and one at zero coupling
+        fields += 2 + 4 * dim + plans * (1 + dim / 2)
+        tables = (plans + 1) * SAMPLE_CHUNK_BYTES
+    return 16.0 * config.grid.size * fields + tables + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
+
+
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
     """Hole runs across one swept parameter. Equal values share one hole
     stage, and values whose derived configs differ in the map only share
@@ -455,8 +484,8 @@ def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEnt
             for (value, *_), hole in zip(same, run.holes):
                 try:
                     outcomes[value] = hole.report(run.baseline)
-                except HolesimError as exc:
-                    outcomes[value] = exc
+                except HolesimError as exc:  # its frames would keep the group's fields
+                    outcomes[value] = exc.with_traceback(None)
 
     most, group = _group_branches(config, 2 * len(values)), []
     for same in runs.values():
@@ -467,7 +496,7 @@ def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEnt
         try:
             group.append((_Run(same[0][1], [(derived, strict) for _, derived, strict in same]), same))
         except HolesimError as exc:
-            outcomes.update((value, exc) for value, *_ in same)
+            outcomes.update((value, exc.with_traceback(None)) for value, *_ in same)
     if group:
         finish(group)
     return [SweepEntry(value, outcome, None) if isinstance(outcome, HoleReport) else

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 import yaml
 
-from holesim import ConfigError, DomainError, HolesimError, sweep
+from holesim import ConfigError, DomainError, HolesimError, default_config, sweep
 from holesim.cli import (
     EXIT_CODES,
     PEAK_BYTES_LIMIT,
     RENDER_BLOCK_ROWS,
     ResultBundle,
     _harmonic_peak_bytes,
-    _hole_peak_bytes,
     _parse_grid_field,
     _recover_peak_bytes,
     execute,
@@ -33,6 +32,7 @@ from holesim.cli import (
     write_metric_field,
 )
 from holesim.harmonic import MetricField, harmonic_residual, minkowski_metric
+from holesim.hole_experiment import _group_branches, peak_bytes
 from oracles import grid_field_rows, sinusoidal_metric_family
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -641,8 +641,6 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     its estimate counts SNAPSHOT_BYTES per snapshot and value, about 0.4 GB
     for the four values, and no snapshot fields: the 7 branches evolve in
     one call, and the sweep validates."""
-    from holesim.hole_experiment import _group_branches
-
     path = write_config(tmp_path, "long_sweep.yaml", {
         "experiment": "sweep",
         "evolution": {"dt": 0.001, "t_end": 40.0, "snapshot_stride": 1},
@@ -653,8 +651,8 @@ def test_sweep_that_fits_one_value_at_a_time_validates(tmp_path):
     assert peak < 2**20
     config = load_config(path).settings[0]
     assert _group_branches(config, 8) == 8
-    assert 0.4e9 < _hole_peak_bytes(config, 1, branches=8, values=4) < 0.5e9 < PEAK_BYTES_LIMIT
-    assert _hole_peak_bytes(config, 1, branches=8, values=4) < 1.05 * 4 * _hole_peak_bytes(config, 1)
+    assert 0.4e9 < peak_bytes(config, values=4) < 0.5e9 < PEAK_BYTES_LIMIT
+    assert peak_bytes(config, values=4) < 1.05 * 4 * peak_bytes(config)
 
 
 @pytest.mark.parametrize("sections", [
@@ -682,7 +680,7 @@ def test_many_value_sweep_counts_one_group_of_plans(tmp_path, sections):
     assert code == 0
     assert peak < 2**22
     config, _, values = load_config(path).settings
-    assert _hole_peak_bytes(config, 2, 2, len(values)) < 0.25 * PEAK_BYTES_LIMIT
+    assert peak_bytes(config, len(values)) < 0.25 * PEAK_BYTES_LIMIT
 
 
 def validate_traced(path):
@@ -793,20 +791,6 @@ PEAK_HOLE_RUNS = {
 }
 
 
-def hole_peak_estimate(config):
-    """The load-time estimate of a baseline, hole or sweep config, as
-    cli._read_hole makes it."""
-    from holesim.hole_experiment import _group_branches
-
-    if config.experiment == "sweep":
-        settings, _, values = config.settings
-        runs = len(values)
-    else:
-        settings, runs = config.settings, 1
-    pushed = 0 if config.experiment == "baseline" else 2 if settings.two_sided else 1
-    return _hole_peak_bytes(settings, pushed, _group_branches(settings, 2 * runs), runs)
-
-
 def test_peak_estimates_bound_traced_runs(tmp_path):
     """The load-time estimates are upper bounds of what a run allocates,
     load and execute together: a static and an evolved recovery; a check
@@ -831,7 +815,10 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
     for name, sections in PEAK_HOLE_RUNS.items():
         path, bundles = write_config(tmp_path, f"{name}.yaml", sections), []
         peak = traced_peak(lambda: bundles.append(execute(load_config(path))))
-        assert peak < hole_peak_estimate(load_config(path)), name
+        config = load_config(path)
+        settings, _, values = (config.settings if config.experiment == "sweep"
+                               else (config.settings, None, [None]))
+        assert peak < peak_bytes(settings, len(values)), name
         assert ",error:" not in "".join(bundles[0].files.get("sweep.csv", "")), name
 
 
@@ -966,6 +953,27 @@ def test_two_sided_must_be_a_boolean(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
     assert "config error: diffeo.two_sided: must be true or false, got 'false'" \
         in capsys.readouterr().err
+
+
+def test_quoted_numbers_fail_validate(tmp_path, capsys):
+    """A quoted number is a string where the default is a number or a list
+    of numbers, alone or in a list: validate refuses each such key with the
+    config exit code, as it refuses a quoted boolean, where the run read
+    the string as a number and result.json echoed it as a string."""
+    path = write_config(tmp_path, "quoted.yaml", {
+        "experiment": "sweep",
+        "potentials": {"coupling": "0.1"},
+        "evolution": {"t_end": "0.4", "dt": "0.02"},
+        "packet": {"center": ["-1.0"]},
+        "sweep": {"values": [0.1, "0.2"]},
+    })
+    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    err = capsys.readouterr().err
+    for key, value in (("potentials.coupling", "'0.1'"), ("evolution.t_end", "'0.4'"),
+                       ("evolution.dt", "'0.02'"), ("packet.center", "['-1.0']"),
+                       ("sweep.values", "[0.1, '0.2']")):
+        assert f"config error: {key}: must be a number, got {value}" in err
+    assert err.count("must be a number") == 5
 
 
 @pytest.mark.parametrize("sections, message", [
@@ -1117,6 +1125,28 @@ def test_displacement_sweep_over_the_identity(tmp_path):
     phi = moved.report.config.diffeo
     assert (phi.t0, phi.t1) == (0.0, 1.0)
     assert np.array_equal(phi.shift, [2.0])
+
+
+def test_hole_estimate_counts_no_push_where_the_map_is_the_identity(tmp_path, monkeypatch):
+    """An identity plan returns psi itself: a hole run whose map is the
+    identity at t1 has the estimate of its baseline. A displacement sweep
+    from a zero shift is bounded by its largest value's estimate, which
+    pushes, as one from that shift is."""
+    base = load_config(write_config(tmp_path, "base.yaml", {"experiment": "baseline"})).settings
+    for diffeo in ({"kind": "identity"}, {"shift": 0.0}, {"shift": 0.0, "two_sided": True}):
+        hole = load_config(write_config(tmp_path, "hole.yaml", {
+            "experiment": "hole", "diffeo": diffeo})).settings
+        assert peak_bytes(hole) == peak_bytes(base) < peak_bytes(dataclasses.replace(
+            hole, diffeo=default_config().diffeo))
+    import holesim.cli as cli
+
+    estimates = []
+    monkeypatch.setattr(cli, "_fits", lambda sized, peak, errors: estimates.append(peak) or True)
+    for shift in (0.0, 17.5):
+        load_config(write_config(tmp_path, "sweep.yaml", {
+            "experiment": "sweep", "diffeo": {"shift": shift},
+            "sweep": {"parameter": "displacement", "values": [0.0, 17.5]}}))
+    assert estimates == [peak_bytes(default_config(), 2)] * 2
 
 
 @pytest.mark.parametrize("experiment", ["hole", "sweep"])
