@@ -109,12 +109,16 @@ class SpatialDiffeomorphism:
             raise DomainError("displacement_at applies to translation ramps only")
         return self.ramp(t) * np.asarray(self.shift)
 
-    def _bump_rho(self, points: np.ndarray) -> np.ndarray:
-        delta = points - np.asarray(self.center)[None, :]
-        return np.sqrt(np.sum(delta * delta, axis=1)) / self.radius
+    def _bump_rho(self, coords) -> np.ndarray:
+        """|x - center| / radius at one coordinate array per axis, broadcast
+        against each other, the squares summed in axis order."""
+        r2 = 0.0
+        for x, c in zip(coords, self.center):
+            r2 = r2 + (x - c) * (x - c)
+        return np.divide(np.sqrt(r2, out=r2), self.radius, out=r2)
 
     def _bump_displacement(self, points: np.ndarray, t: float) -> np.ndarray:
-        profile = self.ramp(t) * _bump_profile(self._bump_rho(points))
+        profile = self.ramp(t) * _bump_profile(self._bump_rho(points.T))
         return profile[:, None] * np.asarray(self.peak_shift)[None, :]
 
     def forward(self, points: np.ndarray, t: float) -> np.ndarray:
@@ -234,11 +238,6 @@ def make_bump_displacement(center, radius: float, peak_shift, t0: float,
     return phi
 
 
-def _grid_points(grid: Grid) -> np.ndarray:
-    mesh = grid.coordinate_mesh()
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _aligned_cells(offset: np.ndarray, grid: Grid) -> tuple[int, ...] | None:
     """Integer cell counts if the offset is grid-aligned on every axis."""
     cells = []
@@ -276,10 +275,12 @@ class PushforwardPlan:
         else:
             # The bump maps the open ball |x - center| < radius onto itself and
             # is the identity outside it. The test uses the radius ratio that
-            # the profile is computed from: other targets keep weight one.
-            targets = _grid_points(grid)
-            self.moved = phi._bump_rho(targets) < 1.0
-            preimages = phi.inverse(targets[self.moved], t)
+            # the profile is computed from, on the axes broadcast over the
+            # grid: other targets keep weight one, and get no coordinates.
+            inside = phi._bump_rho(np.ix_(*grid.axes())) < 1.0
+            self.moved = inside.ravel()
+            targets = np.stack([x[i] for x, i in zip(grid.axes(), np.nonzero(inside))], axis=-1)
+            preimages = phi.inverse(targets, t)
             self.weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
             self.sampler = SpectralSampler(grid, preimages)
 
@@ -375,7 +376,7 @@ def pushforward_potential(potential: Potential, phi: SpatialDiffeomorphism,
         moved = _moved_source(potential.source_position, phi, t, potential.grid.extent)
         return Potential.point_mass(potential.grid, moved,
                                     potential.coupling, potential.softening)
-    targets = _grid_points(potential.grid)
+    targets = np.stack([m.ravel() for m in potential.grid.coordinate_mesh()], axis=-1)
     preimages = phi.inverse(targets, t)
     values = potential.evaluate_at(preimages).reshape(potential.grid.shape)
     return Potential.tabulated(potential.grid, values)

@@ -19,7 +19,9 @@ the GIL. The calling thread allocates every part's stack and phase factor
 before any worker starts, so a worker allocates nothing (memory it freed
 would stay in its thread's malloc arena). No snapshot is stored: at each
 snapshot step the parts meet and the calling thread hands the stacks'
-read-only rows to a consumer. The core count never changes the bits.
+read-only rows to a consumer. Nor is any input kept: once the stacks and
+phases are built from the states and potentials, a stream holds only the
+states' labels and grid. The core count never changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -221,7 +223,16 @@ def _squared_wavenumbers(grid: Grid) -> np.ndarray:
 
 
 def _kinetic_phase(grid: Grid, dt: float, mass: float) -> np.ndarray:
-    return np.exp(-0.5j * _squared_wavenumbers(grid) * dt / mass)
+    """exp(-i |k|^2 dt / (2 m)) with the bits of the plain expression, built
+    in one complex array: the axis terms of |k|^2 are summed into it in axis
+    order, so no real |k|^2 field is held either."""
+    out = np.zeros(grid.shape, dtype=complex)
+    for k2 in np.ix_(*(k**2 for k in grid.wavenumbers())):
+        out += k2
+    out *= -0.5j
+    out *= dt
+    out /= mass
+    return np.exp(out, out=out)
 
 
 def _check_compatible(psi: WaveFunction, potential: Potential) -> np.ndarray:
@@ -314,6 +325,10 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
     went non-finite; that row alone fails, zeroed. Stepping stops once
     ``consume`` returns False. Returns ``blowups``.
 
+    Once the stacks and potential phases are built, the stream keeps only
+    the states' labels and grid: inputs in lists that the caller hands over
+    and does not keep are freed then, before the first step.
+
     The calling thread steps part 0, and one thread each further part. The
     parts meet at a barrier at each snapshot step and again after the
     consumer. The first exception of a part or the consumer in input order
@@ -335,8 +350,7 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
     if not (consume(0.0, [psi.amplitudes for psi in states], blowups)
             and states and snapshot_steps):  # nothing to step: nothing is allocated
         return blowups
-    grid, count = states[0].grid, len(states)
-    kinetic = _kinetic_phase(grid, config.dt, config.mass)
+    grid, count, labels = states[0].grid, len(states), [psi.label for psi in states]
     n_parts = min(count, _cores()) if 16 * grid.size * count > STACK_BYTES else 1
     bounds = [p * count // n_parts for p in range(n_parts + 1)]
     parts = []  # _advance's arguments per part
@@ -345,7 +359,10 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
         half_v = np.empty_like(stack)
         for out, potential in zip(half_v, potentials[lo:hi]):
             _half_potential_phase(potential.values, config.dt, out)
-        parts.append((stack, half_v, kinetic))
+        parts.append((stack, half_v))
+    del states, potentials, psi, potential  # from here on, their labels and grid only
+    kinetic = _kinetic_phase(grid, config.dt, config.mass)
+    parts = [(*part, kinetic) for part in parts]
     rows = [row for stack, *_ in parts for row in stack]
     for row in rows:
         row.flags.writeable = False
@@ -363,7 +380,7 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
                         stack[bad] = 0
                         for b in bounds[p] + np.flatnonzero(bad):
                             blowups[b] = blowups[b] or NumericalBlowup(
-                                f"evolution of branch {states[b].label!r} blew up at step {k}")
+                                f"evolution of branch {labels[b]!r} blew up at step {k}")
                 if last == snapshot_steps[-1]:
                     stack.flags.writeable = False  # stepped no further: its rows may be kept
                 meet()

@@ -255,14 +255,16 @@ class _Run:
     """The consumer of one config's branches, two from one packet or one at
     zero coupling: at each snapshot each branch's norm drift and support
     tail, left before right, theta, and a _Hole per (config, strict) pair
-    in ``holes``. Its first HolesimError fails the run and its holes."""
+    in ``holes``. Its first HolesimError fails the run and its holes. Its
+    ``states`` and ``potentials`` are given up to the stream that evolves them."""
 
     def __init__(self, config: HoleExperimentConfig, holes=()):
         self.config, self.mask = config, config.support.mask(config.grid)
         pair = config.branch_potentials()
         self.potentials = pair[:1] if np.array_equal(pair[0].values, pair[1].values) else pair
+        self.labels, self.softening = ("psi_l", "psi_r")[:len(self.potentials)], pair[0].softening
         psi0 = config.initial_packet()
-        self.branches = [psi0.with_label(label) for label in ("psi_l", "psi_r")[:len(self.potentials)]]
+        self.states = [psi0.with_label(label) for label in self.labels]
         self.holes = [_Hole(derived, strict, self.mask) for derived, strict in holes]
         self.times, self.thetas, self.worst, self.error = [], [], 0.0, None
 
@@ -271,8 +273,8 @@ class _Run:
         if self.error:
             return
         try:
-            states = [WaveFunction._adopt(self.config.grid, row, psi.label)
-                      for row, psi in zip(rows, self.branches)]
+            states = [WaveFunction._adopt(self.config.grid, row, label)
+                      for row, label in zip(rows, self.labels)]
             for psi in states:
                 size = norm(psi)
                 if abs(size - 1.0) > SNAPSHOT_NORM_TOL:
@@ -297,21 +299,23 @@ class _Run:
         return HoleReport(times=np.asarray(self.times, dtype=float),
                           theta_baseline=np.array(self.thetas, dtype=complex), theta_hole=None,
                           config=self.config, diagnostics={"max_mass_outside_support": self.worst,
-                                                           "softening": self.potentials[0].softening})
+                                                           "softening": self.softening})
 
 
 def _stream(runs) -> list:
     """Evolve the branches of ``runs``, of one EvolutionConfig, in one call,
-    handing each run its rows while any run still reads them."""
+    handing each run its rows while any run still reads them. The runs give
+    up their states and potentials, which the call frees once its stacks fill."""
 
     def consume(t, rows, blowups) -> bool:
         rows, blowups = iter(rows), iter(blowups)
         for run in runs:
-            run(t, [next(rows) for _ in run.branches], [next(blowups) for _ in run.branches])
+            run(t, [next(rows) for _ in run.labels], [next(blowups) for _ in run.labels])
         return any(run.error is None for run in runs)
 
-    stream_branches([psi for run in runs for psi in run.branches],
-                    [v for run in runs for v in run.potentials], runs[0].config.evolution, consume)
+    stream_branches([psi for run in runs for psi in vars(run).pop("states")],
+                    [v for run in runs for v in vars(run).pop("potentials")],
+                    runs[0].config.evolution, consume)
     return runs
 
 
@@ -437,25 +441,30 @@ def peak_bytes(config: HoleExperimentConfig, values: int = 1) -> float:
     """Upper estimate of the peak bytes of a run of ``config``, or of one
     value's ``config`` in a sweep of ``values``. In complex fields of the
     grid: per branch evolved at once (a run's two, a sweep's largest group)
-    its stack, potential phase, packet and potential; one kinetic factor; a
-    pushed state and an intermediate per pushed branch, none where the map
-    is the identity at t1 (its plan returns psi itself); no field for a
-    translation's plan. A bump's plans, one per run of a group (equal values
-    share one), keep each its mask, weights and preimages, at most 1 + dim/2
-    fields, and sampler tables of at most SAMPLE_CHUNK_BYTES; while one
-    builds, one chunk's temporaries, the spectral coefficients and their
-    transform, and eight arrays of dim floats per grid point. Besides,
-    RUN_BYTES and SNAPSHOT_BYTES per snapshot and value, at any stride."""
-    phi, evolution, dim = config.diffeo, config.evolution, config.grid.dim
+    its stack and potential phase, and while the stacks fill its share of
+    its run's packet and potentials (a pair's: one packet, two real
+    potentials); one kinetic factor; a pushed state per pushed branch, none
+    where the map is the identity at t1 (its plan returns psi itself); no
+    field for a translation's plan. A bump's plans, one per run of a group
+    (equal values share one), keep each its mask, and weights and preimages
+    at the points it moves, at most those of the ball's bounding box, and
+    sampler tables of at most SAMPLE_CHUNK_BYTES. A build adds the squared
+    radii over the grid and eight arrays of dim floats per moved point; a
+    push one chunk's temporaries, the spectral coefficients and their
+    transform, and two samples per moved point. Besides, RUN_BYTES and
+    SNAPSHOT_BYTES per snapshot and value, at any stride."""
+    phi, evolution, grid = config.diffeo, config.evolution, config.grid
     pushed = 0 if phi.is_identity_at(phi.t1) else 2 if config.two_sided else 1
     branches = _group_branches(config, 2 * values)
     snapshots = 2 + evolution.t_end / evolution.dt / evolution.snapshot_stride
-    fields, tables = 4 * branches + 1 + 2 * pushed, 0
+    fields, other = 3 * branches + 1 + pushed, 0.0
     if pushed and phi.kind == "bump_displacement":
         plans = min(values, (branches + 1) // 2)  # a group's runs: pairs, and one at zero coupling
-        fields += 2 + 4 * dim + plans * (1 + dim / 2)
-        tables = (plans + 1) * SAMPLE_CHUNK_BYTES
-    return 16.0 * config.grid.size * fields + tables + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
+        moved = np.prod([min(n, 2 * phi.radius // dx + 1) for n, dx in zip(grid.shape, grid.spacing)])
+        fields += 2.5  # a push's coefficients and their transform; a build's squared radii
+        other = (plans * (grid.size + 8 * (1 + grid.dim) * moved) + (plans + 1) * SAMPLE_CHUNK_BYTES
+                 + (64 * grid.dim + 32) * moved)
+    return 16.0 * grid.size * fields + other + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
 
 
 def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEntry]:
@@ -490,7 +499,7 @@ def sweep(config: HoleExperimentConfig, parameter: str, values) -> list[SweepEnt
     most, group = _group_branches(config, 2 * len(values)), []
     for same in runs.values():
         if group and (same[0][1].evolution != group[0][0].config.evolution
-                      or sum(len(run.branches) for run, _ in group) + 2 > most):
+                      or sum(len(run.labels) for run, _ in group) + 2 > most):
             finish(group)
             group = []  # its branches and plans go before the next group's are built
         try:

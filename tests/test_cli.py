@@ -822,6 +822,23 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
         assert ",error:" not in "".join(bundles[0].files.get("sweep.csv", "")), name
 
 
+def test_aligned_3d_run_holds_two_fields_per_branch(tmp_path):
+    """The two-sided 3D 64^3 run, loaded, executed and written, traces at
+    most 30 MiB: per branch its stack and potential phase, the kinetic
+    factor and the two pushed states, 28 MiB of 4 MiB fields. The packet
+    and potentials are freed once the stacks are built; held over the
+    stream, they made it 36.9 MiB."""
+    path = write_config(tmp_path, "aligned_3d.yaml", {
+        **PEAK_HOLE_RUNS["aligned_3d"], "output_dir": str(tmp_path / "out")})
+
+    def run():
+        config = load_config(path)
+        write_bundle(execute(config), config.output_dir, config.formats)
+
+    assert traced_peak(run) <= 30 * 2**20
+    assert (tmp_path / "out" / "result.json").exists()
+
+
 def test_hole_run_peak_does_not_grow_with_its_snapshot_count(tmp_path, monkeypatch):
     """The aligned 3D run traced at strides 1 (10 snapshots, some of them
     pushed off-grid mid-ramp) and 10 (one snapshot): within 2 MiB of each

@@ -363,7 +363,7 @@ def push_one_state(psi, phi, t, renormalize, path):
         amps = np.fft.ifftn(np.fft.fftn(psi.amplitudes) * phase)
     else:
         targets = grid_points(grid)
-        moved = phi._bump_rho(targets) < 1.0
+        moved = phi._bump_rho(targets.T) < 1.0
         preimages = phi.inverse(targets[moved], t)
         weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
         amps = psi.amplitudes.flatten()
@@ -443,6 +443,48 @@ def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):
     for state in (psi, other, psi):
         assert np.array_equal(plan.apply(state).amplitudes,
                               push_one_state(state, phi, 1.0, True, "bump"))
+
+
+@pytest.mark.parametrize("grid, center, radius, peak_shift", [
+    (Grid(256, 40.0), 0.5, 4.0, 0.8),
+    (Grid((128, 64), (40.0, 30.0)), (0.3, -1.1), 5.0, (1.0, -0.4)),
+    (Grid((32, 64, 16), (16.0, 20.0, 12.0)), (0.2, -0.7, 0.4), 3.0, (0.4, 0.2, -0.3)),
+], ids=["1d", "2d", "3d"])
+def test_bump_plan_finds_its_moved_points_on_the_axes(grid, center, radius, peak_shift):
+    """A bump plan tests the radius ratio on the axes broadcast over the
+    grid: its moved points, their preimages and their weights are those of
+    the full list of grid points, bit for bit, at mid-ramp and after it."""
+    phi = make_bump_displacement(center, radius, peak_shift, **RAMP)
+    targets = grid_points(grid)
+    delta = targets - np.asarray(phi.center)
+    moved = np.sqrt(np.sum(delta * delta, axis=1)) / phi.radius < 1.0
+    assert 0 < moved.sum() < grid.size
+    for t in (0.5, 1.0):
+        plan = PushforwardPlan(phi, t, grid)
+        preimages = phi.inverse(targets[moved], t)
+        weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
+        assert np.array_equal(plan.moved, moved)
+        assert np.array_equal(plan.sampler.points, preimages)
+        assert np.array_equal(plan.weights, weights)
+
+
+def test_3d_bump_plan_build_holds_little_beyond_what_it_keeps():
+    """A 64^3 plan of radius 2 moves 1045 points and keeps their tables.
+    Building it traces at most 4 MiB beyond what it keeps: a coordinate
+    mesh and point list of the whole grid traced 16.5 MiB more."""
+    import tracemalloc
+
+    grid = Grid((64, 64, 64), (20.0,) * 3)
+    grid.axes(), grid.wavenumbers()  # cached per grid, outside the trace
+    phi = make_bump_displacement((0.0,) * 3, 2.0, (0.2, 0.0, 0.0), **RAMP)
+    tracemalloc.start()
+    try:
+        plan = PushforwardPlan(phi, 1.0, grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.moved.sum() == 1045
+    assert peak - kept <= 4 * 2**20
 
 
 def test_3d_bump_plan_over_several_chunks_memory_is_bounded():

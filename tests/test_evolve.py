@@ -5,6 +5,7 @@ import importlib
 import sys
 import threading
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -594,6 +595,70 @@ def test_evolve_allocates_one_stack_and_phase_per_branch(monkeypatch, workers):
     snapshots = (2 - 1) * 2 * field  # (T - 1) B for T = 2 snapshot steps
     assert first_step_peaks[0] <= 1.1 * (working_set + snapshots)
     assert peak <= 1.1 * (working_set + snapshots)
+
+
+@pytest.mark.parametrize("grid, dt, mass", [
+    (Grid((64, 64, 64), (20.0,) * 3), 0.02, 4.0),
+    (Grid((128, 128), (40.0, 40.0)), 0.05, 1.0),
+    (Grid(1024, 40.0), 0.02, 4.0),
+], ids=["3d_64", "2d_128sq", "1d_1024"])
+def test_kinetic_factor_has_the_bits_of_the_plain_expression(grid, dt, mass):
+    k2 = sum(np.ix_(*(k**2 for k in grid.wavenumbers())))
+    expected = np.exp(-0.5j * k2 * dt / mass)
+    assert np.array_equal(evolve_module._kinetic_phase(grid, dt, mass).view(np.float64),
+                          expected.view(np.float64))
+
+
+def test_kinetic_factor_is_built_in_its_own_array():
+    """A 3D 64^3 factor traces at most 1.1 of its fields: no real |k|^2
+    field and no complex temporary beside it (the plain expression traced
+    two fields)."""
+    grid = Grid((64, 64, 64), (20.0,) * 3)
+    grid.wavenumbers()  # cached per grid, outside the trace
+    tracemalloc.start()
+    try:
+        evolve_module._kinetic_phase(grid, 0.02, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * grid.size
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a call's arguments stay on the caller's stack")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stream_frees_inputs_it_is_handed_once_its_stacks_are_built(monkeypatch, workers):
+    """States and potentials in lists that no one else holds are freed
+    before the first step: the consumer sees the t = 0 amplitudes, and by
+    the next snapshot neither they nor the potential values are alive.
+    The rows still have the bits of evolve_branches over kept inputs."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 1024)
+    grid = Grid(256, 40.0)
+    config = EvolutionConfig(dt=0.05, t_end=0.2, mass=1.0, snapshot_stride=2)
+    expected = evolve_branches(*branch_setup(grid, 1.4, 3), config)
+    refs, alive, finals = [], [], []
+
+    def inputs(index, field):
+        items = branch_setup(grid, 1.4, 3)[index]
+        refs.extend(weakref.ref(getattr(item, field)) for item in items)
+        return items
+
+    def consume(t, rows, blowups):
+        alive.append(sum(ref() is not None for ref in refs))
+        finals[:] = [np.array(row) for row in rows]
+        return True
+
+    evolve_module.stream_branches(inputs(0, "amplitudes"), inputs(1, "values"), config, consume)
+    assert alive == [6, 0, 0]
+    for row, trajectory in zip(finals, expected):
+        assert np.array_equal(row, trajectory.final_state.amplitudes)
+
+    refs.clear()
+    alive.clear()
+    kept = inputs(0, "amplitudes"), inputs(1, "values")
+    evolve_module.stream_branches(*kept, config, consume)
+    assert alive == [6, 6, 6]  # the caller's lists hold them
 
 
 def test_workers_allocate_nothing_per_step(monkeypatch):

@@ -1,12 +1,14 @@
 """PushforwardPlan.apply on random resolved packets and maps: it keeps the
 norm within PUSHFORWARD_NORM_TOL on each of its three paths (aligned roll,
-Fourier shift, bump), and translations compose as a group, pushing by s
-then by t being pushing by s + t."""
+Fourier shift, bump), translations compose as a group, pushing by s then
+by t being pushing by s + t, and a Fourier shift is the spectral
+interpolant at the preimages."""
 
 import numpy as np
 import pytest
 
 from holesim import Grid, gaussian_packet, norm
+from holesim.grid import spectral_sample
 from holesim.diffeo import (
     _BUMP_SLOPE_MAX,
     PUSHFORWARD_NORM_TOL,
@@ -14,6 +16,7 @@ from holesim.diffeo import (
     make_bump_displacement,
     make_translation_ramp,
 )
+from oracles import random_wavefunction
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -108,3 +111,22 @@ def test_fourier_shifts_compose_to_roundoff(psi, data):
     s, t = off_grid(data.draw, psi.grid), off_grid(data.draw, psi.grid)
     twice = by(by(psi, s), t).amplitudes
     assert np.max(np.abs(twice - by(psi, s + t).amplitudes)) <= 1e-13
+
+
+# Small grids of each dimension: spectral_sample contracts every point
+# against the whole spectrum.
+SAMPLED_GRIDS = [Grid(64, 20.0), Grid((32, 16), (20.0, 12.0)), Grid((16, 8, 16), (12.0, 8.0, 10.0))]
+
+
+@PROPERTY
+@given(st.sampled_from(SAMPLED_GRIDS), st.integers(0, 2**32 - 1), st.data())
+def test_fourier_shift_is_the_interpolant_at_the_preimages(grid, seed, data):
+    """A non-aligned translation's push of a random band-limited state is
+    spectral_sample of that state at the preimages x - s, to roundoff."""
+    psi = random_wavefunction(grid, np.random.default_rng(seed))
+    shift = off_grid(data.draw, grid)
+    pushed, plan = push(psi, make_translation_ramp(shift, 0.0, 1.0))
+    assert plan.phase is not None
+    points = np.stack([m.ravel() for m in grid.coordinate_mesh()], axis=-1)
+    sampled = spectral_sample(grid, psi.amplitudes, points - shift).reshape(grid.shape)
+    assert np.max(np.abs(pushed.amplitudes - sampled)) <= 1e-13 * np.max(np.abs(psi.amplitudes))

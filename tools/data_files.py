@@ -12,13 +12,16 @@ when
 
     diff -r -x run_meta.json OUT_A OUT_B
 
-prints nothing.
+prints nothing. Beside each case's name the script prints the traced peak
+of its load, execute and write (tracemalloc, MiB), so one run checks both
+the bytes and the memory of every case.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tracemalloc
 from pathlib import Path
 
 
@@ -40,9 +43,14 @@ def main(argv=None) -> int:
     inputs.mkdir(parents=True, exist_ok=True)
     for workload in workloads.COMMITTED:
         for case in workloads.build(workload, checkout, inputs, args.seed):
-            config = cli.load_config(case.config)
-            cli.write_bundle(cli.execute(config), args.out / case.name, config.formats)
-            print(case.name)
+            tracemalloc.start()
+            try:
+                config = cli.load_config(case.config)
+                cli.write_bundle(cli.execute(config), args.out / case.name, config.formats)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"{case.name} {peak / 2**20:.2f} MiB", flush=True)
     return 0
 
 
