@@ -148,9 +148,11 @@ class ResultBundle:
     ``data`` is the JSON report; ``files`` maps extra file names to text
     payloads: a string (CSV tables) or a re-iterable of text blocks that
     write_bundle writes one at a time (grid fields). Every numeric entry
-    must be finite and the JSON report must round-trip losslessly;
-    ``json_text`` is that report as result.json holds it. The encoder
-    checks the numbers; only data it refuses is walked, to name the path.
+    must be finite and every mapping key a string, so that the report
+    loads back as what it holds; ``json_text`` is that report as
+    result.json holds it, the text of ``json.dumps(data, sort_keys=True,
+    indent=2, allow_nan=False)``. The renderer checks the values; only data
+    it refuses is walked, to name the path.
     """
 
     experiment: str
@@ -161,13 +163,41 @@ class ResultBundle:
 
     def __post_init__(self):
         try:
-            text = json.dumps(self.data, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            text = _render_json(self.data, "\n") + "\n"
         except (TypeError, ValueError) as exc:
             _check_finite(self.data, "data")
             raise DomainError("result data does not round-trip through JSON") from exc
-        if json.loads(text) != self.data:
-            raise DomainError("result data does not round-trip through JSON")
         object.__setattr__(self, "json_text", text)
+
+
+def _render_json(node, indent: str) -> str:
+    """``node`` as ``json.dumps(node, sort_keys=True, indent=2,
+    allow_nan=False)`` writes it at the nesting that ``indent`` (a newline
+    and its spaces) opens, with a list of floats joined in one go. Raises
+    TypeError for what JSON cannot hold or load back as it was, such as a
+    key that is not a string, and ValueError for a non-finite float."""
+    inner = indent + "  "
+    if isinstance(node, (list, tuple)) and node:
+        try:  # finite floats only: their repr has no "n", unlike inf and nan
+            body = ("," + inner).join(map(float.__repr__, node))
+            if "n" in body:
+                raise ValueError("non-finite float in a list")
+        except TypeError:
+            body = ("," + inner).join([_render_json(item, inner) for item in node])
+        return "[" + inner + body + indent + "]"
+    if isinstance(node, dict) and node:
+        if not all(isinstance(key, str) for key in node):
+            raise TypeError("result keys must be strings")
+        return "{" + inner + ("," + inner).join(
+            [_encode_scalar(key) + ": " + _render_json(value, inner)
+             for key, value in sorted(node.items())]) + indent + "}"
+    if isinstance(node, float) and math.isfinite(node):
+        return float.__repr__(node)
+    return _encode_scalar(node)
+
+
+# A scalar or an empty container's text does not depend on indent or key order.
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
 
 
 def _check_finite(node, path):
@@ -724,10 +754,10 @@ def read_metric_field(path) -> MetricField:
         raise ConfigError(
             [f"{path}: {tri.shape[-1]} components per point, expected {expected}"]
         )
-    full = np.zeros((*tri.shape[:-1], d, d))
+    slot = np.zeros((d, d), dtype=int)  # slot[i, j]: the stored component of g_ij
     iu = np.triu_indices(d)
-    full[..., iu[0], iu[1]] = tri
-    full[..., iu[1], iu[0]] = tri
+    slot[iu] = slot.T[iu] = np.arange(expected)
+    full = np.take(tri, slot, axis=-1)
     del tri  # so MetricField's check holds the tensor, its copy and inverse, no triangle
     return MetricField(spacings, full)
 

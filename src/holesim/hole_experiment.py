@@ -430,10 +430,10 @@ def _group_branches(config: HoleExperimentConfig, branches: int) -> int:
 
 
 # Bytes a hole run may hold per snapshot and value, the Python objects of its
-# series and its result text (measured on 1D runs of 2001-10001 snapshots:
-# 0.82 KB a baseline, 1.6 KB a two-sided and 1.95 KB a one-sided hole run),
-# and for its config, parser and other small objects.
-SNAPSHOT_BYTES = 2560
+# series and its result text (measured on stride-1 1D runs of 2001-4001
+# snapshots: 0.44 KB a baseline, 0.93 KB a two-sided and 1.24 KB a one-sided
+# hole run), and for its config, parser and other small objects.
+SNAPSHOT_BYTES = 1664
 RUN_BYTES = 2**20
 
 
@@ -448,10 +448,11 @@ def peak_bytes(config: HoleExperimentConfig, values: int = 1) -> float:
     field for a translation's plan. A bump's plans, one per run of a group
     (equal values share one), keep each its mask, and weights and preimages
     at the points it moves, at most those of the ball's bounding box, and
-    sampler tables of at most SAMPLE_CHUNK_BYTES. A build adds the squared
-    radii over the grid and eight arrays of dim floats per moved point; a
-    push one chunk's temporaries, the spectral coefficients and their
-    transform, and two samples per moved point. Besides, RUN_BYTES and
+    sampler tables, a row of each axis per moved point. A build adds the
+    squared radii over the grid and eight arrays of dim floats per moved
+    point; a push the spectral coefficients and their transform, two
+    samples per moved point, and one chunk's tables and intermediate. Tables
+    and chunk take at most SAMPLE_CHUNK_BYTES each. Besides, RUN_BYTES and
     SNAPSHOT_BYTES per snapshot and value, at any stride."""
     phi, evolution, grid = config.diffeo, config.evolution, config.grid
     pushed = 0 if phi.is_identity_at(phi.t1) else 2 if config.two_sided else 1
@@ -462,7 +463,9 @@ def peak_bytes(config: HoleExperimentConfig, values: int = 1) -> float:
         plans = min(values, (branches + 1) // 2)  # a group's runs: pairs, and one at zero coupling
         moved = np.prod([min(n, 2 * phi.radius // dx + 1) for n, dx in zip(grid.shape, grid.spacing)])
         fields += 2.5  # a push's coefficients and their transform; a build's squared radii
-        other = (plans * (grid.size + 8 * (1 + grid.dim) * moved) + (plans + 1) * SAMPLE_CHUNK_BYTES
+        tables = min(16 * moved * sum(grid.shape), SAMPLE_CHUNK_BYTES)
+        chunk = min(16 * moved * (sum(grid.shape) + grid.size // grid.shape[-1]), SAMPLE_CHUNK_BYTES)
+        other = (plans * (grid.size + 8 * (1 + grid.dim) * moved + tables) + chunk
                  + (64 * grid.dim + 32) * moved)
     return 16.0 * grid.size * fields + other + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values
 

@@ -10,6 +10,7 @@ from holesim import (
     DomainError,
     FormSample,
     Grid,
+    GridMismatch,
     InvalidMeasure,
     commutation_check,
     coordinate_projectors,
@@ -70,6 +71,62 @@ def test_sample_form_requires_orthonormal_bases():
     skewed = (basis[0], basis[0], basis[2], basis[3])
     with pytest.raises(DomainError):
         sample_form(skewed, basis, inner_product)
+
+
+def _form_bases(name, rng):
+    """(branch, reference) bases of 16 elements on GRID: localized on both
+    sides, translated, evolved as the CLI's evolved oracle evolves them, or
+    the reference basis rotated by a random unitary."""
+    from holesim import EvolutionConfig, Potential, WaveFunction, evolve_branches
+
+    basis = localized_basis(GRID, 16)
+    moved = translate_basis(basis, 48)
+    if name == "localized":
+        return basis, basis
+    if name == "translated":
+        return basis, moved
+    if name == "evolved":
+        evo = EvolutionConfig(dt=0.02, t_end=0.2, mass=4.0, snapshot_stride=10**9)
+        branch = Potential.point_mass(GRID, -2.5, 0.1, 1.0)
+        free = Potential.tabulated(GRID, np.zeros(GRID.shape))
+        return ([t.final_state for t in evolve_branches(basis, [branch] * 16, evo)],
+                [t.final_state for t in evolve_branches(moved, [free] * 16, evo)])
+    rows = haar_unitary(16, rng) @ np.stack([psi.amplitudes for psi in moved])
+    return basis, [WaveFunction(GRID, row, f"rotated_{i}") for i, row in enumerate(rows)]
+
+
+FORM_BASES = ("localized", "translated", "evolved", "rotated")
+
+
+@pytest.mark.parametrize("name", FORM_BASES)
+def test_stacked_form_has_the_bits_of_the_oracle_matrix(name, rng):
+    """The inner product is filled from stacked rows, with the bits of
+    calling it on each pair."""
+    basis_g, basis_eta = _form_bases(name, rng)
+    expected = np.array([[complex(inner_product(e, f)) for f in basis_eta] for e in basis_g])
+    assert np.array_equal(sample_form(basis_g, basis_eta, inner_product).matrix, expected)
+
+
+@pytest.mark.parametrize("name", FORM_BASES)
+def test_wrapped_oracle_is_called_per_pair(name, rng):
+    """An oracle that wraps the inner product, as a call counter does, is
+    called once per pair and gives the stacked form's matrix."""
+    basis_g, basis_eta = _form_bases(name, rng)
+    calls = []
+
+    def counted(e, f):
+        calls.append(1)
+        return inner_product(e, f)
+
+    wrapped = sample_form(basis_g, basis_eta, counted)
+    assert len(calls) == 16 ** 2
+    assert np.array_equal(wrapped.matrix, sample_form(basis_g, basis_eta, inner_product).matrix)
+
+
+def test_stacked_form_refuses_bases_on_different_grids():
+    other = localized_basis(Grid(256, 20.0), 4)
+    with pytest.raises(GridMismatch):
+        sample_form(localized_basis(GRID, 4), other, inner_product)
 
 
 def test_riesz_identity():
