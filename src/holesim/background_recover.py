@@ -37,6 +37,8 @@ __all__ = [
 CONDITION_LIMIT = 1e8       # operational meaning of "non-degenerate"
 ORTHONORMALITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
+# Bytes of projectors _check_pvm checks at once, a block of the stack.
+PVM_BLOCK_BYTES = 2**16
 
 
 def _check_orthonormal(basis: tuple[WaveFunction, ...], name: str) -> None:
@@ -156,21 +158,39 @@ def riesz_isomorphism(sample: FormSample) -> BackgroundMap:
 def _check_pvm(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     ps = tuple(np.asarray(p, dtype=np.complex128) for p in projectors)
     n = ps[0].shape[0]
-    for i, p in enumerate(ps):
-        if not np.isfinite(p).all():
-            raise InvalidMeasure(f"projector {i} is not finite")
-        if p.shape != (n, n):
-            raise InvalidMeasure(f"projector {i} has shape {p.shape}, expected ({n}, {n})")
-        if np.max(np.abs(p - p.conj().T)) > PROJECTOR_TOL:
-            raise InvalidMeasure(f"projector {i} is not Hermitian")
-        excess = p @ p - p  # its Frobenius norm bounds its spectral norm
-        if np.linalg.norm(excess) > PROJECTOR_TOL and np.linalg.norm(excess, 2) > PROJECTOR_TOL:
-            raise InvalidMeasure(f"projector {i} is not idempotent")
+    shaped = next((i for i, p in enumerate(ps) if p.shape != (n, n)), len(ps))
+    stack = np.stack(ps[:shaped]) if shaped else np.empty((0, n, n), dtype=complex)
+    nonzero = stack != 0
+    used_rows, used_columns = nonzero.any(axis=2), nonzero.any(axis=1)
+    # Each projector is finite, Hermitian and idempotent, checked in that
+    # order on blocks of PVM_BLOCK_BYTES restricted to the indices their
+    # entries use (all else is exactly zero); the first failing projector is
+    # named, by its first failing check.
+    rows = max(1, PVM_BLOCK_BYTES // (16 * n * n))
+    for lo in range(0, shaped, rows):
+        used = np.flatnonzero((used_rows[lo:lo + rows] | used_columns[lo:lo + rows]).any(axis=0))
+        block = stack[lo:lo + rows][:, used[:, None], used]
+        finite = np.isfinite(block).all(axis=(1, 2))
+        block = block[:np.argmin(finite) if not finite.all() else len(block)]
+        hermitian = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        excess = block @ block - block  # its Frobenius norm bounds its spectral norm
+        failing = np.linalg.norm(excess, axis=(1, 2)) > PROJECTOR_TOL
+        if failing.any():
+            failing[failing] = np.linalg.norm(excess[failing], 2, axis=(1, 2)) > PROJECTOR_TOL
+        failing |= hermitian > PROJECTOR_TOL
+        if failing.any():
+            i = int(np.argmax(failing))
+            defect = "Hermitian" if hermitian[i] > PROJECTOR_TOL else "idempotent"
+            raise InvalidMeasure(f"projector {lo + i} is not {defect}")
+        if len(block) < len(finite):
+            raise InvalidMeasure(f"projector {lo + len(block)} is not finite")
+    if shaped < len(ps):
+        if not np.isfinite(ps[shaped]).all():
+            raise InvalidMeasure(f"projector {shaped} is not finite")
+        raise InvalidMeasure(f"projector {shaped} has shape {ps[shaped].shape}, expected ({n}, {n})")
     # One batched product per projector, with the pairs whose supports share
     # no index left out: their products are exactly zero.
-    stack = np.stack(ps)
-    nonzero = stack != 0
-    overlap = nonzero.any(axis=1).astype(float) @ nonzero.any(axis=2).T.astype(float) > 0
+    overlap = used_columns.astype(float) @ used_rows.T.astype(float) > 0
     for i in range(len(ps) - 1):
         js = i + 1 + np.flatnonzero(overlap[i, i + 1:])
         failing = np.linalg.norm(stack[i] @ stack[js], axis=(1, 2)) > PROJECTOR_TOL

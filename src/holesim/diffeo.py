@@ -10,7 +10,9 @@ map unitary; scalar potentials transform by composition V' = V o phi^-1.
 
 A PushforwardPlan does the map's share of a wavefunction pushforward once
 and applies it to any number of states; the plane-wave tables it keeps for
-a bump are bounded by grid.SAMPLE_CHUNK_BYTES.
+a bump are bounded by grid.SAMPLE_CHUNK_BYTES. A bump whose peak shift has
+no last component keeps each preimage's grid coordinate on the last axis,
+so its sampler contracts that axis over the few distinct values only.
 """
 
 from __future__ import annotations

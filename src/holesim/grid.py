@@ -33,10 +33,9 @@ __all__ = [
 # amplitudes must fall below this fraction of the peak at the boundary.
 BOUNDARY_TAIL = 1e-12
 
-# Bytes of complex temporaries spectral_sample holds at once: it evaluates
-# its points in chunks sized so that the per-axis plane-wave tables and the
-# contraction intermediate stay within this budget. A SpectralSampler keeps
-# at most this many bytes of tables besides.
+# Bytes of temporaries spectral_sample holds at once: it evaluates its
+# points in chunks of sample_point_bytes per point within this budget. A
+# SpectralSampler keeps at most this many bytes of tables besides.
 SAMPLE_CHUNK_BYTES = 32 * 2**20
 
 
@@ -312,31 +311,48 @@ def spectral_sample(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.nd
     return SpectralSampler(grid, points)(values)
 
 
+def sample_point_bytes(grid: Grid) -> int:
+    """Bytes a SpectralSampler chunk holds per point: a complex row of each
+    axis's table, an int64 index into the distinct last coordinates, and a
+    complex column of the (N0, P) or (N0, N1, P) intermediate, which the
+    partial over the distinct values and the block gathered from it share."""
+    return 16 * (sum(grid.shape) + grid.size // grid.shape[-1]) + 8
+
+
 class SpectralSampler:
     """:func:`spectral_sample` at fixed points, for any number of fields.
-    The plane-wave tables of the leading chunks are built once and kept
-    while they total at most SAMPLE_CHUNK_BYTES; the other chunks build
-    theirs per field. Each field is contracted on its own,
+    Points go in chunks of at most SAMPLE_CHUNK_BYTES at sample_point_bytes
+    each. Where at most half of a chunk's last coordinates are distinct (a
+    bump that moves no point along the last axis keeps each preimage's grid
+    coordinate there), the last axis is contracted over the distinct values
+    only and each point gathers its column of that partial. The tables of
+    the leading chunks are built once and kept while they total at most
+    SAMPLE_CHUNK_BYTES, counted at a row of each axis per point; the other
+    chunks build theirs per field. Each field is contracted on its own,
     chunk by chunk, so the bits are those of a lone spectral_sample."""
 
     def __init__(self, grid: Grid, points: np.ndarray):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != grid.dim:
             raise GridMismatch(f"points have {points.shape[1]} components, grid dim is {grid.dim}")
-        # Per point: one row of each (P, N_axis) table and the (N0, P) or
-        # (N0, N1, P) intermediate, complex128 throughout.
-        point_bytes = 16 * (sum(grid.shape) + int(np.prod(grid.shape[:-1])))
-        chunk = max(1, SAMPLE_CHUNK_BYTES // point_bytes)
+        chunk = max(1, SAMPLE_CHUNK_BYTES // sample_point_bytes(grid))
         self.grid, self.points, self._chunks, budget = grid, points, [], SAMPLE_CHUNK_BYTES
         for start in range(0, len(points), chunk):
             part = slice(start, start + chunk)
             budget -= 16 * len(points[part]) * sum(grid.shape)
             self._chunks.append((part, self._tables(part) if budget >= 0 else None))
 
-    def _tables(self, part: slice) -> list[np.ndarray]:
-        """Per-axis plane-wave factors exp(i k (x - origin)), shape (P, N_axis)."""
-        return [np.exp(1j * np.outer(self.points[part, axis] + 0.5 * L, k))
-                for axis, (L, k) in enumerate(zip(self.grid.extent, self.grid.wavenumbers()))]
+    def _tables(self, part: slice) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """Per-axis plane-wave factors exp(i k (x - origin)), shape
+        (P, N_axis), and None; or, if at most half of the last coordinates
+        are distinct, the last axis's over the sorted distinct values, and
+        each point's index into them."""
+        *coords, last = self.points[part].T
+        distinct, inverse = np.unique(last, return_inverse=True)
+        if 2 * len(distinct) > len(last):
+            distinct, inverse = last, None
+        return [np.exp(1j * np.outer(x + 0.5 * L, k)) for x, L, k in
+                zip((*coords, distinct), self.grid.extent, self.grid.wavenumbers())], inverse
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
@@ -345,16 +361,27 @@ class SpectralSampler:
         coeffs = np.fft.fftn(values) / values.size
         out = np.empty(len(self.points), dtype=complex)
         for part, tables in self._chunks:
-            out[part] = _contract(coeffs, tables or self._tables(part))
+            _contract(coeffs, *(tables or self._tables(part)), out[part])
         return out
 
 
-def _contract(coeffs: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    if len(tables) == 1:
-        return tables[0] @ coeffs
-    if len(tables) == 2:
-        partial = np.tensordot(coeffs, tables[1], axes=([1], [1]))  # (N0, P)
-        return np.einsum("ap,pa->p", partial, tables[0])
-    partial = np.tensordot(coeffs, tables[2], axes=([2], [1]))  # (N0, N1, P)
-    partial = np.einsum("abp,pb->ap", partial, tables[1])
-    return np.einsum("ap,pa->p", partial, tables[0])
+def _contract(coeffs: np.ndarray, tables: list[np.ndarray], inverse: np.ndarray | None,
+              out: np.ndarray) -> None:
+    """The coefficients contracted with each axis's table into ``out``, the
+    last axis first. With ``inverse`` the last table's rows are distinct
+    coordinates, and the points gather their columns of the partial in
+    blocks as long as the points exceed the distinct values, so the partial
+    and a block hold at most one column per point."""
+    *rest, last = tables
+    if not rest:
+        partial = last @ coeffs
+        out[:] = partial if inverse is None else partial[inverse]
+        return
+    partial = np.tensordot(coeffs, last, axes=([-1], [1]))  # (N0, U) or (N0, N1, U)
+    step = len(out) if inverse is None else len(out) - partial.shape[-1]
+    for lo in range(0, len(out), step):
+        block = slice(lo, lo + step)
+        part = partial[..., block] if inverse is None else partial[..., inverse[block]]
+        if len(rest) == 2:
+            part = np.einsum("abp,pb->ap", part, rest[1][block])
+        np.einsum("ap,pa->p", part, rest[0][block], out=out[block])

@@ -35,7 +35,7 @@ from .errors import (ConfigError, DomainError, HolesimError, InsufficientDisplac
 from .evolve import (SNAPSHOT_NORM_TOL, STACK_BYTES, EvolutionConfig, Potential,  # noqa: F401
                      evolve, stream_branches)
 from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, gaussian_packet,
-                   inner_product, norm)
+                   inner_product, norm, sample_point_bytes)
 from .observable import DecoherenceObservable, theta_time_series  # noqa: F401
 
 __all__ = [
@@ -451,9 +451,10 @@ def peak_bytes(config: HoleExperimentConfig, values: int = 1) -> float:
     sampler tables, a row of each axis per moved point. A build adds the
     squared radii over the grid and eight arrays of dim floats per moved
     point; a push the spectral coefficients and their transform, two
-    samples per moved point, and one chunk's tables and intermediate. Tables
-    and chunk take at most SAMPLE_CHUNK_BYTES each. Besides, RUN_BYTES and
-    SNAPSHOT_BYTES per snapshot and value, at any stride."""
+    samples per moved point, and one chunk, grid.sample_point_bytes per
+    moved point: its tables, index and intermediate. Tables and chunk take
+    at most SAMPLE_CHUNK_BYTES each. Besides, RUN_BYTES and SNAPSHOT_BYTES
+    per snapshot and value, at any stride."""
     phi, evolution, grid = config.diffeo, config.evolution, config.grid
     pushed = 0 if phi.is_identity_at(phi.t1) else 2 if config.two_sided else 1
     branches = _group_branches(config, 2 * values)
@@ -464,7 +465,7 @@ def peak_bytes(config: HoleExperimentConfig, values: int = 1) -> float:
         moved = np.prod([min(n, 2 * phi.radius // dx + 1) for n, dx in zip(grid.shape, grid.spacing)])
         fields += 2.5  # a push's coefficients and their transform; a build's squared radii
         tables = min(16 * moved * sum(grid.shape), SAMPLE_CHUNK_BYTES)
-        chunk = min(16 * moved * (sum(grid.shape) + grid.size // grid.shape[-1]), SAMPLE_CHUNK_BYTES)
+        chunk = min(moved * sample_point_bytes(grid), SAMPLE_CHUNK_BYTES)
         other = (plans * (grid.size + 8 * (1 + grid.dim) * moved + tables) + chunk
                  + (64 * grid.dim + 32) * moved)
     return 16.0 * grid.size * fields + other + RUN_BYTES + SNAPSHOT_BYTES * snapshots * values

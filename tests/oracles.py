@@ -194,13 +194,15 @@ def metric_error_by_eigenvalues(spacings, components):
 
 
 def pvm_error_all_pairs(projectors, tol=1e-10):
-    """The message of the first failing check of a finite PVM, or None: per
-    projector its shape, Hermiticity and idempotency (spectral norm), then
-    the Frobenius norm of every product P_i P_j with i < j in order, then
-    completeness."""
+    """The message of the first failing check of a PVM, or None: per
+    projector its finiteness, shape, Hermiticity and idempotency (spectral
+    norm), then the Frobenius norm of every product P_i P_j with i < j in
+    order, then completeness."""
     ps = [np.asarray(p, dtype=complex) for p in projectors]
     n = ps[0].shape[0]
     for i, p in enumerate(ps):
+        if not np.isfinite(p).all():
+            return f"projector {i} is not finite"
         if p.shape != (n, n):
             return f"projector {i} has shape {p.shape}, expected ({n}, {n})"
         if np.max(np.abs(p - p.conj().T)) > tol:

@@ -22,6 +22,7 @@ from holesim import (
     sample_form,
     translate_basis,
 )
+from holesim import background_recover
 from holesim.background_recover import _check_pvm, localization_index
 from oracles import haar_unitary, pvm_error_all_pairs
 
@@ -272,6 +273,54 @@ def test_pvm_check_matches_all_pairs_reference(make, seed):
         assert pvm_outcome(tilted) == expected
         if eps > 1e-10:
             assert expected is not None
+
+
+def with_nan(p):
+    p = p.copy()
+    p[0, 1] = np.nan
+    return p
+
+
+# Each defect far above PROJECTOR_TOL. A skew term breaks idempotency too,
+# and a NaN every later check, so the order of the checks decides the message.
+DEFECTS = {
+    "not_finite": with_nan,
+    "bad_shape": lambda p: p[:-1],
+    "not_hermitian": lambda p: p + 1e-3 * np.eye(len(p), k=1),
+    "not_idempotent": lambda p: 0.5 * p,
+}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8, None])
+@pytest.mark.parametrize("make", [lambda n, rng: list(coordinate_projectors(n)), dense_pvm],
+                         ids=["coordinate", "dense"])
+@pytest.mark.parametrize("first, later", [
+    (("not_hermitian",), "not_finite"),
+    (("not_finite",), "not_hermitian"),
+    (("not_idempotent",), "bad_shape"),
+    (("bad_shape",), "not_idempotent"),
+    (("not_idempotent", "not_finite"), "not_hermitian"),
+    (("not_idempotent", "bad_shape"), "not_finite"),
+    (("not_finite", "bad_shape"), "not_idempotent"),
+])
+def test_pvm_check_in_blocks_names_the_first_defective_projector(rows, make, first, later,
+                                                                 monkeypatch):
+    """The projector checks run in blocks of PVM_BLOCK_BYTES, restricted to
+    the indices a block uses, and name what one check per projector in
+    order names: the first defective projector, by its first defect. The
+    defects sit at projector 5, inside a block of 8 or of all 12, at the
+    end of a block of 3, and alone in a block of 1, with a later defect at
+    projector 9."""
+    n = 12
+    if rows is not None:
+        monkeypatch.setattr(background_recover, "PVM_BLOCK_BYTES", rows * 16 * n * n)
+    projectors = make(n, np.random.default_rng(len(first)))
+    for defect in first:
+        projectors[5] = DEFECTS[defect](projectors[5])
+    projectors[9] = DEFECTS[later](projectors[9])
+    expected = pvm_error_all_pairs(projectors)
+    assert expected.startswith("projector 5 ")
+    assert pvm_outcome(projectors) == expected
 
 
 @pytest.mark.parametrize("index", [0, 2])

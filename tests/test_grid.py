@@ -275,6 +275,31 @@ def test_spectral_sample_3d_memory_is_bounded(rng):
     assert np.max(np.abs(sampled[check] - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("last", ["distinct", "on_grid"])
+def test_spectral_sample_3d_gather_keeps_the_chunk_bound(rng, last):
+    """The same 64^3 evaluation at 5120 points, with all-distinct or with
+    on-grid last coordinates, traces no more than the 50.13 MiB that a
+    table row per point and one (N0, N1, P) intermediate per chunk traced,
+    to 0.1 MiB. A chunk that gathered its points' columns beside the whole
+    partial over its distinct last coordinates traced 80.7 MiB."""
+    import tracemalloc
+
+    from oracles import random_wavefunction
+
+    grid = Grid((64, 64, 64), (24.0, 24.0, 24.0))
+    psi = random_wavefunction(grid, rng)
+    points = rng.uniform(-12.0, 12.0, size=(5120, 3))
+    if last == "on_grid":
+        points[:, 2] = grid.axes()[2][rng.integers(64, size=len(points))]
+    tracemalloc.start()
+    try:
+        spectral_sample(grid, psi.amplitudes, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50.2 * 2**20
+
+
 def test_with_label_shares_the_read_only_amplitudes(grid256):
     psi = gaussian_packet(grid256, 0.0, 1.0, label="a")
     relabelled = psi.with_label("b")
