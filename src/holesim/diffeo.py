@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation, NumericalBlowup
+from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation
 from .evolve import Potential
 # spectral_sample stays importable here: bench/layers.py wraps it by name.
 from .grid import (Grid, SpectralSampler, WaveFunction, _as_tuple, _norm, norm,  # noqa: F401
@@ -310,8 +310,6 @@ class PushforwardPlan:
             amps = psi.amplitudes.flatten()
             amps[self.moved] = self.sampler(psi.amplitudes) * self.weights
             amps = amps.reshape(psi.grid.shape)
-        if not np.isfinite(amps.view(np.float64)).all():
-            raise NumericalBlowup(f"non-finite amplitudes in wavefunction {psi.label!r}")
         size = _norm(amps, psi.grid.cell_volume)
         drift = size - 1.0
         if abs(drift) > PUSHFORWARD_NORM_TOL:

@@ -14,14 +14,12 @@ temporaries, and the FFTs run axis by axis within each branch, so a
 stacked branch has the bits of a lone one.
 
 A call over STACK_BYTES of amplitudes is cut into one contiguous part per
-CPU, each stepped on its own thread in FFTs and multiplies that release
-the GIL. The calling thread allocates every part's stack and phase factor
-before any worker starts, so a worker allocates nothing (memory it freed
-would stay in its thread's malloc arena). No snapshot is stored: at each
-snapshot step the parts meet and the calling thread hands the stacks'
-read-only rows to a consumer. Nor is any input kept: once the stacks and
-phases are built from the states and potentials, a stream holds only the
-states' labels and grid. The core count never changes the bits.
+CPU. The calling thread builds every part's stack and phase factor, then
+keeps only the states' labels and grid. Per snapshot interval it steps
+part 0 while pool threads step the others, in FFTs and multiplies that
+release the GIL, then hands the stacks' read-only rows to a consumer; no
+snapshot is stored. A worker allocates nothing: memory it freed would stay
+in its thread's malloc arena. The core count never changes the bits.
 
 The point-mass potential is the softened attractive Coulomb form
 -c / sqrt(|x - x_s|^2 + eps^2), the Newtonian stand-in for a branch
@@ -32,8 +30,8 @@ point with no back-reaction.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,10 +327,9 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
     the states' labels and grid: inputs in lists that the caller hands over
     and does not keep are freed then, before the first step.
 
-    The calling thread steps part 0, and one thread each further part. The
-    parts meet at a barrier at each snapshot step and again after the
-    consumer. The first exception of a part or the consumer in input order
-    is raised once all parts end."""
+    Per snapshot interval the calling thread steps part 0 and a pool thread
+    each further part; once all end, the first exception in input order is
+    raised, or else the consumer runs."""
     if config.dt < 0:
         raise DomainError("evolve requires a forward (dt > 0) config")
     for psi, potential in zip(states, potentials, strict=True):
@@ -366,43 +363,32 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
     rows = [row for stack, *_ in parts for row in stack]
     for row in rows:
         row.flags.writeable = False
-    barrier, going, errors = threading.Barrier(n_parts), [True], [None] * n_parts
-    meet = barrier.wait if n_parts > 1 else lambda: None  # a lone part waits for no one
 
-    def run(p: int) -> None:
-        part, stack, k = parts[p], parts[p][0], 0
-        try:
-            for last in snapshot_steps:
-                for k in range(k + 1, last + 1):
-                    _advance(*part)
-                    if not np.isfinite(np.vdot(stack, stack)):  # then fail the bad rows alone
-                        bad = ~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
-                        stack[bad] = 0
-                        for b in bounds[p] + np.flatnonzero(bad):
-                            blowups[b] = blowups[b] or NumericalBlowup(
-                                f"evolution of branch {labels[b]!r} blew up at step {k}")
-                if last == snapshot_steps[-1]:
-                    stack.flags.writeable = False  # stepped no further: its rows may be kept
-                meet()
-                if p == 0:
-                    going[0] = consume(last * config.dt, rows, blowups)
-                meet()
-                if not going[0]:
-                    return
-        except threading.BrokenBarrierError:
-            pass  # another part or the consumer failed: its error is raised
-        except BaseException as exc:  # re-raised in the calling thread, in input order
-            errors[p] = exc
-            barrier.abort()
+    def run(p: int, done: int, last: int) -> None:
+        stack = parts[p][0]
+        for k in range(done + 1, last + 1):
+            _advance(*parts[p])
+            if not np.isfinite(np.vdot(stack, stack)):  # then fail the bad rows alone
+                bad = ~np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
+                stack[bad] = 0
+                for b in bounds[p] + np.flatnonzero(bad):
+                    blowups[b] = blowups[b] or NumericalBlowup(
+                        f"evolution of branch {labels[b]!r} blew up at step {k}")
 
-    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, n_parts)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for error in filter(None, errors):  # the first in input order
-        raise error
+    with ThreadPoolExecutor(max(1, n_parts - 1)) as pool:  # no thread starts before a submit
+        for done, last in zip([0, *snapshot_steps], snapshot_steps):
+            others = [pool.submit(run, p, done, last) for p in range(1, n_parts)]
+            try:
+                run(0, done, last)
+            finally:
+                wait(others)
+            for future in others:  # raises the first error in input order
+                future.result()
+            if last == snapshot_steps[-1]:  # stepped no further: its rows may be kept
+                for stack, *_ in parts:
+                    stack.flags.writeable = False
+            if not consume(last * config.dt, rows, blowups):
+                break
     return blowups
 
 

@@ -22,7 +22,6 @@ from holesim import (
     sample_form,
     translate_basis,
 )
-from holesim import background_recover
 from holesim.background_recover import _check_pvm, localization_index
 from oracles import haar_unitary, pvm_error_all_pairs
 
@@ -291,7 +290,7 @@ DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("rows", [1, 3, 8, None])
+@pytest.mark.parametrize("at, later_at", [(0, 11), (5, 9), (10, 11)])
 @pytest.mark.parametrize("make", [lambda n, rng: list(coordinate_projectors(n)), dense_pvm],
                          ids=["coordinate", "dense"])
 @pytest.mark.parametrize("first, later", [
@@ -303,23 +302,18 @@ DEFECTS = {
     (("not_idempotent", "bad_shape"), "not_finite"),
     (("not_finite", "bad_shape"), "not_idempotent"),
 ])
-def test_pvm_check_in_blocks_names_the_first_defective_projector(rows, make, first, later,
-                                                                 monkeypatch):
-    """The projector checks run in blocks of PVM_BLOCK_BYTES, restricted to
-    the indices a block uses, and name what one check per projector in
-    order names: the first defective projector, by its first defect. The
-    defects sit at projector 5, inside a block of 8 or of all 12, at the
-    end of a block of 3, and alone in a block of 1, with a later defect at
-    projector 9."""
+def test_pvm_check_names_the_first_defective_projector(make, first, later, at, later_at):
+    """The check names what the all-pairs reference names: the first
+    defective projector, by its first defect, with a later defect behind
+    it. The defects sit at the first projector, whose shape sets n, in the
+    middle, and at the last two."""
     n = 12
-    if rows is not None:
-        monkeypatch.setattr(background_recover, "PVM_BLOCK_BYTES", rows * 16 * n * n)
     projectors = make(n, np.random.default_rng(len(first)))
     for defect in first:
-        projectors[5] = DEFECTS[defect](projectors[5])
-    projectors[9] = DEFECTS[later](projectors[9])
+        projectors[at] = DEFECTS[defect](projectors[at])
+    projectors[later_at] = DEFECTS[later](projectors[later_at])
     expected = pvm_error_all_pairs(projectors)
-    assert expected.startswith("projector 5 ")
+    assert expected.startswith(f"projector {at} ")
     assert pvm_outcome(projectors) == expected
 
 

@@ -8,6 +8,7 @@ from holesim import (
     Grid,
     GridMismatch,
     NonInvertibleDiffeo,
+    NumericalBlowup,
     Potential,
     gaussian_packet,
     identity_map,
@@ -136,6 +137,19 @@ def test_pushforward_identity_returns_same_object(grid1024):
     assert pushforward_wavefunction(psi, identity_map(1), 3.0) is psi
     for phi in (identity_map(1), make_translation_ramp(3.0, t0=1.0, t1=2.0)):
         assert PushforwardPlan(phi, 0.5, grid1024).apply(psi) is psi
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("renormalize", [True, False])
+def test_push_with_non_finite_samples_is_a_blowup(grid1024, renormalize):
+    """A bump push whose sampler yields NaN raises the state's non-finite
+    NumericalBlowup, renormalized or not (dividing by the NaN norm first
+    warns)."""
+    psi = gaussian_packet(grid1024, 0.0, 1.0, label="probe")
+    plan = PushforwardPlan(standard_bump(), 2.0, grid1024)
+    plan.sampler = lambda amplitudes: np.full(np.count_nonzero(plan.moved), np.nan)
+    with pytest.raises(NumericalBlowup, match="^non-finite amplitudes in wavefunction 'probe'$"):
+        plan.pushed(psi, renormalize)
 
 
 def test_pushforward_grid_aligned_translation_is_roll(grid1024):

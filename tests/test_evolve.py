@@ -6,7 +6,6 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -545,6 +544,41 @@ def test_first_failing_group_in_input_order_is_raised(monkeypatch, workers):
         evolve_branches(states, potentials, EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0))
 
 
+class PartFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising, expected", [
+    ({2}, "^part of 2$"), ({1, 2}, "^part of 1$"), (set(), "^consumer$"),
+], ids=["part_1", "both_parts", "consumer"])
+def test_part_and_consumer_errors_are_raised_and_no_thread_is_left(monkeypatch, raising,
+                                                                   expected):
+    """Parts [b0] and [b1, b2] on two cores. An exception of part 1's step
+    is raised; with both parts raising, part 0's; one of the consumer at
+    the first snapshot after t = 0 too. No thread outlives the call."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: 2)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 2 * 16 * 1024)
+    states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 3)
+    real = evolve_module._advance
+
+    def failing(stack, half_v, kinetic):
+        if len(stack) in raising:
+            raise PartFailure(f"part of {len(stack)}")
+        real(stack, half_v, kinetic)
+
+    def consume(t, rows, blowups):
+        if t > 0:
+            raise PartFailure("consumer")
+        return True
+
+    monkeypatch.setattr(evolve_module, "_advance", failing)
+    config = EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0, snapshot_stride=2)
+    threads = threading.active_count()
+    with pytest.raises(PartFailure, match=expected):
+        evolve_module.stream_branches(states, potentials, config, consume)
+    assert threading.active_count() == threads
+
+
 def test_stepping_stops_once_the_first_branch_blew_up(monkeypatch):
     """The first branch's blow-up settles the error raised, so the stack
     steps on only to the next snapshot, not to t_end."""
@@ -662,12 +696,13 @@ def test_stream_frees_inputs_it_is_handed_once_its_stacks_are_built(monkeypatch,
 
 
 def test_workers_allocate_nothing_per_step(monkeypatch):
-    """Two parts of two 1D branches on two threads, a snapshot at every
-    step. The threads take strict turns, so that each reads the traced
-    array memory after a step while the other waits, at its own next step
-    or at the parts' barrier: every reading equals the first. A thread
-    hands its turn over when it next waits, in either place. The consumer
-    runs at the barrier and keeps no array.
+    """Two parts of two 1D branches, a snapshot at every step, so each part
+    takes one step per interval. The calling thread steps part 0 and a pool
+    thread part 1, in strict turns, so that each reads the traced array
+    memory after a step while the other waits: every reading equals the
+    first. The pool thread hands its turn over after its step, the calling
+    thread once it waits for the pool thread. The consumer runs between
+    intervals and keeps no array.
 
     Only numpy's array data counts: the interpreter keeps small objects in
     free lists, which move the total by a few bytes whatever the engine
@@ -677,43 +712,35 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
     states, potentials = branch_setup(Grid(1024, 40.0), 1.4, 4)
     n_steps = 20
     config = EvolutionConfig(dt=0.05, t_end=n_steps * 0.05, mass=1.0)
-    real = evolve_module._advance
+    real, real_wait = evolve_module._advance, evolve_module.wait
+    caller = threading.get_ident()
     turns = threading.Condition()
-    order = []  # thread idents in the order of their first step
     handed = [0]  # turns handed over so far
-    owing = set()  # threads that stepped and have not yet handed over
     calls = [0, 0]
     readings = np.zeros((2, n_steps), dtype=np.int64)
     arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
-    def hand_over(me):  # with turns held
-        if me in owing:
-            owing.discard(me)
+    def hand_over():
+        with turns:
             handed[0] += 1
+            turns.notify_all()
 
     def step_in_turn(stack, half_v, kinetic):
-        me = threading.get_ident()
+        i = int(threading.get_ident() != caller)
+        k = calls[i]
+        calls[i] = k + 1
         with turns:
-            if me not in order:
-                order.append(me)
-            i = order.index(me)
-            k = calls[i]
-            calls[i] = k + 1
-            hand_over(me)
-            turns.notify_all()  # a first thread waits for the second
-            while len(order) < 2 or handed[0] != 2 * k + i:
+            while handed[0] != 2 * k + i:
                 assert turns.wait(30), "the other thread never handed over"
-            real(stack, half_v, kinetic)
-            traces = tracemalloc.take_snapshot().filter_traces(arrays).traces
-            readings[i, k] = sum(trace.size for trace in traces)
-            owing.add(me)
+        real(stack, half_v, kinetic)
+        traces = tracemalloc.take_snapshot().filter_traces(arrays).traces
+        readings[i, k] = sum(trace.size for trace in traces)
+        if i:
+            hand_over()
 
-    class HandingBarrier(threading.Barrier):
-        def wait(self, timeout=None):
-            with turns:
-                hand_over(threading.get_ident())
-                turns.notify_all()
-            return super().wait(30)
+    def wait_in_turn(futures):
+        hand_over()
+        return real_wait(futures)
 
     norms = np.zeros((n_steps + 1, 4))
     seen = [0]
@@ -725,9 +752,7 @@ def test_workers_allocate_nothing_per_step(monkeypatch):
         return True
 
     monkeypatch.setattr(evolve_module, "_advance", step_in_turn)
-    monkeypatch.setattr(evolve_module, "threading", SimpleNamespace(
-        Barrier=HandingBarrier, Thread=threading.Thread,
-        BrokenBarrierError=threading.BrokenBarrierError))
+    monkeypatch.setattr(evolve_module, "wait", wait_in_turn)
     tracemalloc.start()
     try:
         blowups = evolve_module.stream_branches(states, potentials, config, consume)
