@@ -290,7 +290,7 @@ DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("at, later_at", [(0, 11), (5, 9), (10, 11)])
+@pytest.mark.parametrize("at, later_at", [(0, 11), (1, 2), (5, 9), (10, 11)])
 @pytest.mark.parametrize("make", [lambda n, rng: list(coordinate_projectors(n)), dense_pvm],
                          ids=["coordinate", "dense"])
 @pytest.mark.parametrize("first, later", [
@@ -305,7 +305,8 @@ DEFECTS = {
 def test_pvm_check_names_the_first_defective_projector(make, first, later, at, later_at):
     """The check names what the all-pairs reference names: the first
     defective projector, by its first defect, with a later defect behind
-    it. The defects sit at the first projector, whose shape sets n, in the
+    it. The defects sit at the first projector, whose shape sets n, at the
+    first one checked against that n with a defect right behind it, in the
     middle, and at the last two."""
     n = 12
     projectors = make(n, np.random.default_rng(len(first)))
