@@ -151,8 +151,8 @@ class ResultBundle:
     must be finite and every mapping key a string, so that the report
     loads back as what it holds; ``json_text`` is that report as
     result.json holds it, the text of ``json.dumps(data, sort_keys=True,
-    indent=2, allow_nan=False)``. The renderer checks the values; only data
-    it refuses is walked, to name the path.
+    indent=2, allow_nan=False)``, and the render that writes it is the
+    one check of the data.
     """
 
     experiment: str
@@ -162,60 +162,46 @@ class ResultBundle:
     json_text: str = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            text = _render_json(self.data, "\n") + "\n"
-        except (TypeError, ValueError) as exc:
-            _check_finite(self.data, "data")
-            raise DomainError("result data does not round-trip through JSON") from exc
-        object.__setattr__(self, "json_text", text)
+        object.__setattr__(self, "json_text", _render_json(self.data, "\n", "data") + "\n")
 
 
-def _render_json(node, indent: str) -> str:
+def _render_json(node, indent: str, path: str) -> str:
     """``node`` as ``json.dumps(node, sort_keys=True, indent=2,
     allow_nan=False)`` writes it at the nesting that ``indent`` (a newline
-    and its spaces) opens, with a list of floats joined in one go. Raises
-    TypeError for what JSON cannot hold or load back as it was, such as a
-    key that is not a string, and ValueError for a non-finite float."""
+    and its spaces) opens, with a list of floats joined in one go. What
+    JSON cannot hold or load back as it was (a non-finite float, a key that
+    is not a string, any other type) is a DomainError naming its ``path``,
+    the first such value in the order the text is written."""
     inner = indent + "  "
     if isinstance(node, (list, tuple)) and node:
-        try:  # finite floats only: their repr has no "n", unlike inf and nan
+        try:
             body = ("," + inner).join(map(float.__repr__, node))
-            if "n" in body:
-                raise ValueError("non-finite float in a list")
         except TypeError:
-            body = ("," + inner).join([_render_json(item, inner) for item in node])
+            body = ("," + inner).join([_render_json(item, inner, f"{path}[{i}]")
+                                       for i, item in enumerate(node)])
+        else:
+            if "n" in body:  # a finite float's repr has no "n", unlike inf and nan
+                i = next(i for i, value in enumerate(node) if not math.isfinite(value))
+                raise DomainError(f"non-finite value at {path}[{i}]")
         return "[" + inner + body + indent + "]"
     if isinstance(node, dict) and node:
         if not all(isinstance(key, str) for key in node):
-            raise TypeError("result keys must be strings")
+            raise DomainError(f"result data does not round-trip through JSON: a key at {path}"
+                              " is not a string")
         return "{" + inner + ("," + inner).join(
-            [_encode_scalar(key) + ": " + _render_json(value, inner)
+            [_encode_scalar(key) + ": " + _render_json(value, inner, f"{path}.{key}")
              for key, value in sorted(node.items())]) + indent + "}"
-    if isinstance(node, float) and math.isfinite(node):
-        return float.__repr__(node)
-    return _encode_scalar(node)
+    if isinstance(node, float):
+        if math.isfinite(node):
+            return float.__repr__(node)
+        raise DomainError(f"non-finite value at {path}")
+    if node is None or isinstance(node, (str, int, list, tuple, dict)):
+        return _encode_scalar(node)
+    raise DomainError(f"non-serializable value of type {type(node).__name__} at {path}")
 
 
 # A scalar or an empty container's text does not depend on indent or key order.
 _encode_scalar = json.JSONEncoder(allow_nan=False).encode
-
-
-def _check_finite(node, path):
-    if isinstance(node, bool) or node is None or isinstance(node, (str, int)):
-        return
-    if isinstance(node, float):
-        if not math.isfinite(node):
-            raise DomainError(f"non-finite value at {path}")
-        return
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, f"{path}.{key}")
-        return
-    if isinstance(node, (list, tuple)):
-        for i, value in enumerate(node):
-            _check_finite(value, f"{path}[{i}]")
-        return
-    raise DomainError(f"non-serializable value of type {type(node).__name__} at {path}")
 
 
 def _merge_section(name, user, errors):
@@ -306,9 +292,9 @@ def load_config(path) -> RunConfig:
         "formats": sorted(formats),
         **used,
     }
-    # The echo goes into result.json, which holds finite numbers only.
+    # The echo goes into result.json, which holds what JSON loads back only.
     try:
-        _check_finite(echo, "config")
+        _render_json(echo, "\n", "config")
     except DomainError as exc:
         errors.append(str(exc))
     try:

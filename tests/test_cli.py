@@ -450,17 +450,12 @@ def test_result_bundle_rejects_nonfinite():
 
 
 def test_execute_validates_the_result_once(tmp_path, monkeypatch):
-    """The JSON encoder checks a result: a finite one is never walked; one
-    that the encoder refuses is walked once, to name its first bad value."""
+    """The render that writes result.json checks a result: a finite one
+    renders, one that it refuses names its first bad value in the order the
+    text is written."""
     import holesim.cli as cli
 
-    real_check, real_run = cli._check_finite, cli.run_baseline
-    roots = []
-
-    def counting(node, path):
-        if path == "data":
-            roots.append(node)
-        return real_check(node, path)
+    real_run = cli.run_baseline
 
     def last_theta_nan(settings):
         report = real_run(settings)
@@ -468,18 +463,15 @@ def test_execute_validates_the_result_once(tmp_path, monkeypatch):
         thetas[-1] = complex("nan")
         return dataclasses.replace(report, theta_baseline=thetas)
 
-    monkeypatch.setattr(cli, "_check_finite", counting)
     path = write_config(tmp_path, "baseline.yaml", {
         "experiment": "baseline",
         "evolution": {"t_end": 0.2, "snapshot_stride": 5},
     })
     bundle = cli.execute(load_config(path))
-    assert roots == []
     assert bundle.wall_time_s > 0
     monkeypatch.setattr(cli, "run_baseline", last_theta_nan)
-    with pytest.raises(DomainError, match=r"^non-finite value at data\.theta_baseline\.re\[2\]$"):
+    with pytest.raises(DomainError, match=r"^non-finite value at data\.final\.abs_theta$"):
         cli.execute(load_config(path))
-    assert len(roots) == 1
 
 
 def test_result_bundle_roundtrip_guard():
