@@ -287,14 +287,14 @@ class PushforwardPlan:
             self.sampler = SpectralSampler(grid, preimages)
 
     def apply(self, psi: WaveFunction, renormalize: bool = True) -> WaveFunction:
-        """The pushed state; see :func:`pushforward_wavefunction`. A roll
-        moves the amplitudes unchanged, so it is never renormalized."""
-        return self.pushed(psi, renormalize and self.cells is None)[0]
+        """The pushed state; see :func:`pushforward_wavefunction`."""
+        return self.pushed(psi, renormalize)[0]
 
-    def pushed(self, psi: WaveFunction, renormalize: bool) -> tuple[WaveFunction, float]:
+    def pushed(self, psi: WaveFunction, renormalize: bool = True) -> tuple[WaveFunction, float]:
         """``psi`` pushed, divided by its norm if ``renormalize``, and that
         norm, checked to lie within PUSHFORWARD_NORM_TOL of one; the
-        identity gives ``psi`` itself and 1.0."""
+        identity gives ``psi`` itself and 1.0. A roll moves the amplitudes
+        unchanged, so it is never renormalized."""
         if psi.grid != self.grid:
             raise GridMismatch(f"plan grid {self.grid} does not match state grid {psi.grid}")
         if self.identity:
@@ -318,7 +318,7 @@ class PushforwardPlan:
                 " state not resolved enough for the map"
             )
         log.debug("pushforward norm drift %.3e at ramp %s", drift, self.ramp)
-        if renormalize:
+        if renormalize and self.cells is None:
             amps /= size  # in place, with the bits of amps / (1 + drift): size - 1 is exact
         return WaveFunction._adopt(psi.grid, amps, psi.label), size
 

@@ -363,7 +363,7 @@ class _Hole:
             self.error, self.plan = exc.with_traceback(None), None
 
     def _push(self, psi: WaveFunction) -> WaveFunction:
-        pushed, size = self.plan.pushed(psi, renormalize=True)  # the identity: psi itself
+        pushed, size = self.plan.pushed(psi)  # the identity: psi itself
         self.drift = max(self.drift, abs(size - 1.0))
         return pushed
 

@@ -838,7 +838,7 @@ def test_hole_run_peak_does_not_grow_with_its_snapshot_count(tmp_path, monkeypat
     snapshot was stored. At 1, 2 and 4 workers, the streamed run_hole and
     sweep have the bits of theta_time_series over collected evolve_branches
     trajectories, pushed one snapshot at a time."""
-    from holesim import WaveFunction, evolve_branches, norm, pushforward_wavefunction, run_hole
+    from holesim import evolve_branches, pushforward_wavefunction, run_hole
     from holesim.evolve import Trajectory
     from holesim.observable import theta_time_series
 
@@ -856,11 +856,9 @@ def test_hole_run_peak_does_not_grow_with_its_snapshot_count(tmp_path, monkeypat
     phi = config.diffeo
 
     def pushed(trajectory):
-        states = []
-        for t, psi in zip(trajectory.times, trajectory.states):
-            raw = pushforward_wavefunction(psi, phi, t, renormalize=False)
-            states.append(raw if raw is psi else WaveFunction(psi.grid, raw.amplitudes / norm(raw)))
-        return Trajectory(trajectory.times, tuple(states))
+        return Trajectory(trajectory.times, tuple(
+            pushforward_wavefunction(psi, phi, t) for t, psi in zip(trajectory.times,
+                                                                   trajectory.states)))
 
     psi0 = config.initial_packet()
     for workers in (1, 2, 4):

@@ -139,6 +139,15 @@ def test_two_sided_sweep_keeps_theta():
     assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
 
 
+def test_aligned_two_sided_control_is_exact():
+    """Past the ramp an aligned map rolls both branches by the same cells,
+    unrenormalized, so the control keeps theta to roundoff, not to the
+    norm drift of the snapshots."""
+    entry, = sweep(default_config(two_sided=True), "displacement", [17.5])
+    for report in (run_hole(default_config(two_sided=True)), entry.report):
+        assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-15
+
+
 def test_two_sided_drift_covers_both_branches():
     """The reported pushforward drift is the largest over both branches."""
     config = default_config(two_sided=True)
