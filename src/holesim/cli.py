@@ -630,42 +630,37 @@ def write_bundle(bundle: ResultBundle, out_dir, formats=("csv", "json")) -> list
 def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray) -> str:
     """Self-describing text format: header keys, then row-major rows of the
     trailing components per grid point."""
-    return "".join(_grid_field_blocks(kind, spacings, values))
+    return "".join(_GridFieldText(kind, spacings, values))
 
 
 @dataclass(frozen=True, eq=False)
 class _GridFieldText:
-    """The text of render_grid_field, rendered block by block each time it
-    is iterated, so that no one holds it whole."""
+    """The text of render_grid_field, rendered each time it is iterated: the
+    header, then one %-format per block of RENDER_BLOCK_ROWS rows, so that a
+    writer holds one block at a time and no one holds it whole."""
 
     kind: str
     spacings: tuple[float, ...]
     values: np.ndarray
 
     def __iter__(self):
-        return _grid_field_blocks(self.kind, self.spacings, self.values)
-
-
-def _grid_field_blocks(kind, spacings, values):
-    """The text of render_grid_field: the header, then one %-format per
-    block of RENDER_BLOCK_ROWS rows, so a writer holds one block at a time."""
-    values = np.asarray(values, dtype=float)
-    grid_shape = values.shape[: len(spacings)]
-    comp_shape = values.shape[len(spacings):]
-    yield "\n".join([
-        "# holesim grid-field v1",
-        f"kind: {kind}",
-        f"axes: {len(spacings)}",
-        "shape: " + " ".join(str(n) for n in grid_shape),
-        "spacing: " + " ".join(_fmt(h) for h in spacings),
-        "components: " + " ".join(str(n) for n in comp_shape),
-        "data:",
-    ]) + "\n"
-    flat = values.reshape(int(np.prod(grid_shape)), -1)
-    row = " ".join(["%r"] * flat.shape[1]) + "\n"
-    for start in range(0, len(flat), RENDER_BLOCK_ROWS):
-        block = flat[start:start + RENDER_BLOCK_ROWS]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        values = np.asarray(self.values, dtype=float)
+        grid_shape = values.shape[: len(self.spacings)]
+        comp_shape = values.shape[len(self.spacings):]
+        yield "\n".join([
+            "# holesim grid-field v1",
+            f"kind: {self.kind}",
+            f"axes: {len(self.spacings)}",
+            "shape: " + " ".join(str(n) for n in grid_shape),
+            "spacing: " + " ".join(_fmt(h) for h in self.spacings),
+            "components: " + " ".join(str(n) for n in comp_shape),
+            "data:",
+        ]) + "\n"
+        flat = values.reshape(int(np.prod(grid_shape)), -1)
+        row = " ".join(["%r"] * flat.shape[1]) + "\n"
+        for start in range(0, len(flat), RENDER_BLOCK_ROWS):
+            block = flat[start:start + RENDER_BLOCK_ROWS]
+            yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _parse_grid_field(path) -> tuple[str, tuple[float, ...], np.ndarray]:
@@ -725,7 +720,7 @@ def write_metric_field(path, metric: MetricField) -> None:
     iu = np.triu_indices(d)
     tri = metric.components[..., iu[0], iu[1]]
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_grid_field_blocks("metric", tuple(metric.spacings), tri))
+        out.writelines(_GridFieldText("metric", tuple(metric.spacings), tri))
 
 
 def read_metric_field(path) -> MetricField:
