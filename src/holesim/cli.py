@@ -437,7 +437,6 @@ def render_csv(header, rows) -> str:
 
 
 _THETA_KEYS = ("times", "re", "im", "abs", "arg")
-_SCALAR_DIAGNOSTICS = ("max_mass_outside_support", "softening", "max_pushforward_norm_drift")
 _SWEEP_COLUMNS = ("value", "abs_theta_baseline", "arg_theta_baseline", "abs_theta_hole",
                   "contrast")
 
@@ -452,9 +451,18 @@ def _theta_block(times: np.ndarray, thetas: np.ndarray) -> dict:
             **_polar(thetas)}
 
 
-def _final_entries(suffix: str, polar: dict) -> dict:
-    """abs_theta<suffix> and arg_theta<suffix> of the last theta in polar."""
-    return {f"abs_theta{suffix}": polar["abs"][-1], f"arg_theta{suffix}": polar["arg"][-1]}
+def _finals(report: HoleReport, hole: bool) -> dict:
+    """abs_theta and arg_theta of each series' last theta, suffixed with
+    its series in a hole report, which adds the contrast: the baseline's
+    final abs less the hole's. One rule for a run's and a sweep entry's."""
+    thetas = ({"_baseline": report.final_theta_baseline, "_hole": report.final_theta_hole}
+              if hole else {"": report.final_theta_baseline})
+    polar = _polar(thetas.values())
+    finals = {f"{part}_theta{suffix}": polar[part][i]
+              for part in ("abs", "arg") for i, suffix in enumerate(thetas)}
+    if hole:
+        finals["contrast"] = polar["abs"][0] - polar["abs"][1]
+    return finals
 
 
 def _theta_csv(block: dict) -> str:
@@ -476,14 +484,15 @@ def _matrix_block(matrix) -> dict:
 
 
 def _diagnostics_block(report: HoleReport) -> dict:
-    diag = report.diagnostics
-    out = {key: float(diag[key]) for key in _SCALAR_DIAGNOSTICS if key in diag}
-    if diag.get("overlap_mass_after_ramp"):
-        out["overlap_mass_after_ramp"] = {
-            _fmt(t): float(m) for t, m in diag["overlap_mass_after_ramp"].items()
-        }
-    if diag.get("transformed_source_final") is not None:
-        out["transformed_source_final"] = [float(v) for v in diag["transformed_source_final"]]
+    """The report's diagnostics as the run records them: a mapping's time
+    keys written as _fmt(t), a tuple as a list, and an entry that is None
+    or empty left out."""
+    out = {}
+    for key, value in report.diagnostics.items():
+        if isinstance(value, dict):
+            value = {_fmt(t): entry for t, entry in value.items()}
+        if value is not None and value not in ({}, (), []):
+            out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -496,35 +505,25 @@ def _execute_run(config: RunConfig) -> tuple[dict, dict]:
     hole = config.experiment == "hole"
     report = (run_hole if hole else run_baseline)(config.settings)
     series = {"baseline": report.theta_baseline}
+    data, files, final = {}, {}, _finals(report, hole)
     if hole:
         series["hole"] = report.theta_hole
-    data, files, final = {}, {}, {}
+        data.update(two_sided=report.config.two_sided, contrast=final.pop("contrast"))
     for name, thetas in series.items():
         block = _theta_block(report.times, thetas)
         suffix = f"_{name}" if hole else ""
         data[f"theta_{name}"] = block
         files[f"theta_{name}.csv"] = _theta_csv(block)
-        final.update(_final_entries(suffix, block))
         final[f"density_matrix{suffix}"] = _matrix_block(density_matrix(thetas[-1]).entries)
     data.update(final=final, diagnostics=_diagnostics_block(report))
-    if hole:
-        data.update(two_sided=report.config.two_sided,
-                    contrast=final["abs_theta_baseline"] - final["abs_theta_hole"])
     return data, files
 
 
 def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
     hole_config, parameter, values = config.settings
-    entries = []
-    for entry in sweep(hole_config, parameter, values):
-        report = entry.report
-        if report is None:
-            entries.append({"value": entry.value, "error": entry.error})
-            continue
-        final = {**_final_entries("_baseline", _polar([report.final_theta_baseline])),
-                 **_final_entries("_hole", _polar([report.final_theta_hole]))}
-        entries.append({"value": entry.value, **final,
-                        "contrast": final["abs_theta_baseline"] - final["abs_theta_hole"]})
+    entries = [{"value": entry.value, "error": entry.error} if entry.report is None
+               else {"value": entry.value, **_finals(entry.report, hole=True)}
+               for entry in sweep(hole_config, parameter, values)]
     return {"parameter": parameter, "entries": entries}, {"sweep.csv": _sweep_csv(entries)}
 
 

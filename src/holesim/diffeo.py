@@ -9,10 +9,12 @@ psi'(y) = psi(phi^-1(y)) |det J|^(-1/2), the unique weight that keeps the
 map unitary; scalar potentials transform by composition V' = V o phi^-1.
 
 A PushforwardPlan does the map's share of a wavefunction pushforward once
-and applies it to any number of states; the plane-wave tables it keeps for
-a bump are bounded by grid.SAMPLE_CHUNK_BYTES. A bump whose peak shift has
-no last component keeps each preimage's grid coordinate on the last axis,
-so its sampler contracts that axis over the few distinct values only.
+and applies it to any number of states; a Fourier shift multiplies the
+transform by its one factor per axis in place, and the plane-wave tables
+it keeps for a bump are bounded by grid.SAMPLE_CHUNK_BYTES. A bump whose
+peak shift has no last component keeps each preimage's grid coordinate on
+the last axis, so its sampler contracts that axis over the few distinct
+values only.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ _BUMP_SLOPE_MAX = 2.1712
 PUSHFORWARD_NORM_TOL = 1e-6
 INVERSE_TOL = 1e-13
 _GRID_ALIGN_TOL = 1e-9
-# Bytes of a Fourier shift's phase built at once, a block of leading rows.
-PHASE_BLOCK_BYTES = 2**18
 
 
 def _smoothstep(t: np.ndarray | float, t0: float, t1: float):
@@ -323,17 +323,12 @@ class PushforwardPlan:
         return WaveFunction._adopt(psi.grid, amps, psi.label), size
 
     def _shifted(self, amplitudes: np.ndarray) -> np.ndarray:
-        """ifftn(fftn(amplitudes) * phase) in one fresh array, the phase
-        built from its axis factors in axis order for a block of leading
-        rows at a time (a 1D grid in one): the bits of the whole product."""
+        """ifftn of fftn(amplitudes) times the phase, in one fresh array:
+        the transform is multiplied by each axis factor in place, in axis
+        order, so no full-grid phase is ever built."""
         amps = np.fft.fftn(amplitudes, out=np.empty_like(amplitudes))
-        first, *rest = self.phase
-        rows = max(1, PHASE_BLOCK_BYTES // (16 * amps[0].size)) if rest else len(first)
-        for lo in range(0, len(first), rows):
-            phase = np.ones((1,) * amps.ndim, dtype=complex) * first[lo:lo + rows]
-            for factor in rest:
-                phase = phase * factor
-            np.multiply(amps[lo:lo + rows], phase, out=amps[lo:lo + rows])
+        for factor in self.phase:
+            amps *= factor
         return np.fft.ifftn(amps, out=amps)
 
 

@@ -149,6 +149,59 @@ def test_hole_run_json_contrast(tmp_path):
     assert density[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
+# The default scenario on 256 points, run past the ramp's end (t1 = 1.6).
+SHORT_SCENARIO = {"grid": {"points": 256, "extent": 40.0},
+                  "evolution": {"dt": 0.05, "t_end": 2.0, "mass": 4.0, "snapshot_stride": 4}}
+
+
+def test_diagnostics_reach_result_json_as_the_run_records_them(tmp_path, monkeypatch):
+    """result.json's diagnostics are the report's, key for key: a key the
+    CLI has never heard of reaches it, a time key is written as its repr,
+    a tuple as a list, and an empty or None entry is left out."""
+    import holesim.cli as cli
+
+    real_run, reports = cli.run_hole, []
+
+    def with_extra_keys(settings):
+        report = real_run(settings)
+        reports.append(report)
+        return dataclasses.replace(report, diagnostics={
+            **report.diagnostics, "premise_residual": 0.25, "margins": (1.0, 2.0),
+            "unset": None, "empty": {}})
+
+    monkeypatch.setattr(cli, "run_hole", with_extra_keys)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "hole.yaml",
+                        {"experiment": "hole", "output_dir": str(out), **SHORT_SCENARIO})
+    assert main(["run", "--config", str(path)]) == 0
+    diagnostics = json.loads((out / "result.json").read_text())["diagnostics"]
+    recorded = reports[0].diagnostics
+    assert set(diagnostics) == {*recorded, "premise_residual", "margins"}
+    assert diagnostics["premise_residual"] == 0.25
+    assert diagnostics["margins"] == [1.0, 2.0]
+    assert diagnostics["overlap_mass_after_ramp"] == {
+        repr(t): mass for t, mass in recorded["overlap_mass_after_ramp"].items()}
+    assert diagnostics["transformed_source_final"] == list(recorded["transformed_source_final"])
+    for key in ("max_mass_outside_support", "softening", "max_pushforward_norm_drift"):
+        assert diagnostics[key] == recorded[key]
+
+
+def test_sweep_entry_has_the_finals_of_the_equal_hole_run(tmp_path):
+    """A one-value displacement sweep at the hole config's own shift has
+    the final abs and arg of each series and the contrast of that hole run,
+    bit for bit."""
+    hole = execute(load_config(write_config(tmp_path, "hole.yaml", {
+        "experiment": "hole", "output_dir": str(tmp_path / "hole"), **SHORT_SCENARIO})))
+    swept = execute(load_config(write_config(tmp_path, "sweep.yaml", {
+        "experiment": "sweep", "output_dir": str(tmp_path / "sweep"), **SHORT_SCENARIO,
+        "sweep": {"parameter": "displacement", "values": [17.5]}})))
+    entry, = swept.data["entries"]
+    final = hole.data["final"]
+    for key in ("abs_theta_baseline", "arg_theta_baseline", "abs_theta_hole", "arg_theta_hole"):
+        assert entry[key] == final[key]
+    assert entry["contrast"] == hole.data["contrast"] > 0.9
+
+
 def test_sweep_command_and_kind_check(tmp_path):
     sweep_path = write_config(tmp_path, "sweep.yaml", {
         "experiment": "sweep",
@@ -201,14 +254,12 @@ def test_csv_tables_hold_the_numbers_of_result_json(tmp_path):
     """theta_*.csv and sweep.csv parse to the floats of result.json's theta
     blocks and sweep entries, bit for bit, for a baseline, a hole run and a
     sweep."""
-    short = {"grid": {"points": 256, "extent": 40.0},
-             "evolution": {"dt": 0.05, "t_end": 2.0, "mass": 4.0, "snapshot_stride": 4}}
     theta_columns = {"t": "times", "re_theta": "re", "im_theta": "im",
                      "abs_theta": "abs", "arg_theta": "arg"}
     for experiment, series in (("baseline", ["baseline"]), ("hole", ["baseline", "hole"])):
         out = tmp_path / experiment
         path = write_config(tmp_path, f"{experiment}.yaml",
-                            {"experiment": experiment, "output_dir": str(out), **short})
+                            {"experiment": experiment, "output_dir": str(out), **SHORT_SCENARIO})
         assert main(["run", "--config", str(path)]) == 0
         report = json.loads((out / "result.json").read_text())
         for name in series:
@@ -218,7 +269,7 @@ def test_csv_tables_hold_the_numbers_of_result_json(tmp_path):
                 assert bits(columns[column]) == bits(report[f"theta_{name}"][key])
     out = tmp_path / "sweep"
     path = write_config(tmp_path, "sweep.yaml", {
-        "experiment": "sweep", "output_dir": str(out), **short,
+        "experiment": "sweep", "output_dir": str(out), **SHORT_SCENARIO,
         "sweep": {"parameter": "coupling", "values": [0.0, 0.05, 0.2]}})
     assert main(["run", "--config", str(path)]) == 0
     entries = json.loads((out / "result.json").read_text())["entries"]

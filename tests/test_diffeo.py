@@ -369,12 +369,12 @@ def push_one_state(psi, phi, t, renormalize, path):
         cells = tuple(int(round(s / dx)) for s, dx in zip(phi.displacement_at(t), grid.spacing))
         return np.roll(psi.amplitudes, cells, axis=tuple(range(grid.dim)))
     if path == "fourier":
-        phase = np.ones((1,) * grid.dim, dtype=complex)
+        amps = np.fft.fftn(psi.amplitudes)
         for axis, (k, s) in enumerate(zip(grid.wavenumbers(), phi.displacement_at(t))):
             shape = [1] * grid.dim
             shape[axis] = k.size
-            phase = phase * np.exp(-1j * k * s).reshape(shape)
-        amps = np.fft.ifftn(np.fft.fftn(psi.amplitudes) * phase)
+            amps = amps * np.exp(-1j * k * s).reshape(shape)
+        amps = np.fft.ifftn(amps)
     else:
         targets = grid_points(grid)
         moved = phi._bump_rho(targets.T) < 1.0

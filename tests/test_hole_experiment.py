@@ -133,19 +133,16 @@ def test_two_sided_control_preserves_theta():
     assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
 
 
-def test_two_sided_sweep_keeps_theta():
-    entry, = sweep(default_config(two_sided=True), "displacement", [17.5])
-    report = entry.report
-    assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-6
-
-
 def test_aligned_two_sided_control_is_exact():
     """Past the ramp an aligned map rolls both branches by the same cells,
     unrenormalized, so the control keeps theta to roundoff, not to the
-    norm drift of the snapshots."""
-    entry, = sweep(default_config(two_sided=True), "displacement", [17.5])
-    for report in (run_hole(default_config(two_sided=True)), entry.report):
+    norm drift of the snapshots; a Fourier shift (2.0, off the grid's
+    cells), swept on the same run, keeps it to the roundoff of its FFTs."""
+    aligned, fourier = sweep(default_config(two_sided=True), "displacement", [17.5, 2.0])
+    for report in (run_hole(default_config(two_sided=True)), aligned.report):
         assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-15
+    report = fourier.report
+    assert np.max(np.abs(report.theta_hole - report.theta_baseline)) <= 1e-13
 
 
 def test_two_sided_drift_covers_both_branches():
