@@ -153,14 +153,17 @@ def riesz_isomorphism(sample: FormSample) -> BackgroundMap:
     return BackgroundMap(w @ vh, sample.condition_number)
 
 
-def _check_pvm(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+def _check_pvm(projectors) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The projectors as complex arrays, once they are checked to form a
+    projector-valued measure, and the indices each one's entries use (all
+    its other entries are exactly zero)."""
     ps = tuple(np.asarray(p, dtype=np.complex128) for p in projectors)
     n = ps[0].shape[0]
     used_rows, used_columns = np.zeros((2, len(ps), n), dtype=bool)
+    supports = []
     # Each projector is finite, (n, n), Hermitian and idempotent, checked in
-    # that order, the last two on the indices its entries use (all else is
-    # exactly zero); the first failing projector is named by its first
-    # failing check.
+    # that order, the last two on the indices its entries use; the first
+    # failing projector is named by its first failing check.
     for i, p in enumerate(ps):
         if not np.isfinite(p).all():
             raise InvalidMeasure(f"projector {i} is not finite")
@@ -169,6 +172,7 @@ def _check_pvm(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         nonzero = p != 0
         used_rows[i], used_columns[i] = nonzero.any(axis=1), nonzero.any(axis=0)
         used = np.flatnonzero(used_rows[i] | used_columns[i])
+        supports.append(used)
         q = p[np.ix_(used, used)]
         if np.abs(q - q.conj().T).max(initial=0.0) > PROJECTOR_TOL:
             raise InvalidMeasure(f"projector {i} is not Hermitian")
@@ -187,7 +191,7 @@ def _check_pvm(projectors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
             raise InvalidMeasure(f"projectors {i} and {j} are not orthogonal")
     if np.max(np.abs(stack.sum(axis=0) - np.eye(n))) > PROJECTOR_TOL:
         raise InvalidMeasure("projectors do not sum to the identity")
-    return ps
+    return ps, tuple(supports)
 
 
 def pull_back_position_measure(background: BackgroundMap,
@@ -199,13 +203,16 @@ def pull_back_position_measure(background: BackgroundMap,
     its unitary part sends the projector for "reference position i" to the
     branch projector at the same identified point.)
     """
-    qs = _check_pvm(tuple(eta_projectors))
+    qs, supports = _check_pvm(tuple(eta_projectors))
     u = background.unitary
     if qs[0].shape[0] != u.shape[0]:
         raise InvalidMeasure(
             f"projector dimension {qs[0].shape[0]} does not match map dimension {u.shape[0]}"
         )
-    recovered = tuple(u @ q @ u.conj().T for q in qs)
+    # Each product runs over the indices its projector uses: a coordinate
+    # projector's is the outer product of one column of U with its conjugate.
+    recovered = tuple(u[:, used] @ q[np.ix_(used, used)] @ u[:, used].conj().T
+                      for q, used in zip(qs, supports))
     for p in recovered:
         p.flags.writeable = False
     return recovered
@@ -235,7 +242,7 @@ def commutation_check(background: BackgroundMap,
     """
     if background.recovered_projectors is None:
         raise InvalidMeasure("background map carries no recovered projectors")
-    natives = _check_pvm(tuple(native_position_projectors))
+    natives, _ = _check_pvm(tuple(native_position_projectors))
     if natives[0].shape[0] != background.unitary.shape[0]:
         raise InvalidMeasure("native projector dimension does not match the map")
     return max(float(np.linalg.norm(p @ q - q @ p, 2))

@@ -320,12 +320,15 @@ def _recover_peak_bytes(points: int, n: int) -> float:
 
 def _harmonic_peak_bytes(size: int) -> float:
     """Upper estimate of a check-harmonic run's peak bytes from its metric
-    file's size, at 2+ bytes per value ("0 "), each 1.6 entries of a full
-    tensor (16 per 10 stored in 3+1 dimensions). The streamed text is not
-    held; the load and the check each hold three tensors at once (the parsed
-    tensor or the densitized inverse, the checked copy, the inverse) and
-    half a tensor more of determinants, weights and residual."""
-    return size / 2 * 1.6 * 8 * 3.5
+    file's size. At 2+ bytes per value ("0 "), a grid point takes at least
+    6 bytes of text in 1+1 dimensions (3 stored values) and 20 in 3+1 (10).
+    The streamed text is not held. Per point the run holds the metric and
+    its inverse (2 D^2 values) and a determinant, and while the residual
+    is formed its D values, a weight, one densitized component and two
+    differences: 15 values in 1+1 and 41 in 3+1, at most 15 * 8 / 6 = 20
+    bytes per byte of text. One render block, or the checks' blocks, adds
+    1 MiB."""
+    return 20.0 * size + 2**20
 
 
 def _integer(section, key):
@@ -636,16 +639,21 @@ def render_grid_field(kind: str, spacings: tuple[float, ...], values: np.ndarray
 class _GridFieldText:
     """The text of render_grid_field, rendered each time it is iterated: the
     header, then one %-format per block of RENDER_BLOCK_ROWS rows, so that a
-    writer holds one block at a time and no one holds it whole."""
+    writer holds one block at a time and no one holds it whole. With
+    ``columns``, each row holds only those of a point's flattened trailing
+    components, taken one block at a time."""
 
     kind: str
     spacings: tuple[float, ...]
     values: np.ndarray
+    columns: np.ndarray | None = None
 
     def __iter__(self):
         values = np.asarray(self.values, dtype=float)
         grid_shape = values.shape[: len(self.spacings)]
         comp_shape = values.shape[len(self.spacings):]
+        if self.columns is not None:
+            comp_shape = (len(self.columns),)
         yield "\n".join([
             "# holesim grid-field v1",
             f"kind: {self.kind}",
@@ -656,9 +664,11 @@ class _GridFieldText:
             "data:",
         ]) + "\n"
         flat = values.reshape(int(np.prod(grid_shape)), -1)
-        row = " ".join(["%r"] * flat.shape[1]) + "\n"
+        row = " ".join(["%r"] * int(np.prod(comp_shape))) + "\n"
         for start in range(0, len(flat), RENDER_BLOCK_ROWS):
             block = flat[start:start + RENDER_BLOCK_ROWS]
+            if self.columns is not None:
+                block = block[:, self.columns]
             yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -714,12 +724,13 @@ def _parse_grid_stream(path, stream) -> tuple[str, tuple[float, ...], np.ndarray
 
 
 def write_metric_field(path, metric: MetricField) -> None:
-    """Store a metric as a grid field of upper-triangle components."""
+    """Store a metric as a grid field of upper-triangle components, taken
+    from the components one render block at a time."""
     d = metric.dim
-    iu = np.triu_indices(d)
-    tri = metric.components[..., iu[0], iu[1]]
+    upper = np.ravel_multi_index(np.triu_indices(d), (d, d))
     with open(path, "w", encoding="utf-8") as out:
-        out.writelines(_GridFieldText("metric", tuple(metric.spacings), tri))
+        out.writelines(_GridFieldText("metric", tuple(metric.spacings),
+                                      metric.components, upper))
 
 
 def read_metric_field(path) -> MetricField:
@@ -738,7 +749,8 @@ def read_metric_field(path) -> MetricField:
     iu = np.triu_indices(d)
     slot[iu] = slot.T[iu] = np.arange(expected)
     full = np.take(tri, slot, axis=-1)
-    del tri  # so MetricField's check holds the tensor, its copy and inverse, no triangle
+    del tri  # so MetricField's check holds the tensor and its inverse, no triangle
+    full.flags.writeable = False  # MetricField keeps it, with no copy
     return MetricField(spacings, full)
 
 

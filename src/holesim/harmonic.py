@@ -45,7 +45,10 @@ class MetricField:
     ``components`` has shape (*grid_shape, D, D) with D = len(spacings)
     in {2, 4} and signature (-, +, ..., +). Symmetry must hold exactly;
     the inverse is computed at construction and must satisfy
-    ||g g^-1 - I|| <= 1e-12 pointwise.
+    ||g g^-1 - I|| <= 1e-12 pointwise. A field holds two tensors, the
+    components and their inverse, plus one determinant per point. A float
+    array that is read-only and owns its data is kept as it is, since its
+    owner has given up writing it; any other components are copied.
     """
 
     spacings: tuple[float, ...]
@@ -59,7 +62,9 @@ class MetricField:
             raise DomainError(f"spacetime dimension must be 1+1 or 3+1, got {d} axes")
         if any(h <= 0 or not np.isfinite(h) for h in spacings):
             raise DomainError(f"spacings must be positive, got {spacings}")
-        g = np.array(self.components, dtype=float, copy=True)
+        g = np.asarray(self.components, dtype=float)
+        if g is self.components and (g.flags.writeable or g.base is not None):
+            g = g.copy()  # its caller can still write it
         if g.ndim != d + 2 or g.shape[-2:] != (d, d):
             raise DomainError(
                 f"components must have shape (*grid, {d}, {d}), got {g.shape}"
@@ -74,16 +79,19 @@ class MetricField:
         if np.any(dets >= 0):
             raise SignatureError("metric determinant must be negative everywhere")
         # Cauchy interlacing: with det < 0, a positive definite spatial block
-        # leaves exactly one negative eigenvalue; otherwise count them.
-        negatives = 1
-        try:
-            np.linalg.cholesky(g[..., 1:, 1:])
-        except np.linalg.LinAlgError:
-            negatives = np.sum(np.linalg.eigvalsh(g) < 0, axis=-1)
-        if np.any(negatives != 1):
-            raise SignatureError("metric must have exactly one negative eigenvalue")
+        # leaves exactly one negative eigenvalue; otherwise count them. One
+        # block of INVERSE_CHECK_POINTS points at a time.
+        flat = g.reshape(-1, d, d)
+        for start in range(0, len(flat), INVERSE_CHECK_POINTS):
+            block = flat[start:start + INVERSE_CHECK_POINTS]
+            try:
+                np.linalg.cholesky(block[:, 1:, 1:])
+            except np.linalg.LinAlgError:
+                if np.any(np.sum(np.linalg.eigvalsh(block) < 0, axis=-1) != 1):
+                    raise SignatureError(
+                        "metric must have exactly one negative eigenvalue") from None
         inverse = np.linalg.inv(g)
-        residual = _inverse_residual(g.reshape(-1, d, d), inverse.reshape(-1, d, d))
+        residual = _inverse_residual(flat, inverse.reshape(-1, d, d))
         if residual > INVERSE_RESIDUAL_TOL:
             raise DomainError(
                 f"metric inverse residual {residual:.3e} exceeds {INVERSE_RESIDUAL_TOL:.0e}"
@@ -146,6 +154,17 @@ def _central_diff_interior(values: np.ndarray, axis: int, spacing: float) -> np.
     return (values[tuple(up)] - values[tuple(down)]) / (2.0 * spacing)
 
 
+def _divergence(component, grid_shape, spacings) -> np.ndarray:
+    """d_mu F^{mu nu} on interior points, from ``component(mu, nu)``, the
+    (*grid) array of F^{mu nu}, asked for one component at a time."""
+    d = len(spacings)
+    out = np.zeros((*(n - 2 for n in grid_shape), d))
+    for nu in range(d):
+        for mu in range(d):
+            out[..., nu] += _central_diff_interior(component(mu, nu), mu, spacings[mu])
+    return out
+
+
 def field_divergence(field: np.ndarray, spacings) -> np.ndarray:
     """Central-difference divergence d_mu F^{mu nu} on interior points.
 
@@ -158,18 +177,17 @@ def field_divergence(field: np.ndarray, spacings) -> np.ndarray:
     d = len(spacings)
     if field.ndim != d + 2 or field.shape[-2:] != (d, d):
         raise DomainError(f"field shape {field.shape} does not match {d} spacings")
-    interior_shape = tuple(n - 2 for n in field.shape[:-2])
-    out = np.zeros((*interior_shape, d))
-    for nu in range(d):
-        for mu in range(d):
-            out[..., nu] += _central_diff_interior(field[..., mu, nu], mu, spacings[mu])
-    return out
+    return _divergence(lambda mu, nu: field[..., mu, nu], field.shape[:-2], spacings)
 
 
 def harmonic_residual(metric: MetricField) -> np.ndarray:
     """Residual of the harmonic coordinate condition, one value per
-    interior point and free index."""
-    return field_divergence(densitized_inverse(metric), metric.spacings)
+    interior point and free index: the divergence of densitized_inverse,
+    bit for bit, with each densitized component formed as it is
+    differenced, so no densitized tensor is held."""
+    weight = np.sqrt(-metric._dets)
+    return _divergence(lambda mu, nu: metric.inverse[..., mu, nu] * weight,
+                       metric.grid_shape, metric.spacings)
 
 
 @dataclass(frozen=True)

@@ -422,14 +422,52 @@ def test_grid_field_parse_holds_no_copy_of_the_text(tmp_path):
 
 
 def test_write_metric_field_holds_one_render_block(tmp_path):
-    """write_metric_field writes each render block as it is formatted: a
-    16^4 metric peaks under its upper triangle plus two blocks' formatting
-    (per value a float object, a list and a tuple slot and its text)."""
+    """write_metric_field takes the upper triangle from the components one
+    render block at a time and writes each block as it is formatted: a
+    16^4 metric peaks under two blocks' formatting (per value a float
+    object, a list and a tuple slot and its text), with no triangle."""
     metric = metric_16_4()
-    triangle_bytes = 16**4 * 10 * 8
     block_bytes = RENDER_BLOCK_ROWS * 10 * (24 + 8 + 8 + 25)
     peak = traced_peak(write_metric_field, tmp_path / "metric16.gridfield", metric)
-    assert peak < triangle_bytes + 2 * block_bytes
+    assert peak < 2 * block_bytes
+
+
+def test_write_metric_field_renders_the_upper_triangle(tmp_path):
+    """The metric's text is render_grid_field of its upper-triangle
+    components, bit for bit."""
+    metric = metric_16_4()
+    path = tmp_path / "metric16.gridfield"
+    write_metric_field(path, metric)
+    iu = np.triu_indices(metric.dim)
+    expected = render_grid_field("metric", metric.spacings, metric.components[..., iu[0], iu[1]])
+    assert path.read_text() == expected
+
+
+def test_read_metric_field_holds_the_metric_and_its_inverse(tmp_path):
+    """read_metric_field hands its unpacked tensor to MetricField, which
+    keeps it with no copy: a 16^4 metric peaks under 2.2 tensors, the
+    tensor and its inverse (the parsed triangle is freed first)."""
+    path = tmp_path / "metric16.gridfield"
+    write_metric_field(path, metric_16_4())
+    tensor_bytes = 16**4 * 16 * 8
+    assert traced_peak(read_metric_field, path) < 2.2 * tensor_bytes
+
+
+def test_check_harmonic_run_holds_two_tensors(tmp_path):
+    """A check-harmonic run of a 16^4 metric, loaded, executed and
+    written, traces under 20 MiB: the metric and its inverse (8 MiB each),
+    the residual and one render block."""
+    metric_path = tmp_path / "metric16.gridfield"
+    write_metric_field(metric_path, metric_16_4())
+    path = write_config(tmp_path, "harmonic16.yaml", {
+        "experiment": "check-harmonic", "output_dir": str(tmp_path / "out"),
+        "harmonic": {"metric_file": str(metric_path)}})
+
+    def run():
+        config = load_config(path)
+        write_bundle(execute(config), config.output_dir, config.formats)
+
+    assert traced_peak(run) < 20 * 2**20
 
 
 def grid_field_text(data: str, kind: str = "metric") -> str:
@@ -839,7 +877,9 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
     load and execute together: a static and an evolved recovery; a check
     of a Minkowski metric as write_metric_field writes it ("0.0"), and of a
     16^4 one as integer entries ("0"), the most values per byte of text the
-    parser accepts; and the runs of PEAK_HOLE_RUNS."""
+    parser accepts, whose estimate is also under twice its traced peak, so
+    the estimate follows what the check holds; and the runs of
+    PEAK_HOLE_RUNS."""
     for recover in ({"points": 256, "n": 32},
                     {"points": 512, "n": 64, "oracle": "evolved", "translation_cells": 8}):
         path = write_config(tmp_path, "recover.yaml", {
@@ -854,7 +894,9 @@ def test_peak_estimates_bound_traced_runs(tmp_path):
     for metric_path in (flat_path, short_path):
         path = write_config(tmp_path, "flat.yaml", {
             "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
-        assert traced_run_peak(path) < _harmonic_peak_bytes(metric_path.stat().st_size)
+        peak, estimate = traced_run_peak(path), _harmonic_peak_bytes(metric_path.stat().st_size)
+        assert peak < estimate
+    assert estimate < 2 * peak
     for name, sections in PEAK_HOLE_RUNS.items():
         path, bundles = write_config(tmp_path, f"{name}.yaml", sections), []
         peak = traced_peak(lambda: bundles.append(execute(load_config(path))))

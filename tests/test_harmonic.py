@@ -204,3 +204,64 @@ def test_metric_field_holds_no_full_size_check_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * components.nbytes
+
+
+def random_metric(d, points, seed):
+    """Minkowski plus symmetric noise on a points^d grid, uneven spacings."""
+    rng = np.random.default_rng(seed)
+    noise = 0.02 * rng.uniform(-1.0, 1.0, (points,) * d + (d, d))
+    components = np.diag([-1.0] + [1.0] * (d - 1)) + noise + np.swapaxes(noise, -1, -2)
+    return MetricField(tuple(rng.uniform(0.1, 0.5, d)), components)
+
+
+@pytest.mark.parametrize("d, points", [(2, 33), (4, 9)], ids=["1+1", "3+1"])
+def test_residual_is_the_divergence_of_the_densitized_inverse(d, points):
+    """harmonic_residual, which forms one densitized component at a time,
+    is bit-equal to field_divergence of the whole densitized inverse."""
+    metric = random_metric(d, points, seed=d)
+    expected = field_divergence(densitized_inverse(metric), metric.spacings)
+    assert np.array_equal(harmonic_residual(metric), expected)
+
+
+def test_residual_holds_no_densitized_tensor():
+    """The residual of a 16^4 metric traces under half a tensor: the
+    residual, the weights, one densitized component and its differences."""
+    metric = random_metric(4, 16, seed=16)
+    tracemalloc.start()
+    try:
+        harmonic_residual(metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * metric.components.nbytes
+
+
+def test_metric_field_keeps_only_read_only_owned_components():
+    """A writeable array, or a view, is copied, so its caller's later writes
+    do not reach the field; a read-only array that owns its data is kept."""
+    g = np.broadcast_to(np.diag([-1.0, 1.0]), (5, 5, 2, 2)).copy()
+    metric = MetricField((0.1, 0.1), g)
+    assert metric.components is not g and g.flags.writeable
+    g[2, 2] = np.diag([-2.0, 2.0])
+    assert np.all(metric.components[2, 2] == np.diag([-1.0, 1.0]))
+    view = g[:]
+    view.flags.writeable = False
+    assert MetricField((0.1, 0.1), view).components is not view
+    g.flags.writeable = False
+    assert MetricField((0.1, 0.1), g).components is g
+
+
+@pytest.mark.parametrize("block", [1, 10, 4096])
+def test_signature_check_in_blocks(monkeypatch, block):
+    """The one-negative-eigenvalue test runs in blocks of
+    INVERSE_CHECK_POINTS points, whatever the block size against the 81
+    points: a point whose spatial block does not factor but has one
+    negative eigenvalue passes, and one with three fails, each at the last
+    point, in the last, partial block."""
+    monkeypatch.setattr(harmonic, "INVERSE_CHECK_POINTS", block)
+    g = np.broadcast_to(np.diag([-1.0, 1.0, 1.0, 1.0]), (3,) * 4 + (4, 4)).copy()
+    g[2, 2, 2, 2] = np.diag([1.0, -1.0, 1.0, 1.0])
+    MetricField((0.1,) * 4, g)
+    g[2, 2, 2, 2] = np.diag([-1.0, -1.0, -1.0, 1.0])
+    with pytest.raises(SignatureError, match="exactly one negative eigenvalue"):
+        MetricField((0.1,) * 4, g)
