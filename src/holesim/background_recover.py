@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateForm, DomainError, GridMismatch, InvalidMeasure
-from .grid import Grid, WaveFunction, inner_product
+# inner_product stays importable here: bench/layers.py wraps it by name.
+from .grid import Grid, WaveFunction, inner_product  # noqa: F401
 
 __all__ = [
     "FormSample",
@@ -104,9 +105,7 @@ def sample_form(basis_g, basis_eta, form_oracle) -> FormSample:
 
     The oracle is any callable mapping a (branch, reference) state pair to
     a complex number: the measured observable for evolved branches, the
-    plain inner product for static tests. The inner product itself is
-    filled from the stacked amplitude rows, one ``np.vdot`` per entry, with
-    the bits of calling it per pair. Both bases must be orthonormal
+    plain inner product for static tests. Both bases must be orthonormal
     (checked once, by FormSample). A sampled form with condition number
     above CONDITION_LIMIT cannot identify the spaces and is rejected.
     """
@@ -114,19 +113,10 @@ def sample_form(basis_g, basis_eta, form_oracle) -> FormSample:
     basis_eta = tuple(basis_eta)
     if len(basis_g) < 2 or len(basis_eta) != len(basis_g):
         raise DomainError("need two equal-size bases with n >= 2")
-    if form_oracle is inner_product:
-        grid = basis_g[0].grid
-        for psi in basis_g + basis_eta:
-            if psi.grid != grid:
-                raise GridMismatch(f"grids differ: {grid} vs {psi.grid}")
-        rows = [psi.amplitudes.ravel() for psi in basis_eta]
-        matrix = np.array([[np.vdot(e, f) * grid.cell_volume for f in rows]
-                           for e in (psi.amplitudes.ravel() for psi in basis_g)])
-    else:
-        matrix = np.array(
-            [[complex(form_oracle(e, f)) for f in basis_eta] for e in basis_g],
-            dtype=np.complex128,
-        )
+    matrix = np.array(
+        [[complex(form_oracle(e, f)) for f in basis_eta] for e in basis_g],
+        dtype=np.complex128,
+    )
     if not np.isfinite(matrix.view(np.float64)).all():
         raise DegenerateForm("form oracle produced non-finite entries")
     singulars = np.linalg.svd(matrix, compute_uv=False)

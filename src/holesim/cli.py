@@ -28,7 +28,6 @@ import yaml
 
 from . import __version__
 from .background_recover import (
-    coordinate_projectors,
     localization_index,
     localized_basis,
     recover_background,
@@ -349,8 +348,9 @@ def _fits(sized: str, peak: float, errors) -> bool:
 
 
 def _read_hole(sections, errors) -> HoleExperimentConfig:
-    """The config of a baseline run (no diffeo section: the identity), a hole
-    run or a sweep, whose estimate _read_sweep checks; only the CLI refuses a one-sided bump."""
+    """The config of a baseline run, a hole run or a sweep; with no diffeo
+    section the map is the identity. The CLI alone refuses a one-sided bump.
+    A sweep's memory estimate is checked by _read_sweep, any other run's here."""
     config = config_from_sections({"diffeo": {"kind": "identity", "two_sided": False}, **sections})
     try:
         check_packet_width(config.grid, config.packet_width)  # set or default
@@ -545,7 +545,7 @@ def _execute_recover(config: RunConfig) -> tuple[dict, dict]:
         basis_g = [t.final_state for t in evolve_branches(basis_g, [branch] * n, evo)]
         basis_eta = [t.final_state for t in evolve_branches(basis_eta, [free] * n, evo)]
     sample = sample_form(basis_g, basis_eta, inner_product)
-    background = recover_background(sample, coordinate_projectors(n))
+    background = recover_background(sample)
     indices = [localization_index(p) for p in background.recovered_projectors]
     stride = grid.size // n
     data = {

@@ -286,10 +286,6 @@ class PushforwardPlan:
             self.weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
             self.sampler = SpectralSampler(grid, preimages)
 
-    def apply(self, psi: WaveFunction, renormalize: bool = True) -> WaveFunction:
-        """The pushed state; see :func:`pushforward_wavefunction`."""
-        return self.pushed(psi, renormalize)[0]
-
     def pushed(self, psi: WaveFunction, renormalize: bool = True) -> tuple[WaveFunction, float]:
         """``psi`` pushed, divided by its norm if ``renormalize``, and that
         norm, checked to lie within PUSHFORWARD_NORM_TOL of one; the
@@ -342,9 +338,9 @@ def pushforward_wavefunction(psi: WaveFunction, phi: SpatialDiffeomorphism,
     interpolant at the preimages of the grid points the map moves. The
     pre-renormalization norm must stay within 1e-6 of one; the drift is
     logged and, by default, divided out. To push several states by one
-    map, build one :class:`PushforwardPlan` and apply it to each.
+    map, build one :class:`PushforwardPlan` and push each through it.
     """
-    return PushforwardPlan(phi, t, psi.grid).apply(psi, renormalize)
+    return PushforwardPlan(phi, t, psi.grid).pushed(psi, renormalize)[0]
 
 
 def _moved_source(source, phi: SpatialDiffeomorphism, t: float, extent) -> tuple[float, ...]:

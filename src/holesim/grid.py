@@ -223,7 +223,7 @@ class WaveFunction:
 
 
 def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
-    if a.grid != b.grid:
+    if a.grid is not b.grid and a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
 
 

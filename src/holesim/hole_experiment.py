@@ -3,10 +3,9 @@ two-branch decoherence run, versus the same run with a ramped coordinate
 displacement applied to the left-branch snapshots only.
 
 Both branches start from one packet and evolve in their own source
-potential. The transformed branch is produced by pushforwarding each
-snapshot (wavefunction and potential) as the engine hands it over, never
-by re-evolving or keeping it, so the comparison isolates the kinematic
-effect of the map. Applying the map to one branch collapses |theta| once
+potential. The transformed branch is produced by pushing each snapshot's
+wavefunction forward as the engine hands it over, never by re-evolving or
+keeping it, so the comparison isolates the kinematic effect of the map. Applying the map to one branch collapses |theta| once
 the displaced support clears the original; applying it to both branches
 (the two-sided control) leaves theta unchanged to interpolation accuracy.
 """
@@ -235,20 +234,13 @@ def default_config(**overrides) -> HoleExperimentConfig:
 
     A ``grid`` override replaces the grid section, so the scenario's
     scalars apply on every axis of that grid (its other sections must
-    hold there). ``shift``, ``t0``, ``t1`` rebuild the translation ramp;
-    any other keyword replaces that field.
+    hold there). Any other keyword replaces that field.
     """
     sections = dict(DEFAULT_SCENARIO)
     if "grid" in overrides:
         grid = overrides.pop("grid")
         sections["grid"] = {"points": grid.shape, "extent": grid.extent}
-    config = config_from_sections(sections)
-    ramp = {key: overrides.pop(key) for key in ("shift", "t0", "t1") if key in overrides}
-    if ramp:
-        phi = config.diffeo
-        ramp = {"shift": phi.shift, "t0": phi.t0, "t1": phi.t1, **ramp}
-        overrides["diffeo"] = make_translation_ramp(**ramp, extent=config.grid.extent)
-    return dataclasses.replace(config, **overrides)
+    return dataclasses.replace(config_from_sections(sections), **overrides)
 
 
 class _Run:

@@ -75,8 +75,9 @@ def test_sample_form_requires_orthonormal_bases():
 
 def _form_bases(name, rng):
     """(branch, reference) bases of 16 elements on GRID: localized on both
-    sides, translated, evolved as the CLI's evolved oracle evolves them, or
-    the reference basis rotated by a random unitary."""
+    sides, translated, translated on a second Grid object equal to GRID,
+    evolved as the CLI's evolved oracle evolves them, or the reference
+    basis rotated by a random unitary."""
     from holesim import EvolutionConfig, Potential, WaveFunction, evolve_branches
 
     basis = localized_basis(GRID, 16)
@@ -85,6 +86,8 @@ def _form_bases(name, rng):
         return basis, basis
     if name == "translated":
         return basis, moved
+    if name == "equal_grids":
+        return basis, translate_basis(localized_basis(Grid(256, 40.0), 16), 48)
     if name == "evolved":
         evo = EvolutionConfig(dt=0.02, t_end=0.2, mass=4.0, snapshot_stride=10**9)
         branch = Potential.point_mass(GRID, -2.5, 0.1, 1.0)
@@ -95,13 +98,13 @@ def _form_bases(name, rng):
     return basis, [WaveFunction(GRID, row, f"rotated_{i}") for i, row in enumerate(rows)]
 
 
-FORM_BASES = ("localized", "translated", "evolved", "rotated")
+FORM_BASES = ("localized", "translated", "equal_grids", "evolved", "rotated")
 
 
 @pytest.mark.parametrize("name", FORM_BASES)
 def test_stacked_form_has_the_bits_of_the_oracle_matrix(name, rng):
-    """The inner product is filled from stacked rows, with the bits of
-    calling it on each pair."""
+    """The form of the inner product holds, bit for bit, its value on each
+    pair, also when the two bases are built on equal but distinct grids."""
     basis_g, basis_eta = _form_bases(name, rng)
     expected = np.array([[complex(inner_product(e, f)) for f in basis_eta] for e in basis_g])
     assert np.array_equal(sample_form(basis_g, basis_eta, inner_product).matrix, expected)
@@ -110,7 +113,7 @@ def test_stacked_form_has_the_bits_of_the_oracle_matrix(name, rng):
 @pytest.mark.parametrize("name", FORM_BASES)
 def test_wrapped_oracle_is_called_per_pair(name, rng):
     """An oracle that wraps the inner product, as a call counter does, is
-    called once per pair and gives the stacked form's matrix."""
+    called once per pair and gives the inner product's matrix."""
     basis_g, basis_eta = _form_bases(name, rng)
     calls = []
 

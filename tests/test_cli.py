@@ -672,7 +672,7 @@ def test_scalar_sections_apply_on_every_grid_axis(tmp_path):
     """A 2D config that sets only the grid points, the support and the
     shift reads the scalar defaults as they are read by default_config.
     At 128 points on extent 40 the default packet width resolves the grid."""
-    from holesim import Grid, Region, default_config
+    from holesim import Grid, Region, default_config, make_translation_ramp
 
     support = {"lower": [-9.0, -9.0], "upper": [7.0, 7.0]}
     path = write_config(tmp_path, "plane.yaml", {
@@ -685,7 +685,8 @@ def test_scalar_sections_apply_on_every_grid_axis(tmp_path):
     loaded = load_config(path).settings
     expected = default_config(grid=Grid((128, 128), 40.0),
                               support=Region(support["lower"], support["upper"]),
-                              shift=(17.5, 0.0))
+                              diffeo=make_translation_ramp((17.5, 0.0), 0.8, 1.6,
+                                                           extent=(40.0, 40.0)))
     for name in ("grid", "packet_center", "packet_width", "packet_momentum",
                  "source_left", "source_right", "coupling", "softening",
                  "evolution", "support"):

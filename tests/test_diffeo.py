@@ -136,7 +136,7 @@ def test_pushforward_identity_returns_same_object(grid1024):
     psi = gaussian_packet(grid1024, 0.0, 1.0)
     assert pushforward_wavefunction(psi, identity_map(1), 3.0) is psi
     for phi in (identity_map(1), make_translation_ramp(3.0, t0=1.0, t1=2.0)):
-        assert PushforwardPlan(phi, 0.5, grid1024).apply(psi) is psi
+        assert PushforwardPlan(phi, 0.5, grid1024).pushed(psi)[0] is psi
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
@@ -433,7 +433,7 @@ def test_plan_is_bit_equal_to_a_pushforward_per_state(case, rng):
         for psi in states:
             for renormalize in (True, False):
                 expected = push_one_state(psi, phi, t, renormalize, path)
-                assert np.array_equal(plan.apply(psi, renormalize).amplitudes, expected)
+                assert np.array_equal(plan.pushed(psi, renormalize)[0].amplitudes, expected)
                 assert np.array_equal(
                     pushforward_wavefunction(psi, phi, t, renormalize).amplitudes, expected)
 
@@ -441,7 +441,7 @@ def test_plan_is_bit_equal_to_a_pushforward_per_state(case, rng):
 def test_plan_rejects_a_state_on_another_grid(grid256, grid1024):
     plan = PushforwardPlan(make_translation_ramp(1.3, **RAMP), 1.0, grid1024)
     with pytest.raises(GridMismatch):
-        plan.apply(gaussian_packet(grid256, 0.0, 1.0))
+        plan.pushed(gaussian_packet(grid256, 0.0, 1.0))
 
 
 def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):
@@ -455,7 +455,7 @@ def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):
     assert kept == [True, False, False]
     other = gaussian_packet(grid, (0.8, -0.2), 1.2)
     for state in (psi, other, psi):
-        assert np.array_equal(plan.apply(state).amplitudes,
+        assert np.array_equal(plan.pushed(state)[0].amplitudes,
                               push_one_state(state, phi, 1.0, True, "bump"))
 
 
@@ -512,7 +512,7 @@ def test_3d_bump_plan_over_several_chunks_memory_is_bounded():
     tracemalloc.start()
     try:
         plan = PushforwardPlan(phi, 1.0, grid)
-        pushed = [plan.apply(psi) for _ in range(2)]
+        pushed = [plan.pushed(psi)[0] for _ in range(2)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

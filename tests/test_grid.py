@@ -178,6 +178,18 @@ def test_inner_product_grid_mismatch():
         inner_product(a, b)
 
 
+def test_inner_product_on_equal_grid_objects():
+    """States on equal but distinct Grid objects pair as on one object;
+    grids that differ only in extent still mismatch."""
+    grid, twin = Grid(256, 40.0), Grid(256, 40.0)
+    assert grid is not twin
+    a = gaussian_packet(grid, -1.0, 1.0, momentum=0.4)
+    b = gaussian_packet(grid, 0.5, 1.2)
+    assert inner_product(a, gaussian_packet(twin, 0.5, 1.2)) == inner_product(a, b)
+    with pytest.raises(GridMismatch):
+        inner_product(a, gaussian_packet(Grid(256, 20.0), 0.0, 0.8))
+
+
 def test_conjugate_symmetry_sesquilinearity(grid256, rng):
     from oracles import random_wavefunction
 

@@ -22,6 +22,7 @@ from holesim import (
     default_config,
     identity_map,
     make_bump_displacement,
+    make_translation_ramp,
     run_baseline,
     run_hole,
     sweep,
@@ -226,7 +227,8 @@ def test_support_violation_names_the_earliest_snapshot_left_first(lower, named):
 
 
 def test_insufficient_displacement_rejected():
-    config = default_config(shift=4.0)  # displaced region overlaps U
+    # displaced region overlaps U
+    config = default_config(diffeo=make_translation_ramp(4.0, 0.8, 1.6, extent=40.0))
     with pytest.raises(InsufficientDisplacement):
         run_hole(config)
     # the same run is allowed when the gate is off
@@ -342,7 +344,9 @@ def test_failed_sweep_values_hold_no_fields_after_their_group():
     one does."""
     from holesim import EvolutionConfig
 
-    config = default_config(grid=Grid((128, 128), (40.0, 40.0)), shift=(1.0, 0.0),
+    config = default_config(grid=Grid((128, 128), (40.0, 40.0)),
+                            diffeo=make_translation_ramp((1.0, 0.0), 0.8, 1.6,
+                                                         extent=(40.0, 40.0)),
                             evolution=EvolutionConfig(0.05, 0.2, 4.0, 2))
     peaks = {}
     for count in (1, 8):
@@ -449,7 +453,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         default_config(support=Region(-30.0, 30.0))  # wider than the domain
     with pytest.raises(DomainError):
-        default_config(t0=-1.0, t1=0.5)
+        default_config(diffeo=make_translation_ramp(17.5, -1.0, 0.5, extent=40.0))
 
 
 def test_transformed_source_final_for_translation():

@@ -46,7 +46,7 @@ def push(psi, phi):
     """The unrenormalized push of psi by phi at the end of its ramp, and the
     plan that made it."""
     plan = PushforwardPlan(phi, phi.t1, psi.grid)
-    return plan.apply(psi, renormalize=False), plan
+    return plan.pushed(psi, renormalize=False)[0], plan
 
 
 def by(psi, shift):
