@@ -5,9 +5,10 @@ displacement applied to the left-branch snapshots only.
 Both branches start from one packet and evolve in their own source
 potential. The transformed branch is produced by pushing each snapshot's
 wavefunction forward as the engine hands it over, never by re-evolving or
-keeping it, so the comparison isolates the kinematic effect of the map. Applying the map to one branch collapses |theta| once
-the displaced support clears the original; applying it to both branches
-(the two-sided control) leaves theta unchanged to interpolation accuracy.
+keeping it, so the comparison isolates the kinematic effect of the map.
+Applying the map to one branch collapses |theta| once the displaced
+support clears the original; applying it to both branches (the two-sided
+control) leaves theta unchanged to interpolation accuracy.
 """
 
 from __future__ import annotations

@@ -51,9 +51,9 @@ def test_every_unused_import_is_a_name_the_tracer_wraps():
             continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.Import | ast.ImportFrom) and \
-                    getattr(node, "module", None) != "__future__":
-                names = {(alias.asname or alias.name).split(".")[0] for alias in node.names}
-                unused |= {(f"holesim.{path.stem}", name) for name in names - used}
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, ast.Import | ast.ImportFrom)
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        unused |= {(f"holesim.{path.stem}", name) for name in imported - used}
     assert sorted(unused - wrapped) == []

@@ -44,15 +44,13 @@ def write_data_files(cli, workloads, checkout: Path, out: Path, inputs: Path, se
             tracemalloc.start()
             try:
                 config = cli.load_config(case.config)
-                cli.write_bundle(cli.execute(config), out / case.name, config.formats)
+                written = cli.write_bundle(cli.execute(config), out / case.name, config.formats)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             print(f"{case.name} {peak / 2**20:.2f} MiB", flush=True)
-            digests[case.name] = {
-                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted((out / case.name).iterdir()) if path.name != "run_meta.json"
-            }
+            digests[case.name] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                                  for path in sorted(written) if path.name != "run_meta.json"}
     return {"numpy": np.__version__, "seed": seed, "cases": digests}
 
 
