@@ -13,7 +13,7 @@ localize exactly at the translated cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,12 +56,14 @@ def _check_orthonormal(basis: tuple[WaveFunction, ...], name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FormSample:
-    """Sampled sesquilinear form over a pair of orthonormal bases."""
+    """Sampled sesquilinear form over a pair of orthonormal bases, checked
+    to be finite and non-degenerate: its condition number is at most
+    CONDITION_LIMIT."""
 
     basis_g: tuple[WaveFunction, ...]
     basis_eta: tuple[WaveFunction, ...]
     matrix: np.ndarray
-    condition_number: float
+    condition_number: float = field(init=False)
 
     def __post_init__(self):
         n = len(self.basis_g)
@@ -72,8 +74,17 @@ class FormSample:
         m = np.array(self.matrix, dtype=np.complex128, copy=True)
         if m.shape != (n, n):
             raise DomainError(f"form matrix shape {m.shape}, expected ({n}, {n})")
+        if not np.isfinite(m.view(np.float64)).all():
+            raise DegenerateForm("form oracle produced non-finite entries")
+        singulars = np.linalg.svd(m, compute_uv=False)
+        condition = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else np.inf
+        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+            raise DegenerateForm(
+                f"form condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "condition_number", condition)
 
     @property
     def n(self) -> int:
@@ -105,28 +116,15 @@ def sample_form(basis_g, basis_eta, form_oracle) -> FormSample:
 
     The oracle is any callable mapping a (branch, reference) state pair to
     a complex number: the measured observable for evolved branches, the
-    plain inner product for static tests. Both bases must be orthonormal
-    (checked once, by FormSample). A sampled form with condition number
-    above CONDITION_LIMIT cannot identify the spaces and is rejected.
+    plain inner product for static tests. FormSample checks the result:
+    both bases orthonormal, every entry finite, and the condition number
+    at most CONDITION_LIMIT, since a degenerate form cannot identify the
+    spaces.
     """
     basis_g = tuple(basis_g)
     basis_eta = tuple(basis_eta)
-    if len(basis_g) < 2 or len(basis_eta) != len(basis_g):
-        raise DomainError("need two equal-size bases with n >= 2")
-    matrix = np.array(
-        [[complex(form_oracle(e, f)) for f in basis_eta] for e in basis_g],
-        dtype=np.complex128,
-    )
-    if not np.isfinite(matrix.view(np.float64)).all():
-        raise DegenerateForm("form oracle produced non-finite entries")
-    singulars = np.linalg.svd(matrix, compute_uv=False)
-    condition = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else np.inf
-    sample = FormSample(basis_g, basis_eta, matrix, condition)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise DegenerateForm(
-            f"form condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    return sample
+    matrix = [[complex(form_oracle(e, f)) for f in basis_eta] for e in basis_g]
+    return FormSample(basis_g, basis_eta, matrix)
 
 
 def riesz_isomorphism(sample: FormSample) -> BackgroundMap:
@@ -135,10 +133,6 @@ def riesz_isomorphism(sample: FormSample) -> BackgroundMap:
     U is the unitary closest to B in least squares and the canonical
     point identification between the two spaces.
     """
-    if not np.isfinite(sample.condition_number) or sample.condition_number > CONDITION_LIMIT:
-        raise DegenerateForm(
-            f"form condition number {sample.condition_number:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
     w, _, vh = np.linalg.svd(sample.matrix)
     return BackgroundMap(w @ vh, sample.condition_number)
 

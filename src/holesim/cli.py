@@ -34,23 +34,7 @@ from .background_recover import (
     sample_form,
     translate_basis,
 )
-from .errors import (
-    ConfigError,
-    DegenerateForm,
-    DomainError,
-    GridMismatch,
-    HolesimError,
-    InsufficientDisplacement,
-    InvalidMeasure,
-    NonInvertibleDiffeo,
-    NormViolation,
-    NumericalBlowup,
-    ResolutionError,
-    SignatureError,
-    SupportViolation,
-    UnderdeterminedFit,
-    ZeroNormError,
-)
+from .errors import ConfigError, DomainError, HolesimError, ResolutionError
 # evolve stays importable here: bench/layers.py wraps it by name.
 from .evolve import Potential, evolve, evolve_branches  # noqa: F401
 from .grid import Grid, _as_tuple, check_packet_width, inner_product
@@ -80,23 +64,6 @@ __all__ = [
     "write_metric_field",
     "main",
 ]
-
-EXIT_CODES = {
-    ConfigError: 2,
-    GridMismatch: 3,
-    ResolutionError: 4,
-    ZeroNormError: 4,
-    NumericalBlowup: 5,
-    NormViolation: 5,
-    DomainError: 6,
-    NonInvertibleDiffeo: 7,
-    SupportViolation: 8,
-    InsufficientDisplacement: 8,
-    DegenerateForm: 9,
-    InvalidMeasure: 9,
-    SignatureError: 10,
-    UnderdeterminedFit: 11,
-}
 
 # Documented defaults: the default scenario of hole_experiment plus the
 # sweep, recovery and harmonic settings.
@@ -538,8 +505,7 @@ def _execute_recover(config: RunConfig) -> tuple[dict, dict]:
     if scenario is not None:
         # Branch states evolve in the default scenario's left potential,
         # reference states freely, for a fixed 0.2 time units.
-        branch = Potential.point_mass(grid, scenario.source_left, scenario.coupling,
-                                      scenario.softening)
+        branch = scenario.branch_potentials()[0]
         free = Potential.tabulated(grid, np.zeros(grid.shape))
         evo = dataclasses.replace(scenario.evolution, t_end=0.2, snapshot_stride=10**9)
         basis_g = [t.final_state for t in evolve_branches(basis_g, [branch] * n, evo)]
@@ -795,10 +761,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CODES[ConfigError]
+        return exc.exit_code
     except HolesimError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(type(exc), 1)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -212,11 +212,7 @@ class WaveFunction:
 
     def with_label(self, label: str) -> "WaveFunction":
         """The same state under another label; shares the read-only amplitudes."""
-        relabelled = object.__new__(WaveFunction)
-        object.__setattr__(relabelled, "grid", self.grid)
-        object.__setattr__(relabelled, "amplitudes", self.amplitudes)
-        object.__setattr__(relabelled, "label", str(label))
-        return relabelled
+        return WaveFunction._adopt(self.grid, self.amplitudes, label)
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2

@@ -6,6 +6,9 @@ split stepping, direct pointwise evaluation instead of interpolation, and
 symbolic differentiation for the manufactured metrics.
 """
 
+import importlib.util
+import sys
+
 import numpy as np
 
 
@@ -216,3 +219,15 @@ def pvm_error_all_pairs(projectors, tol=1e-10):
     if np.max(np.abs(sum(ps) - np.eye(n))) > tol:
         return "projectors do not sum to the identity"
     return None
+
+
+def load_module(name, path, monkeypatch=None):
+    """Execute the file at ``path`` as a module called ``name``. With a
+    MonkeyPatch the module is in sys.modules until the patch is undone, as
+    a module whose dataclasses look it up there needs."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module

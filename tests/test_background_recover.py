@@ -32,7 +32,7 @@ def make_sample(matrix):
     """Wrap a hand-built form matrix with a shared localized basis."""
     n = matrix.shape[0]
     basis = localized_basis(GRID, n)
-    return FormSample(basis, basis, matrix, float(np.linalg.cond(matrix)))
+    return FormSample(basis, basis, matrix)
 
 
 def test_localized_basis_orthonormal():
@@ -64,6 +64,10 @@ def test_sample_form_rank_deficient_rejected():
     basis = localized_basis(GRID, 4)
     with pytest.raises(DegenerateForm):
         sample_form(basis, basis, lambda e, f: 1.0)
+    non_finite = np.eye(4, dtype=complex)
+    non_finite[1, 2] = np.nan
+    with pytest.raises(DegenerateForm, match="non-finite entries"):
+        FormSample(basis, basis, non_finite)
 
 
 def test_sample_form_requires_orthonormal_bases():
@@ -104,10 +108,15 @@ FORM_BASES = ("localized", "translated", "equal_grids", "evolved", "rotated")
 @pytest.mark.parametrize("name", FORM_BASES)
 def test_stacked_form_has_the_bits_of_the_oracle_matrix(name, rng):
     """The form of the inner product holds, bit for bit, its value on each
-    pair, also when the two bases are built on equal but distinct grids."""
+    pair, also when the two bases are built on equal but distinct grids; a
+    FormSample built on that matrix has the bits of its condition number."""
     basis_g, basis_eta = _form_bases(name, rng)
     expected = np.array([[complex(inner_product(e, f)) for f in basis_eta] for e in basis_g])
-    assert np.array_equal(sample_form(basis_g, basis_eta, inner_product).matrix, expected)
+    sample = sample_form(basis_g, basis_eta, inner_product)
+    assert np.array_equal(sample.matrix, expected)
+    singulars = np.linalg.svd(expected, compute_uv=False)
+    condition = FormSample(basis_g, basis_eta, expected).condition_number
+    assert condition == sample.condition_number == singulars[0] / singulars[-1]
 
 
 @pytest.mark.parametrize("name", FORM_BASES)
@@ -151,9 +160,8 @@ def test_riesz_scaled_unitary(rng):
 
 def test_riesz_condition_guard():
     bad = np.diag(np.concatenate([np.ones(7), [1e-9]])).astype(complex)
-    sample = make_sample(bad)
     with pytest.raises(DegenerateForm):
-        riesz_isomorphism(sample)
+        make_sample(bad)
 
 
 def test_pull_back_identity_returns_inputs():

@@ -3,20 +3,17 @@ exist where its caller looks it up, so a refactor that drops or moves one
 fails here rather than in a traced benchmark run."""
 
 import ast
-import importlib.util
 import types
 from pathlib import Path
 
 from holesim import cli
+from oracles import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def load_layers():
-    spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("bench_layers", ROOT / "bench" / "layers.py")
 
 
 def test_tracer_installs_and_uninstalls_against_the_package():

@@ -2,7 +2,7 @@
 contracts, and byte determinism."""
 
 import dataclasses
-import importlib.util
+import importlib
 import json
 import re
 import sys
@@ -16,7 +16,6 @@ import yaml
 
 from holesim import ConfigError, DomainError, HolesimError, default_config, sweep
 from holesim.cli import (
-    EXIT_CODES,
     PEAK_BYTES_LIMIT,
     RENDER_BLOCK_ROWS,
     ResultBundle,
@@ -33,7 +32,7 @@ from holesim.cli import (
 )
 from holesim.harmonic import MetricField, harmonic_residual, minkowski_metric
 from holesim.hole_experiment import _group_branches, peak_bytes
-from oracles import grid_field_rows, sinusoidal_metric_family
+from oracles import grid_field_rows, load_module, sinusoidal_metric_family
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -215,7 +214,7 @@ def test_sweep_command_and_kind_check(tmp_path):
     assert len(lines) == 3
     # a baseline config is refused by the sweep command
     base_path = small_baseline(tmp_path, "not_sweep")
-    assert main(["sweep", "--config", str(base_path)]) == EXIT_CODES[ConfigError]
+    assert main(["sweep", "--config", str(base_path)]) == ConfigError.exit_code
 
 
 def test_sweep_error_row_through_the_cli(tmp_path):
@@ -329,7 +328,7 @@ def test_check_harmonic_missing_file(tmp_path):
         "experiment": "check-harmonic",
         "harmonic": {"metric_file": str(tmp_path / "nope.gridfield")},
     })
-    assert main(["run", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["run", "--config", str(path)]) == ConfigError.exit_code
 
 
 def test_metric_field_round_trip(tmp_path):
@@ -644,7 +643,7 @@ def test_runtime_error_exit_codes(tmp_path):
     })
     from holesim import SupportViolation
 
-    assert main(["run", "--config", str(path)]) == EXIT_CODES[SupportViolation]
+    assert main(["run", "--config", str(path)]) == SupportViolation.exit_code
 
 
 def test_default_scenario_has_one_source(tmp_path):
@@ -712,7 +711,7 @@ def test_run_over_the_memory_limit_fails_validate(tmp_path, capsys, experiment):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == EXIT_CODES[ConfigError]
+    assert code == ConfigError.exit_code
     assert "config error: grid: a run on (1024, 1024, 1024) points needs" in capsys.readouterr().err
     assert peak < 2**20
 
@@ -787,7 +786,7 @@ def test_recovery_over_the_memory_limit_fails_validate(tmp_path, capsys, recover
     path = write_config(tmp_path, "huge_recover.yaml", {
         "experiment": "recover-background", "recover": recover})
     code, peak = validate_traced(path)
-    assert code == EXIT_CODES[ConfigError]
+    assert code == ConfigError.exit_code
     assert f"config error: {message} needs about" in capsys.readouterr().err
     assert peak < 2**20
 
@@ -801,7 +800,7 @@ def test_harmonic_over_the_memory_limit_fails_validate(tmp_path, capsys):
     path = write_config(tmp_path, "huge_harmonic.yaml", {
         "experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}})
     code, peak = validate_traced(path)
-    assert code == EXIT_CODES[ConfigError]
+    assert code == ConfigError.exit_code
     assert (f"config error: harmonic.metric_file: a check of {400 * 2**20} bytes of text"
             " needs about") in capsys.readouterr().err
     assert peak < 2**20
@@ -970,11 +969,7 @@ def test_hole_run_peak_does_not_grow_with_its_snapshot_count(tmp_path, monkeypat
 
 
 def test_generated_bench_configs_validate(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = load_module("bench_workloads", ROOT / "bench" / "workloads.py", monkeypatch)
     for workload in workloads.COMMITTED:
         for case in workloads.build(workload, ROOT, tmp_path, seed=0):
             assert main(["validate", "--config", str(case.config)]) == 0, case.name
@@ -989,7 +984,7 @@ def test_recovery_grid_is_validated(tmp_path, capsys, recover):
         "experiment": "recover-background",
         "recover": recover,
     })
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert "config error: recover:" in capsys.readouterr().err
 
 
@@ -1003,7 +998,7 @@ def test_fractional_recovery_sizes_are_rejected(tmp_path, capsys, recover):
         "experiment": "recover-background",
         "recover": recover,
     })
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     key = next(iter(recover))
     assert f"recover: {key} must be an integer" in capsys.readouterr().err
 
@@ -1018,7 +1013,7 @@ def test_unresolved_packet_is_a_config_error(tmp_path, capsys, sections, message
     reaches the boundary, fails at load time under packet:, instead of at
     run time; the default width is checked as well as a set one."""
     path = write_config(tmp_path, "packet.yaml", sections)
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert f"packet: {message}" in capsys.readouterr().err
 
 
@@ -1042,7 +1037,7 @@ def test_non_finite_numbers_fail_validate(tmp_path, capsys, sections, message):
     """The echoed config goes into result.json, which refuses non-finite
     numbers: validate refuses them first, with the config exit code."""
     path = write_config(tmp_path, "nonfinite.yaml", sections)
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert f"config error: {message}" in capsys.readouterr().err
 
 
@@ -1051,7 +1046,7 @@ def test_two_sided_must_be_a_boolean(tmp_path, capsys):
         "experiment": "hole",
         "diffeo": {"two_sided": "false"},
     })
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert "config error: diffeo.two_sided: must be true or false, got 'false'" \
         in capsys.readouterr().err
 
@@ -1068,7 +1063,7 @@ def test_quoted_numbers_fail_validate(tmp_path, capsys):
         "packet": {"center": ["-1.0"]},
         "sweep": {"values": [0.1, "0.2"]},
     })
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     err = capsys.readouterr().err
     for key, value in (("potentials.coupling", "'0.1'"), ("evolution.t_end", "'0.4'"),
                        ("evolution.dt", "'0.02'"), ("packet.center", "['-1.0']"),
@@ -1086,7 +1081,7 @@ def test_quoted_numbers_fail_validate(tmp_path, capsys):
 ], ids=["output_dir", "metric_file", "formats"])
 def test_path_keys_must_be_strings(tmp_path, capsys, sections, message):
     path = write_config(tmp_path, "paths.yaml", sections)
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert f"config error: {message}" in capsys.readouterr().err
 
 
@@ -1098,7 +1093,7 @@ def test_unwritable_output_dir_is_a_config_error(tmp_path, capsys):
     blocker.write_text("")
     path = small_baseline(tmp_path, output_dir=str(blocker / "out"))
     for command in ("validate", "run"):
-        assert main([command, "--config", str(path)]) == EXIT_CODES[ConfigError]
+        assert main([command, "--config", str(path)]) == ConfigError.exit_code
         assert f"output_dir: {blocker} is not a directory" in capsys.readouterr().err
     with pytest.raises(ConfigError, match=re.escape(f"output_dir: cannot write {blocker / 'out'}:")):
         write_bundle(ResultBundle("baseline", {"value": 1.0}), blocker / "out")
@@ -1161,7 +1156,7 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, case):
     for command in ("validate", "run"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, "--config", str(path)]) == EXIT_CODES[ConfigError]
+            assert main([command, "--config", str(path)]) == ConfigError.exit_code
         err = capsys.readouterr().err
         assert f"config error: {message}" in err
         assert len(err.splitlines()) == 1
@@ -1193,7 +1188,7 @@ def test_sweep_values_that_cannot_run_fail_validate(tmp_path, capsys, sections, 
     """Every sweep value's derived config is built at load time, as sweep()
     builds it, so no value is left to fail as an error row of the run."""
     path = write_config(tmp_path, "sweep.yaml", {"experiment": "sweep", **sections})
-    assert main(["validate", "--config", str(path)]) == EXIT_CODES[ConfigError]
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert f"config error: {message}" in capsys.readouterr().err
 
 
@@ -1269,15 +1264,16 @@ def test_identity_echoes_only_the_keys_it_reads(tmp_path, experiment):
 
 
 def test_every_error_has_a_documented_exit_code():
-    """Each HolesimError subclass maps to an exit code, and README's exit
+    """Each HolesimError subclass sets its own exit code, and README's exit
     code table lists every code the CLI can return."""
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
             yield from subclasses(sub)
 
-    assert set(subclasses(HolesimError)) <= set(EXIT_CODES)
+    errors = list(subclasses(HolesimError))
+    assert [sub for sub in errors if "exit_code" not in vars(sub)] == []
     readme = (ROOT / "README.md").read_text()
     table = readme[readme.index("### Exit codes"):].split("\n\n")[1]
     documented = {int(row.split("|")[1]) for row in table.splitlines()[2:]}
-    assert set(EXIT_CODES.values()) <= documented
+    assert {sub.exit_code for sub in (HolesimError, *errors)} <= documented

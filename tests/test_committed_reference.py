@@ -1,14 +1,13 @@
 """The committed configs still reproduce the reference outputs recorded in
 bench/reference.json, checked the way the benchmark checks them."""
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from holesim import cli
+from oracles import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
@@ -16,15 +15,8 @@ REFERENCE = json.loads((ROOT / "bench" / "reference.json").read_text())
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look it up
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        yield load_module("bench_workloads", ROOT / "bench" / "workloads.py", monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE))

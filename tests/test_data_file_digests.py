@@ -13,34 +13,25 @@ so the inputs are written under the relative path ``inputs`` of the
 working directory, here and when the manifest is written.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from holesim import cli
+from oracles import load_module
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = json.loads((ROOT / "tests" / "data_file_digests.json").read_text())
-
-
-def load(name, path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_data_files_match_the_committed_digests(tmp_path, monkeypatch):
     if np.__version__ != MANIFEST["numpy"]:
         pytest.skip(f"the digests were written with numpy {MANIFEST['numpy']},"
                     f" this is numpy {np.__version__}")
-    workloads = load("bench_workloads", ROOT / "bench" / "workloads.py", monkeypatch)
-    data_files = load("data_files", ROOT / "tools" / "data_files.py", monkeypatch)
+    workloads = load_module("bench_workloads", ROOT / "bench" / "workloads.py", monkeypatch)
+    data_files = load_module("data_files", ROOT / "tools" / "data_files.py", monkeypatch)
     monkeypatch.chdir(tmp_path)
     written = data_files.write_data_files(cli, workloads, ROOT, Path("out"), Path("inputs"),
                                           MANIFEST["seed"])

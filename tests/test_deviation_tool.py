@@ -1,18 +1,16 @@
 """tools/deviation.py names, per data file that differs between two output
 trees, the largest difference between numbers at the same position."""
 
-import importlib.util
 import json
 from pathlib import Path
+
+from oracles import load_module
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "deviation.py"
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location("deviation", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("deviation", TOOL)
 
 
 def write_tree(root, theta_im, sweep_rows, label):
