@@ -76,12 +76,11 @@ class FormSample:
             raise DomainError(f"form matrix shape {m.shape}, expected ({n}, {n})")
         if not np.isfinite(m.view(np.float64)).all():
             raise DegenerateForm("form oracle produced non-finite entries")
-        singulars = np.linalg.svd(m, compute_uv=False)
-        condition = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else np.inf
-        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-            raise DegenerateForm(
-                f"form condition number {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
-            )
+        largest, smallest = np.linalg.svd(m, compute_uv=False)[[0, -1]]
+        if smallest == 0 or largest > smallest * CONDITION_LIMIT:  # no quotient that overflows
+            raise DegenerateForm(f"form condition number {largest:.3e} / {smallest:.3e}"
+                                 f" exceeds {CONDITION_LIMIT:.0e}")
+        condition = float(largest / smallest)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "condition_number", condition)

@@ -11,7 +11,6 @@ format (header keys, then row-major values).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -36,7 +35,7 @@ from .background_recover import (
 )
 from .errors import ConfigError, DomainError, HolesimError, ResolutionError
 # evolve stays importable here: bench/layers.py wraps it by name.
-from .evolve import Potential, evolve, evolve_branches  # noqa: F401
+from .evolve import EvolutionConfig, Potential, evolve, evolve_branches  # noqa: F401
 from .grid import Grid, _as_tuple, check_packet_width, inner_product
 from .harmonic import MetricField, harmonic_residual
 from .hole_experiment import (
@@ -46,7 +45,6 @@ from .hole_experiment import (
     HoleReport,
     _config_for,
     config_from_sections,
-    default_config,
     peak_bytes,
     run_baseline,
     run_hole,
@@ -98,13 +96,15 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class RecoverConfig:
-    """A recovery of n cells on a 1D grid; ``scenario`` is None for the
-    static oracle, else the evolved oracle's potentials and evolution."""
+    """A recovery of n cells on a 1D grid; ``branch`` is None for the
+    static oracle, else the potential the evolved oracle's branch states
+    evolve in, for ``evolution``."""
 
     grid: Grid
     n: int
     translation_cells: int
-    scenario: HoleExperimentConfig | None
+    branch: Potential | None
+    evolution: EvolutionConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,12 +366,18 @@ def _read_recover(sections, errors) -> RecoverConfig:
         if n < 2 or points % n != 0:
             errors.append(f"recover.n: {n} must be >= 2 and divide points {points}")
         grid = Grid(points, float(section["extent"]))
-        # Branch states evolve in the default scenario on the recovery grid.
-        scenario = default_config(grid=grid) if section["oracle"] == "evolved" else None
+        # Branch states evolve in the default scenario's left potential on the
+        # recovery grid, reference states freely, for a fixed 0.2 time units.
+        pot = DEFAULT_SCENARIO["potentials"]
+        branch = (Potential.point_mass(grid, pot["left_position"], pot["coupling"],
+                                       pot["softening"])
+                  if section["oracle"] == "evolved" else None)
     except (HolesimError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError([f"recover: {exc}"]) from None
     _fits(f"recover: n = {n} on {points} points", _recover_peak_bytes(points, n), errors)
-    return RecoverConfig(grid, n, translation_cells, scenario)
+    evo = DEFAULT_SCENARIO["evolution"]
+    return RecoverConfig(grid, n, translation_cells, branch,
+                         EvolutionConfig(evo["dt"], 0.2, evo["mass"], 10**9))
 
 
 def _read_harmonic(sections, errors) -> MetricField | None:
@@ -499,15 +505,11 @@ def _execute_sweep(config: RunConfig) -> tuple[dict, dict]:
 
 def _execute_recover(config: RunConfig) -> tuple[dict, dict]:
     settings = config.settings
-    grid, n, scenario = settings.grid, settings.n, settings.scenario
+    grid, n, branch, evo = settings.grid, settings.n, settings.branch, settings.evolution
     basis_g = localized_basis(grid, n)
     basis_eta = translate_basis(basis_g, settings.translation_cells)
-    if scenario is not None:
-        # Branch states evolve in the default scenario's left potential,
-        # reference states freely, for a fixed 0.2 time units.
-        branch = scenario.branch_potentials()[0]
+    if branch is not None:
         free = Potential.tabulated(grid, np.zeros(grid.shape))
-        evo = dataclasses.replace(scenario.evolution, t_end=0.2, snapshot_stride=10**9)
         basis_g = [t.final_state for t in evolve_branches(basis_g, [branch] * n, evo)]
         basis_eta = [t.final_state for t in evolve_branches(basis_eta, [free] * n, evo)]
     sample = sample_form(basis_g, basis_eta, inner_product)

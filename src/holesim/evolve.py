@@ -43,7 +43,6 @@ __all__ = [
     "Potential",
     "EvolutionConfig",
     "Trajectory",
-    "step",
     "evolve",
     "evolve_branches",
     "stream_branches",
@@ -148,12 +147,7 @@ def _point_mass_at(grid: Grid, source, coupling: float, softening: float,
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Stepper parameters.
-
-    ``dt`` is signed: production runs use dt > 0, a negative value steps
-    backward (used by reversibility checks); :func:`evolve` itself only
-    accepts forward configs.
-    """
+    """Stepper parameters: time steps forward, by dt > 0."""
 
     dt: float
     t_end: float
@@ -161,12 +155,12 @@ class EvolutionConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt == 0 or not np.isfinite(self.dt):
-            raise DomainError(f"dt must be nonzero and finite, got {self.dt}")
+        if not (self.dt > 0 and np.isfinite(self.dt)):
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if self.t_end < 0 or not np.isfinite(self.t_end):
             raise DomainError(f"t_end must be non-negative, got {self.t_end}")
-        if self.t_end > 0 and abs(self.dt) > self.t_end:
-            raise DomainError(f"|dt| = {abs(self.dt)} exceeds t_end = {self.t_end}")
+        if self.t_end > 0 and self.dt > self.t_end:
+            raise DomainError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
         if self.mass <= 0 or not np.isfinite(self.mass):
             raise DomainError(f"mass must be positive, got {self.mass}")
         if self.snapshot_stride < 1 or int(self.snapshot_stride) != self.snapshot_stride:
@@ -190,9 +184,7 @@ class Trajectory:
             if psi.grid != g:
                 raise GridMismatch("all trajectory snapshots must share one grid")
         for t, psi in zip(self.times, self.states):
-            drift = abs(norm(psi) - 1.0)
-            if drift > SNAPSHOT_NORM_TOL:
-                raise NormViolation(f"snapshot at t={t} has norm drift {drift:.3e}")
+            _snapshot_norm(psi, t)
 
     @property
     def grid(self) -> Grid:
@@ -213,6 +205,14 @@ class Trajectory:
         if t < lo - slack or t > hi + slack:
             raise DomainError(f"t={t} outside trajectory range [{lo}, {hi}]")
         return int(np.argmin(np.abs(np.asarray(self.times) - t)))
+
+
+def _snapshot_norm(psi: WaveFunction, t: float) -> float:
+    """The norm of the snapshot ``psi`` at time t, within SNAPSHOT_NORM_TOL of 1."""
+    size = norm(psi)
+    if abs(size - 1.0) > SNAPSHOT_NORM_TOL:
+        raise NormViolation(f"snapshot at t={t} has norm drift {abs(size - 1.0):.3e}")
+    return size
 
 
 def _squared_wavenumbers(grid: Grid) -> np.ndarray:
@@ -267,18 +267,6 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def step(psi: WaveFunction, potential: Potential, config: EvolutionConfig) -> WaveFunction:
-    """One Strang-split step of size config.dt."""
-    values = _check_compatible(psi, potential)
-    stack = psi.amplitudes[np.newaxis].copy()
-    half_v = np.empty_like(stack)
-    _half_potential_phase(values, config.dt, half_v[0])
-    _advance(stack, half_v, _kinetic_phase(psi.grid, config.dt, config.mass))
-    if not np.isfinite(np.vdot(stack, stack)):
-        raise NumericalBlowup("step produced non-finite amplitudes")
-    return WaveFunction(psi.grid, stack[0], psi.label)
-
-
 def evolve(psi0: WaveFunction, potential: Potential, config: EvolutionConfig) -> Trajectory:
     """Propagate psi0 to t_end, snapshotting every snapshot_stride steps and
     the final one, which ends within dt/2 of t_end at any stride alignment."""
@@ -330,13 +318,11 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
     Per snapshot interval the calling thread steps part 0 and a pool thread
     each further part; once all end, the first exception in input order is
     raised, or else the consumer runs."""
-    if config.dt < 0:
-        raise DomainError("evolve requires a forward (dt > 0) config")
     for psi, potential in zip(states, potentials, strict=True):
         _check_compatible(psi, potential)
         if psi.grid != states[0].grid:
             raise GridMismatch("stacked branches must share one grid")
-        phase_per_step = abs(config.dt) * potential.max_abs()
+        phase_per_step = config.dt * potential.max_abs()
         if phase_per_step > PHASE_PER_STEP_BOUND:
             warnings.warn(f"potential phase per step {phase_per_step:.3f} exceeds"
                           f" {PHASE_PER_STEP_BOUND:.3f}; reduce dt or the coupling",

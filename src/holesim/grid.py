@@ -61,6 +61,8 @@ class Grid:
     extent: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(n.is_integer() for n in _as_tuple(self.shape)):
+            raise ValueError(f"points per axis must be whole numbers, got {self.shape}")
         shape = _as_tuple(self.shape, cast=int)
         extent = _as_tuple(self.extent, n=len(shape), cast=float)
         object.__setattr__(self, "shape", shape)

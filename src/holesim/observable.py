@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, NormViolation, UnderdeterminedFit
+from .errors import DomainError, NormViolation, UnderdeterminedFit
 from .evolve import Trajectory
 from .grid import WaveFunction, inner_product, norm
 
@@ -116,8 +116,6 @@ def compute_theta(left: Trajectory, right: Trajectory, t: float) -> DecoherenceO
     Both trajectories must share a grid and must have snapshots at the
     same time; comparing branches sampled at different times is refused.
     """
-    if left.grid != right.grid:
-        raise GridMismatch("branch trajectories live on different grids")
     i, j = left.nearest_index(t), right.nearest_index(t)
     tl, tr = left.times[i], right.times[j]
     if abs(tl - tr) > 1e-9 * max(1.0, abs(tl), abs(tr)):
@@ -127,8 +125,6 @@ def compute_theta(left: Trajectory, right: Trajectory, t: float) -> DecoherenceO
 
 def theta_time_series(left: Trajectory, right: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """(times, theta) over all shared snapshots of two aligned trajectories."""
-    if left.grid != right.grid:
-        raise GridMismatch("branch trajectories live on different grids")
     if len(left.times) != len(right.times) or any(
         abs(a - b) > 1e-9 * max(1.0, abs(a)) for a, b in zip(left.times, right.times)
     ):
@@ -158,8 +154,6 @@ def partial_trace(left: WaveFunction, right: WaveFunction) -> TwoLevelDensityMat
     serves as an independent route to density_matrix(compute_theta(...)):
     the two must agree entrywise to 1e-12 for normalized inputs.
     """
-    if left.grid != right.grid:
-        raise GridMismatch("branch wavefunctions live on different grids")
     for name, psi in (("left", left), ("right", right)):
         drift = abs(norm(psi) - 1.0)
         if drift > INPUT_NORM_TOL:

@@ -68,6 +68,10 @@ def test_sample_form_rank_deficient_rejected():
     non_finite[1, 2] = np.nan
     with pytest.raises(DegenerateForm, match="non-finite entries"):
         FormSample(basis, basis, non_finite)
+    # A condition number that would overflow, and none at all, with no warning.
+    for degenerate in (np.diag([1.0, 1.0, 1.0, 1e-320]), np.zeros((4, 4))):
+        with pytest.raises(DegenerateForm, match="condition number"):
+            FormSample(basis, basis, degenerate)
 
 
 def test_sample_form_requires_orthonormal_bases():

@@ -74,6 +74,18 @@ def test_fractional_snapshot_stride_is_rejected(tmp_path):
     assert any("snapshot_stride" in message for message in info.value.messages)
 
 
+@pytest.mark.parametrize("sections, message", [
+    ({"grid": {"points": 1024.9}}, "grid: points per axis must be whole numbers, got 1024.9"),
+    ({"evolution": {"dt": -0.02}}, "evolution: dt must be positive and finite, got -0.02"),
+], ids=["fractional_points", "negative_dt"])
+def test_out_of_domain_run_numbers_fail_validate(tmp_path, capsys, sections, message):
+    """A fractional point count is refused, not truncated, and time steps
+    forward only: each under its own section, with the config exit code."""
+    path = write_config(tmp_path, "run.yaml", {"experiment": "baseline", **sections})
+    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_validation_errors_aggregate(tmp_path):
     """A bad diffeo bound and a bad mass are reported together."""
     path = write_config(tmp_path, "multi.yaml", {
@@ -977,8 +989,7 @@ def test_generated_bench_configs_validate(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("recover", [
     {"points": 100, "n": 10},  # not a power of two
-    {"extent": 20.0, "oracle": "evolved"},  # default ramp exceeds half the extent
-], ids=["points", "evolved_extent"])
+], ids=["points"])
 def test_recovery_grid_is_validated(tmp_path, capsys, recover):
     path = write_config(tmp_path, "recover.yaml", {
         "experiment": "recover-background",
@@ -986,6 +997,20 @@ def test_recovery_grid_is_validated(tmp_path, capsys, recover):
     })
     assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert "config error: recover:" in capsys.readouterr().err
+
+
+def test_evolved_recovery_runs_on_an_extent_the_hole_map_would_refuse(tmp_path):
+    """A recovery applies no map: on an extent under twice the default
+    shift the evolved oracle validates, runs and recovers the planted cells."""
+    path = write_config(tmp_path, "recover.yaml", {
+        "experiment": "recover-background",
+        "output_dir": str(tmp_path / "out"),
+        "recover": {"extent": 20.0, "oracle": "evolved"},
+    })
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert report["localization_cells"] == [(j * 8 + 24) % 256 for j in range(32)]
 
 
 @pytest.mark.parametrize("recover", [
@@ -1031,8 +1056,10 @@ def test_unresolved_packet_is_a_config_error(tmp_path, capsys, sections, message
     ({"experiment": "hole",
       "diffeo": {"kind": "bump_displacement", "center": float("nan"), "two_sided": True}},
      "non-finite value at config.diffeo.center"),
+    ({"experiment": "baseline", "grid": {"points": float("inf")}},
+     "non-finite value at config.grid.points"),
 ], ids=["sweep_inf_coupling", "sweep_nan_displacement", "nan_shift", "nan_bump_peak",
-        "nan_bump_center"])
+        "nan_bump_center", "inf_points"])
 def test_non_finite_numbers_fail_validate(tmp_path, capsys, sections, message):
     """The echoed config goes into result.json, which refuses non-finite
     numbers: validate refuses them first, with the config exit code."""

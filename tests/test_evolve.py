@@ -19,12 +19,12 @@ from holesim import (
     Potential,
     StabilityWarning,
     Trajectory,
+    WaveFunction,
     energy_expectation,
     evolve,
     evolve_branches,
     gaussian_packet,
     norm,
-    step,
 )
 from oracles import dense_propagator, free_gaussian_width, measured_width
 
@@ -64,8 +64,7 @@ def test_tabulated_requires_matching_shape():
 def test_free_step_preserves_norm_and_center(grid1024):
     psi0 = gaussian_packet(grid1024, 0.0, 1.0)
     free = Potential.tabulated(grid1024, np.zeros(grid1024.shape))
-    config = EvolutionConfig(dt=0.05, t_end=1.0, mass=1.0)
-    psi1 = step(psi0, free, config)
+    psi1 = evolve(psi0, free, EvolutionConfig(dt=0.05, t_end=0.05, mass=1.0)).final_state
     assert abs(norm(psi1) - 1.0) < 1e-12
     x = grid1024.axes()[0]
     center = np.sum(x * psi1.probability_density()) * grid1024.cell_volume
@@ -155,16 +154,16 @@ def test_norm_conservation_ten_thousand_steps():
         assert abs(norm(state) - 1.0) <= 1e-8
 
 
-def test_time_reversal_with_negative_dt(grid256):
+def test_time_reversal_by_conjugation(grid256):
+    """V is real, so conjugation reverses time: evolving the conjugate of
+    psi(T) for T more and conjugating again returns psi0."""
     psi0 = gaussian_packet(grid256, -0.5, 1.0)
     potential = Potential.point_mass(grid256, 1.0, 0.3)
-    forward = EvolutionConfig(dt=0.02, t_end=1.0, mass=1.0)
-    backward = EvolutionConfig(dt=-0.02, t_end=1.0, mass=1.0)
+    config = EvolutionConfig(dt=0.02, t_end=1.0, mass=1.0, snapshot_stride=10**6)
     psi = psi0
-    for _ in range(50):
-        psi = step(psi, potential, forward)
-    for _ in range(50):
-        psi = step(psi, potential, backward)
+    for _ in range(2):
+        psi = evolve(psi, potential, config).final_state
+        psi = WaveFunction(grid256, psi.amplitudes.conj())
     err = np.sqrt(np.sum(np.abs(psi.amplitudes - psi0.amplitudes) ** 2)
                   * grid256.cell_volume)
     assert err < 1e-8
@@ -194,7 +193,7 @@ def test_snapshot_final_time_within_dt(grid256):
 def test_evolve_rejects_negative_dt(grid256):
     psi0 = gaussian_packet(grid256, 0.0, 1.0)
     potential = Potential.point_mass(grid256, 1.0, 0.3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="dt must be positive and finite, got -0.05"):
         evolve(psi0, potential, EvolutionConfig(dt=-0.05, t_end=1.0, mass=1.0))
 
 
@@ -202,7 +201,7 @@ def test_step_grid_mismatch(grid256):
     psi0 = gaussian_packet(grid256, 0.0, 1.0)
     other = Potential.point_mass(Grid(128, 40.0), 1.0, 0.3)
     with pytest.raises(GridMismatch):
-        step(psi0, other, EvolutionConfig(dt=0.05, t_end=1.0, mass=1.0))
+        evolve(psi0, other, EvolutionConfig(dt=0.05, t_end=1.0, mass=1.0))
 
 
 def test_stability_warning_on_large_phase(grid256):
@@ -232,7 +231,7 @@ def test_trajectory_invariants(grid256):
     psi = gaussian_packet(grid256, 0.0, 1.0)
     with pytest.raises(DomainError):
         Trajectory((0.0, 0.0), (psi, psi))
-    from holesim import NormViolation, WaveFunction
+    from holesim import NormViolation
 
     drifted = WaveFunction(grid256, 1.01 * psi.amplitudes)
     with pytest.raises(NormViolation):
@@ -270,14 +269,15 @@ def test_2d_evolution_norm_and_branch_overlap():
 @pytest.mark.parametrize("grid", [Grid(1024, 40.0), Grid((128, 128), (30.0, 30.0))],
                          ids=["1d_1024", "2d_128sq"])
 def test_step_and_evolve_share_one_kernel(grid):
-    """Repeated steps reproduce evolve bit for bit, below and above the
-    16384-point size where numpy starts reusing temporaries in place."""
+    """Chained one-step evolves reproduce one evolve bit for bit, below and
+    above the 16384-point size where numpy starts reusing temporaries in place."""
     psi = gaussian_packet(grid, (0.5,) * grid.dim, 1.4)
     potential = Potential.point_mass(grid, (-1.0,) * grid.dim, 0.3)
     config = EvolutionConfig(dt=0.05, t_end=0.25, mass=1.0)
     trajectory = evolve(psi, potential, config)
+    one_step = EvolutionConfig(dt=config.dt, t_end=config.dt, mass=config.mass)
     for _ in range(len(trajectory.times) - 1):
-        psi = step(psi, potential, config)
+        psi = evolve(psi, potential, one_step).final_state
     assert np.array_equal(psi.amplitudes, trajectory.final_state.amplitudes)
 
 
