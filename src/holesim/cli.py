@@ -181,7 +181,7 @@ def _merge_section(name, user, errors):
         if key not in base:
             errors.append(f"{name}.{key}: unknown key")
         elif (all(type(v) in (int, float) for v in _listed(base[key]))  # numbers, no bool
-              and any(isinstance(v, str) for v in _listed(value))):
+              and any(isinstance(v, (str, bool)) for v in _listed(value))):
             errors.append(f"{name}.{key}: must be a number, got {value!r}")
         else:
             base[key] = value

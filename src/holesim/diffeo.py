@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation
+from .errors import DomainError, GridMismatch, NonInvertibleDiffeo, NormViolation, NumericalBlowup
 from .evolve import Potential
 # spectral_sample stays importable here: bench/layers.py wraps it by name.
-from .grid import (Grid, SpectralSampler, WaveFunction, _as_tuple, _norm, norm,  # noqa: F401
+from .grid import (Grid, SpectralSampler, WaveFunction, _as_tuple, _norm,  # noqa: F401
                    spectral_sample)
 
 __all__ = [
@@ -286,27 +286,29 @@ class PushforwardPlan:
             self.weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
             self.sampler = SpectralSampler(grid, preimages)
 
-    def pushed(self, psi: WaveFunction, renormalize: bool = True) -> tuple[WaveFunction, float]:
-        """``psi`` pushed, divided by its norm if ``renormalize``, and that
-        norm, checked to lie within PUSHFORWARD_NORM_TOL of one; the
-        identity gives ``psi`` itself and 1.0. A roll moves the amplitudes
-        unchanged, so it is never renormalized."""
-        if psi.grid != self.grid:
-            raise GridMismatch(f"plan grid {self.grid} does not match state grid {psi.grid}")
+    def pushed(self, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
+        """A unit-norm state's ``amplitudes`` pushed, and their norm before
+        division, checked to be finite and within PUSHFORWARD_NORM_TOL of one;
+        the identity gives ``amplitudes`` themselves and 1.0. Every push but a
+        roll, which moves the amplitudes unchanged, is divided by that norm."""
+        if amplitudes.shape != self.grid.shape:
+            raise GridMismatch(f"plan grid {self.grid} does not match shape {amplitudes.shape}")
         if self.identity:
-            return psi, 1.0
-        input_drift = abs(norm(psi) - 1.0)
+            return amplitudes, 1.0
+        input_drift = abs(_norm(amplitudes, self.grid.cell_volume) - 1.0)
         if input_drift > PUSHFORWARD_NORM_TOL:
             raise NormViolation(f"input norm drift {input_drift:.3e}; normalize first")
         if self.cells is not None:
-            amps = np.roll(psi.amplitudes, self.cells, axis=tuple(range(psi.grid.dim)))
+            amps = np.roll(amplitudes, self.cells, axis=tuple(range(self.grid.dim)))
         elif self.phase is not None:
-            amps = self._shifted(psi.amplitudes)
+            amps = self._shifted(amplitudes)
         else:
-            amps = psi.amplitudes.flatten()
-            amps[self.moved] = self.sampler(psi.amplitudes) * self.weights
-            amps = amps.reshape(psi.grid.shape)
-        size = _norm(amps, psi.grid.cell_volume)
+            amps = amplitudes.flatten()
+            amps[self.moved] = self.sampler(amplitudes) * self.weights
+            amps = amps.reshape(self.grid.shape)
+        size = _norm(amps, self.grid.cell_volume)
+        if not np.isfinite(size):
+            raise NumericalBlowup(f"pushforward at ramp {self.ramp} gives non-finite amplitudes")
         drift = size - 1.0
         if abs(drift) > PUSHFORWARD_NORM_TOL:
             raise NormViolation(
@@ -314,9 +316,9 @@ class PushforwardPlan:
                 " state not resolved enough for the map"
             )
         log.debug("pushforward norm drift %.3e at ramp %s", drift, self.ramp)
-        if renormalize and self.cells is None:
+        if self.cells is None:
             amps /= size  # in place, with the bits of amps / (1 + drift): size - 1 is exact
-        return WaveFunction._adopt(psi.grid, amps, psi.label), size
+        return amps, size
 
     def _shifted(self, amplitudes: np.ndarray) -> np.ndarray:
         """ifftn of fftn(amplitudes) times the phase, in one fresh array:
@@ -329,18 +331,20 @@ class PushforwardPlan:
 
 
 def pushforward_wavefunction(psi: WaveFunction, phi: SpatialDiffeomorphism,
-                             t: float, renormalize: bool = True) -> WaveFunction:
+                             t: float) -> WaveFunction:
     """Transform a normalized wavefunction as a square root of a density.
 
     The identity map returns the input unchanged. Grid-aligned
     translations reduce to exact circular shifts, other translations to a
     Fourier shift, and bump maps sample psi through the spectral
     interpolant at the preimages of the grid points the map moves. The
-    pre-renormalization norm must stay within 1e-6 of one; the drift is
-    logged and, by default, divided out. To push several states by one
-    map, build one :class:`PushforwardPlan` and push each through it.
+    norm before division must stay within 1e-6 of one; the drift is
+    logged and divided out of every push but a roll. To push several
+    states by one map, build one :class:`PushforwardPlan` and push each
+    state's amplitudes through it.
     """
-    return PushforwardPlan(phi, t, psi.grid).pushed(psi, renormalize)[0]
+    amps, _ = PushforwardPlan(phi, t, psi.grid).pushed(psi.amplitudes)
+    return psi if amps is psi.amplitudes else WaveFunction._adopt(psi.grid, amps, psi.label)
 
 
 def _moved_source(source, phi: SpatialDiffeomorphism, t: float, extent) -> tuple[float, ...]:

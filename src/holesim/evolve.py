@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatch, NormViolation, NumericalBlowup, StabilityWarning
-from .grid import Grid, WaveFunction, _as_tuple, norm, spectral_sample
+from .grid import Grid, WaveFunction, _as_tuple, _norm, spectral_sample
 
 __all__ = [
     "Potential",
@@ -184,7 +184,7 @@ class Trajectory:
             if psi.grid != g:
                 raise GridMismatch("all trajectory snapshots must share one grid")
         for t, psi in zip(self.times, self.states):
-            _snapshot_norm(psi, t)
+            _snapshot_norm(psi.amplitudes, g.cell_volume, t)
 
     @property
     def grid(self) -> Grid:
@@ -207,9 +207,9 @@ class Trajectory:
         return int(np.argmin(np.abs(np.asarray(self.times) - t)))
 
 
-def _snapshot_norm(psi: WaveFunction, t: float) -> float:
-    """The norm of the snapshot ``psi`` at time t, within SNAPSHOT_NORM_TOL of 1."""
-    size = norm(psi)
+def _snapshot_norm(amplitudes: np.ndarray, cell_volume: float, t: float) -> float:
+    """The norm of the snapshot ``amplitudes`` at time t, within SNAPSHOT_NORM_TOL of 1."""
+    size = _norm(amplitudes, cell_volume)
     if abs(size - 1.0) > SNAPSHOT_NORM_TOL:
         raise NormViolation(f"snapshot at t={t} has norm drift {abs(size - 1.0):.3e}")
     return size

@@ -228,7 +228,12 @@ def _require_same_grid(a: WaveFunction, b: WaveFunction) -> None:
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
     """L2 inner product Sum conj(a)*b * cell_volume, antilinear in ``a``."""
     _require_same_grid(a, b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes) * a.grid.cell_volume)
+    return _inner(a.amplitudes, b.amplitudes, a.grid.cell_volume)
+
+
+def _inner(a: np.ndarray, b: np.ndarray, cell_volume: float) -> complex:
+    """:func:`inner_product` of two amplitude arrays of one grid."""
+    return complex(np.vdot(a, b) * cell_volume)
 
 
 def norm(psi: WaveFunction) -> float:

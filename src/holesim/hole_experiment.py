@@ -27,15 +27,15 @@ from .diffeo import (
     make_bump_displacement,
     make_translation_ramp,
 )
-# pushforward_wavefunction, pushforward_potential, evolve and theta_time_series
-# stay importable here: bench/layers.py wraps them by name.
+# pushforward_wavefunction, pushforward_potential, evolve, inner_product and
+# theta_time_series stay importable here: bench/layers.py wraps them by name.
 from .diffeo import pushforward_potential, pushforward_wavefunction  # noqa: F401
 from .errors import (ConfigError, DomainError, HolesimError, InsufficientDisplacement,
                      SupportViolation)
 from .evolve import (STACK_BYTES, EvolutionConfig, Potential, _snapshot_norm,  # noqa: F401
                      evolve, stream_branches)
-from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, gaussian_packet,
-                   inner_product, sample_point_bytes)
+from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, _inner,  # noqa: F401
+                   gaussian_packet, inner_product, sample_point_bytes)
 from .observable import DecoherenceObservable, theta_time_series  # noqa: F401
 
 __all__ = [
@@ -72,10 +72,9 @@ DEFAULT_SCENARIO = {
 }
 
 
-def mass_in_region(psi: WaveFunction, mask: np.ndarray) -> float:
-    """Probability mass on the grid points of a region's ``mask``."""
-    inside = psi.probability_density()[mask]
-    return float(np.sum(inside) * psi.grid.cell_volume)
+def mass_in_region(amplitudes: np.ndarray, mask: np.ndarray, cell_volume: float) -> float:
+    """Probability mass of ``amplitudes`` on the grid points of a region's ``mask``."""
+    return float(np.sum((np.abs(amplitudes) ** 2)[mask]) * cell_volume)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,19 +258,18 @@ class _Run:
         self.error = self.error or next(filter(None, blowups), None)
         if self.error:
             return
+        dv = self.config.grid.cell_volume
         try:
-            states = [WaveFunction._adopt(self.config.grid, row, label)
-                      for row, label in zip(rows, self.labels)]
-            for psi in states:
-                outside = max(0.0, _snapshot_norm(psi, t) ** 2 - mass_in_region(psi, self.mask))
+            for row, label in zip(rows, self.labels):
+                outside = max(0.0, _snapshot_norm(row, dv, t) ** 2 - mass_in_region(row, self.mask, dv))
                 self.worst = max(self.worst, outside)
                 if outside > SUPPORT_TAIL_TOL:
                     raise SupportViolation(f"mass {outside:.3e} outside declared support at t={t}"
-                                           f" (branch {psi.label!r})")
-            self.thetas.append(DecoherenceObservable(inner_product(states[0], states[-1])).theta)
+                                           f" (branch {label!r})")
+            self.thetas.append(DecoherenceObservable(_inner(rows[0], rows[-1], dv)).theta)
             self.times.append(t)
             for hole in self.holes:  # each keeps its own HolesimErrors
-                hole(t, states[0], states[-1])
+                hole(t, rows[0], rows[-1])
         except HolesimError as exc:  # kept without its frames, which hold the rows
             self.error = exc.with_traceback(None)
 
@@ -324,10 +322,10 @@ class _Hole:
             self.error = InsufficientDisplacement("declared support and its displaced image"
                                                   " overlap on the grid")
 
-    def __call__(self, t: float, left: WaveFunction, right: WaveFunction) -> None:
+    def __call__(self, t: float, left: np.ndarray, right: np.ndarray) -> None:
         if self.error:
             return
-        phi = self.config.diffeo
+        phi, dv = self.config.diffeo, self.config.grid.cell_volume
         try:
             # The map depends on t through its ramp value only: one plan serves both
             # branches until the ramp moves, and every snapshot after t1.
@@ -338,16 +336,16 @@ class _Hole:
             if self.config.two_sided:
                 right = self._push(right)
             elif t > phi.t1 - 1e-12 and not phi.is_identity_at(t):
-                back_inside = self.overlap_masses[float(t)] = mass_in_region(pushed, self.mask)
+                back_inside = self.overlap_masses[float(t)] = mass_in_region(pushed, self.mask, dv)
                 if self.gated and back_inside > OVERLAP_MASS_TOL:
                     raise InsufficientDisplacement(f"displaced branch keeps mass {back_inside:.3e}"
                                                    f" inside the original support at t={t}")
-            self.thetas.append(DecoherenceObservable(inner_product(pushed, right)).theta)
-        except HolesimError as exc:  # kept without its frames, which hold the pushed states
+            self.thetas.append(DecoherenceObservable(_inner(pushed, right, dv)).theta)
+        except HolesimError as exc:  # kept without its frames, which hold the pushed rows
             self.error, self.plan = exc.with_traceback(None), None
 
-    def _push(self, psi: WaveFunction) -> WaveFunction:
-        pushed, size = self.plan.pushed(psi)  # the identity: psi itself
+    def _push(self, amplitudes: np.ndarray) -> np.ndarray:
+        pushed, size = self.plan.pushed(amplitudes)  # the identity: the amplitudes themselves
         self.drift = max(self.drift, abs(size - 1.0))
         return pushed
 

@@ -1079,10 +1079,11 @@ def test_two_sided_must_be_a_boolean(tmp_path, capsys):
 
 
 def test_quoted_numbers_fail_validate(tmp_path, capsys):
-    """A quoted number is a string where the default is a number or a list
-    of numbers, alone or in a list: validate refuses each such key with the
-    config exit code, as it refuses a quoted boolean, where the run read
-    the string as a number and result.json echoed it as a string."""
+    """A quoted number is a string, and a YAML yes or true a boolean, where
+    the default is a number or a list of numbers, alone or in a list:
+    validate refuses each such key with the config exit code, as it refuses
+    a quoted boolean, where the run read the string as a number and
+    result.json echoed it as a string, and read a boolean as 1."""
     path = write_config(tmp_path, "quoted.yaml", {
         "experiment": "sweep",
         "potentials": {"coupling": "0.1"},
@@ -1090,13 +1091,21 @@ def test_quoted_numbers_fail_validate(tmp_path, capsys):
         "packet": {"center": ["-1.0"]},
         "sweep": {"values": [0.1, "0.2"]},
     })
-    assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
-    err = capsys.readouterr().err
-    for key, value in (("potentials.coupling", "'0.1'"), ("evolution.t_end", "'0.4'"),
-                       ("evolution.dt", "'0.02'"), ("packet.center", "['-1.0']"),
-                       ("sweep.values", "[0.1, '0.2']")):
-        assert f"config error: {key}: must be a number, got {value}" in err
-    assert err.count("must be a number") == 5
+    booleans = tmp_path / "booleans.yaml"
+    booleans.write_text("experiment: sweep\npotentials: {coupling: yes}\n"
+                        "evolution: {snapshot_stride: true}\nsweep: {values: [true, 0.1]}\n"
+                        "recover: {translation_cells: true}\n")
+    for config, refused in (
+            (path, (("potentials.coupling", "'0.1'"), ("evolution.t_end", "'0.4'"),
+                    ("evolution.dt", "'0.02'"), ("packet.center", "['-1.0']"),
+                    ("sweep.values", "[0.1, '0.2']"))),
+            (booleans, (("potentials.coupling", "True"), ("evolution.snapshot_stride", "True"),
+                        ("sweep.values", "[True, 0.1]"), ("recover.translation_cells", "True")))):
+        assert main(["validate", "--config", str(config)]) == ConfigError.exit_code
+        err = capsys.readouterr().err
+        for key, value in refused:
+            assert f"config error: {key}: must be a number, got {value}" in err
+        assert err.count("must be a number") == len(refused)
 
 
 @pytest.mark.parametrize("sections, message", [

@@ -136,20 +136,18 @@ def test_pushforward_identity_returns_same_object(grid1024):
     psi = gaussian_packet(grid1024, 0.0, 1.0)
     assert pushforward_wavefunction(psi, identity_map(1), 3.0) is psi
     for phi in (identity_map(1), make_translation_ramp(3.0, t0=1.0, t1=2.0)):
-        assert PushforwardPlan(phi, 0.5, grid1024).pushed(psi)[0] is psi
+        amps, size = PushforwardPlan(phi, 0.5, grid1024).pushed(psi.amplitudes)
+        assert amps is psi.amplitudes and size == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-@pytest.mark.parametrize("renormalize", [True, False])
-def test_push_with_non_finite_samples_is_a_blowup(grid1024, renormalize):
-    """A bump push whose sampler yields NaN raises the state's non-finite
-    NumericalBlowup, renormalized or not (dividing by the NaN norm first
-    warns)."""
-    psi = gaussian_packet(grid1024, 0.0, 1.0, label="probe")
+def test_push_with_non_finite_samples_is_a_blowup(grid1024):
+    """A bump push whose sampler yields NaN has a NaN norm: the plan raises
+    a NumericalBlowup before it divides by that norm, which would warn."""
+    psi = gaussian_packet(grid1024, 0.0, 1.0)
     plan = PushforwardPlan(standard_bump(), 2.0, grid1024)
     plan.sampler = lambda amplitudes: np.full(np.count_nonzero(plan.moved), np.nan)
-    with pytest.raises(NumericalBlowup, match="^non-finite amplitudes in wavefunction 'probe'$"):
-        plan.pushed(psi, renormalize)
+    with pytest.raises(NumericalBlowup, match="^pushforward at ramp 1.0 gives non-finite amplitudes$"):
+        plan.pushed(psi.amplitudes)
 
 
 def test_pushforward_grid_aligned_translation_is_roll(grid1024):
@@ -177,8 +175,8 @@ def test_pushforward_bump_norm_and_overlap_against_fine_oracle(grid1024):
     psi = gaussian_packet(grid1024, center, width)
     phi = standard_bump()
     t = 1.0
-    pushed_raw = pushforward_wavefunction(psi, phi, t, renormalize=False)
-    assert abs(norm(pushed_raw) - 1.0) <= 1e-6
+    pushed, size = PushforwardPlan(phi, t, grid1024).pushed(psi.amplitudes)
+    assert abs(size - 1.0) <= 1e-6
 
     fine = Grid(4096, 40.0)
     y = fine.axes()[0].reshape(-1, 1)
@@ -189,7 +187,7 @@ def test_pushforward_bump_norm_and_overlap_against_fine_oracle(grid1024):
         np.conj(oracle_vals) * analytic_gaussian(y, center, width)
     ) * fine.cell_volume
 
-    package_overlap = inner_product(pushed_raw, psi)
+    package_overlap = inner_product(WaveFunction(grid1024, pushed * size), psi)
     assert abs(package_overlap - oracle_overlap) <= 1e-6
     assert abs(package_overlap) < 1.0  # the bump strictly deforms the state
 
@@ -203,8 +201,8 @@ def test_pushforward_unitarity_property(grid1024):
     ]
     for phi in maps:
         for t in (0.5, 1.0):
-            pushed = pushforward_wavefunction(psi, phi, t, renormalize=False)
-            assert abs(norm(pushed) - norm(psi)) <= 1e-6
+            _, size = PushforwardPlan(phi, t, grid1024).pushed(psi.amplitudes)
+            assert abs(size - norm(psi)) <= 1e-6
 
 
 def test_joint_pushforward_preserves_inner_product(grid1024):
@@ -284,10 +282,10 @@ def test_2d_pushforward_translation_and_joint_invariance():
     psi_b = gaussian_packet(grid, (0.7, -0.2), 1.4)
     base = inner_product(psi_a, psi_b)
     phi = make_translation_ramp((10.07, 8.01), extent=grid.extent, **RAMP)
-    pushed_a = pushforward_wavefunction(psi_a, phi, 1.0, renormalize=False)
-    assert abs(norm(pushed_a) - 1.0) <= 1e-6
+    assert abs(PushforwardPlan(phi, 1.0, grid).pushed(psi_a.amplitudes)[1] - 1.0) <= 1e-6
+    pushed_a = pushforward_wavefunction(psi_a, phi, 1.0)
     pushed_b = pushforward_wavefunction(psi_b, phi, 1.0)
-    joint = inner_product(pushforward_wavefunction(psi_a, phi, 1.0), pushed_b)
+    joint = inner_product(pushed_a, pushed_b)
     assert abs(joint - base) <= 1e-6
     # one-sided displacement by several widths kills the overlap
     assert abs(inner_product(pushed_a, psi_b)) <= 1e-3
@@ -307,10 +305,10 @@ def test_offgrid_translation_matches_interpolant_at_preimages(grid, shift, rng):
     y - shift, at every grid point y."""
     psi = random_wavefunction(grid, rng)
     phi = make_translation_ramp(shift, extent=grid.extent, **RAMP)
-    pushed = pushforward_wavefunction(psi, phi, 2.0, renormalize=False)
+    pushed, size = PushforwardPlan(phi, 2.0, grid).pushed(psi.amplitudes)
     preimages = grid_points(grid) - np.asarray(shift, dtype=float)
     expected = spectral_sample(grid, psi.amplitudes, preimages).reshape(grid.shape)
-    assert np.max(np.abs(pushed.amplitudes - expected)) <= 1e-12
+    assert np.max(np.abs(pushed * size - expected)) <= 1e-12
 
 
 def test_translations_do_not_sample_off_grid(grid1024, monkeypatch):
@@ -336,11 +334,11 @@ def test_bump_pushforward_matches_dense_evaluation():
     through the interpolant gives."""
     grid, psi, phi = bump_2d_case()
     t = 0.6
-    pushed = pushforward_wavefunction(psi, phi, t, renormalize=False)
+    pushed, size = PushforwardPlan(phi, t, grid).pushed(psi.amplitudes)
     preimages = phi.inverse(grid_points(grid), t)
     weights = np.abs(phi.jacobian_det(preimages, t)) ** -0.5
     dense = spectral_sample(grid, psi.amplitudes, preimages) * weights
-    assert np.max(np.abs(pushed.amplitudes.ravel() - dense)) <= 1e-12
+    assert np.max(np.abs(pushed.ravel() * size - dense)) <= 1e-12
 
 
 def test_bump_pushforward_samples_only_moved_points(monkeypatch):
@@ -352,18 +350,20 @@ def test_bump_pushforward_samples_only_moved_points(monkeypatch):
         return SpectralSampler(grid, points)
 
     monkeypatch.setattr(diffeo, "SpectralSampler", counted)
-    pushed = pushforward_wavefunction(psi, phi, 1.0, renormalize=False)
+    pushed, size = PushforwardPlan(phi, 1.0, grid).pushed(psi.amplitudes)
     r = np.hypot(*(grid_points(grid) - np.asarray(phi.center)).T)
     inside = r < phi.radius
     assert counts == [int(np.sum(inside))] and counts[0] < grid.size // 5
-    # Outside the ball the map is the identity with Jacobian 1: bit-equal.
-    assert np.array_equal(pushed.amplitudes.ravel()[~inside], psi.amplitudes.ravel()[~inside])
+    # Outside the ball the map is the identity with Jacobian 1: bit-equal
+    # to the state divided by the push's norm.
+    assert np.array_equal(pushed.ravel()[~inside], psi.amplitudes.ravel()[~inside] / size)
 
 
-def push_one_state(psi, phi, t, renormalize, path):
+def push_one_state(psi, phi, t, path):
     """The pushforward of one state with all of the map's work redone in
     the call, one sampling of the interpolant per state: ``path`` is
-    "aligned" (a roll), "fourier" (the shift theorem) or "bump"."""
+    "aligned" (a roll), "fourier" (the shift theorem) or "bump"; all but a
+    roll are divided by their norm."""
     grid = psi.grid
     if path == "aligned":
         cells = tuple(int(round(s / dx)) for s, dx in zip(phi.displacement_at(t), grid.spacing))
@@ -384,7 +384,7 @@ def push_one_state(psi, phi, t, renormalize, path):
         amps[moved] = spectral_sample(grid, psi.amplitudes, preimages) * weights
         amps = amps.reshape(grid.shape)
     drift = norm(WaveFunction(grid, amps)) - 1.0
-    return amps / (1.0 + drift) if renormalize else amps
+    return amps / (1.0 + drift)
 
 
 def low_mode_state(grid, offset):
@@ -431,17 +431,15 @@ def test_plan_is_bit_equal_to_a_pushforward_per_state(case, rng):
     for t in (0.5, 1.0):
         plan = PushforwardPlan(phi, t, grid)
         for psi in states:
-            for renormalize in (True, False):
-                expected = push_one_state(psi, phi, t, renormalize, path)
-                assert np.array_equal(plan.pushed(psi, renormalize)[0].amplitudes, expected)
-                assert np.array_equal(
-                    pushforward_wavefunction(psi, phi, t, renormalize).amplitudes, expected)
+            expected = push_one_state(psi, phi, t, path)
+            assert np.array_equal(plan.pushed(psi.amplitudes)[0], expected)
+            assert np.array_equal(pushforward_wavefunction(psi, phi, t).amplitudes, expected)
 
 
 def test_plan_rejects_a_state_on_another_grid(grid256, grid1024):
     plan = PushforwardPlan(make_translation_ramp(1.3, **RAMP), 1.0, grid1024)
     with pytest.raises(GridMismatch):
-        plan.pushed(gaussian_packet(grid256, 0.0, 1.0))
+        plan.pushed(gaussian_packet(grid256, 0.0, 1.0).amplitudes)
 
 
 def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):
@@ -455,8 +453,8 @@ def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):
     assert kept == [True, False, False]
     other = gaussian_packet(grid, (0.8, -0.2), 1.2)
     for state in (psi, other, psi):
-        assert np.array_equal(plan.pushed(state)[0].amplitudes,
-                              push_one_state(state, phi, 1.0, True, "bump"))
+        assert np.array_equal(plan.pushed(state.amplitudes)[0],
+                              push_one_state(state, phi, 1.0, "bump"))
 
 
 @pytest.mark.parametrize("grid, center, radius, peak_shift", [
@@ -512,11 +510,11 @@ def test_3d_bump_plan_over_several_chunks_memory_is_bounded():
     tracemalloc.start()
     try:
         plan = PushforwardPlan(phi, 1.0, grid)
-        pushed = [plan.pushed(psi)[0] for _ in range(2)]
+        pushed = [plan.pushed(psi.amplitudes)[0] for _ in range(2)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(plan.sampler._chunks) > 1
     assert peak < 100e6
-    assert np.array_equal(pushed[0].amplitudes, pushed[1].amplitudes)
-    assert abs(inner_product(pushed[0], psi)) < 1.0 - 1e-6
+    assert np.array_equal(pushed[0], pushed[1])
+    assert abs(inner_product(WaveFunction(grid, pushed[0]), psi)) < 1.0 - 1e-6

@@ -410,6 +410,43 @@ def test_blowup_in_one_stacked_branch_names_the_step(grid256):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_a_blown_up_branch_leaves_every_handed_row_finite(grid256, monkeypatch, workers):
+    """Three branches over a 4 KiB STACK_BYTES, the middle one in a NaN
+    potential: one part on one core, parts [b0] and [b1, b2] on two. Every
+    row the consumer is handed is finite, so it may read them unchecked:
+    from the step it blew up on, the broken branch's row is zero and its
+    blowups entry names that step, and the other rows have the bits of a
+    stream without it."""
+    monkeypatch.setattr(evolve_module, "_cores", lambda: workers)
+    monkeypatch.setattr(evolve_module, "STACK_BYTES", 16 * grid256.size)
+    states, potentials = branch_setup(grid256, 1.0, 3)
+    values = np.zeros(grid256.shape)
+    values[7] = np.nan
+    potentials[1] = Potential("tabulated", grid256, values)  # bypasses the finiteness check
+    config = EvolutionConfig(dt=0.05, t_end=0.5, mass=1.0)
+
+    def handed(states, potentials):
+        seen = []
+
+        def consume(t, rows, blowups):
+            seen.append((t, np.array(rows), [str(error) if error else None for error in blowups]))
+            return True
+
+        evolve_module.stream_branches(states, potentials, config, consume)
+        return seen
+
+    seen = handed(states, potentials)
+    alone = handed(states[::2], potentials[::2])
+    assert [t for t, *_ in seen] == [t for t, *_ in alone] == [0.05 * k for k in range(11)]
+    for (t, rows, blowups), (_, fine, fine_blowups) in zip(seen, alone):
+        assert np.isfinite(rows).all()
+        assert np.array_equal(rows[::2], fine) and blowups[::2] == fine_blowups == [None, None]
+        if t > 0:
+            assert not rows[1].any()
+            assert blowups[1] == "evolution of branch 'b1' blew up at step 1"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("broken, named", [({1, 2}, "b1"), ({2}, "b2")])
 def test_blowup_names_the_first_failing_branch(monkeypatch, workers, broken, named):
     """Three 1D branches over a 32 KiB STACK_BYTES: one part on one core,

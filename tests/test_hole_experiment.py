@@ -1,6 +1,7 @@
 """Baseline-vs-hole orchestration: the contrast, controls, gating,
 support accounting, and sweeps."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,10 @@ from holesim import (
     StabilityWarning,
     evolve,
     evolve_branches,
-    norm,
-    pushforward_wavefunction,
     InsufficientDisplacement,
     Region,
     SupportViolation,
+    WaveFunction,
     default_config,
     identity_map,
     make_bump_displacement,
@@ -28,6 +28,7 @@ from holesim import (
     sweep,
     theta_time_series,
 )
+from holesim.diffeo import PushforwardPlan
 from holesim.hole_experiment import DEFAULT_SCENARIO, config_from_sections
 from holesim.evolve import stream_branches
 
@@ -155,9 +156,9 @@ def test_two_sided_drift_covers_both_branches():
     for potential in config.branch_potentials():
         trajectory = evolve(psi0, potential, config.evolution)
         for t, psi in zip(trajectory.times, trajectory.states):
-            raw = pushforward_wavefunction(psi, config.diffeo, t, renormalize=False)
-            if raw is not psi:
-                drifts.append(abs(norm(raw) - 1.0))
+            pushed, size = PushforwardPlan(config.diffeo, t, config.grid).pushed(psi.amplitudes)
+            if pushed is not psi.amplitudes:
+                drifts.append(abs(size - 1.0))
     assert report.diagnostics["max_pushforward_norm_drift"] == max(drifts)
 
 
@@ -193,11 +194,37 @@ def test_two_sided_bump_run_builds_one_map_per_ramp_value(monkeypatch):
     drifts = []
     for trajectory in evolve_branches([psi0, psi0], config.branch_potentials(), config.evolution):
         for t, psi in zip(trajectory.times, trajectory.states):
-            raw = pushforward_wavefunction(psi, config.diffeo, t, renormalize=False)
-            if raw is not psi:
-                drifts.append(abs(norm(raw) - 1.0))
+            pushed, size = PushforwardPlan(config.diffeo, t, config.grid).pushed(psi.amplitudes)
+            if pushed is not psi.amplitudes:
+                drifts.append(abs(size - 1.0))
     assert len(drifts) == 16
     assert report.diagnostics["max_pushforward_norm_drift"] == max(drifts)
+
+
+@pytest.mark.parametrize("stride", [20, 5])
+def test_hole_runs_wrap_no_state_per_snapshot(monkeypatch, stride):
+    """A run wraps its packet and its branches' initial states in
+    WaveFunctions, four per run, and no snapshot row or pushed state: the
+    one-sided run, its two-sided control and a two-value coupling sweep
+    build as many at stride 20 (11 snapshots) as at stride 5 (41)."""
+    hold, built = WaveFunction._hold, []
+
+    def counting(psi, grid, amps, label):
+        built.append(label)
+        hold(psi, grid, amps, label)
+
+    monkeypatch.setattr(WaveFunction, "_hold", counting)
+    evolution = dataclasses.replace(default_config().evolution, snapshot_stride=stride)
+    config = default_config(evolution=evolution)
+    runs = (lambda: run_hole(config),
+            lambda: run_hole(dataclasses.replace(config, two_sided=True)),
+            lambda: sweep(config, "coupling", [0.1, 0.2]))
+    counts = []
+    for run in runs:
+        built.clear()
+        run()
+        counts.append(len(built))
+    assert counts == [4, 4, 8]
 
 
 def test_time_gating_before_onset():

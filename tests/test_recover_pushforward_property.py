@@ -49,7 +49,7 @@ def test_recovery_reads_back_the_pushed_translation(grid, data):
     shift = [c * dx for c, dx in zip(cells, grid.spacing)]
     plan = PushforwardPlan(make_translation_ramp(shift, 0.0, 1.0), 1.0, grid)
     basis = cell_basis(grid)
-    pushed = [plan.pushed(psi)[0] for psi in basis]
+    pushed = [WaveFunction(grid, plan.pushed(psi.amplitudes)[0], psi.label) for psi in basis]
     matrix = np.stack([psi.amplitudes.ravel() for psi in pushed], axis=1) \
         * np.sqrt(grid.cell_volume)
 
