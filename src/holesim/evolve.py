@@ -30,6 +30,7 @@ point with no back-reaction.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -86,22 +87,10 @@ class Potential:
     @classmethod
     def point_mass(cls, grid: Grid, source_position, coupling: float,
                    softening: float | None = None) -> "Potential":
-        """Softened attractive -c/sqrt(r^2 + eps^2) sourced at a point.
-
-        ``softening`` defaults to twice the largest grid spacing, the only
-        natural cutoff scale the grid provides. ``coupling`` is the mass
-        product of source and light particle (G = 1); zero switches the
-        interaction off.
-        """
+        """Softened attractive -c/sqrt(r^2 + eps^2) sourced at a point, with
+        the constants that _point_mass_constants checks and completes."""
         source_position = _as_tuple(source_position, n=grid.dim)
-        coupling = float(coupling)
-        if coupling < 0 or not np.isfinite(coupling):
-            raise DomainError(f"coupling must be a finite non-negative real, got {coupling}")
-        if softening is None:
-            softening = 2.0 * max(grid.spacing)
-        softening = float(softening)
-        if softening <= 0 or not np.isfinite(softening):
-            raise DomainError(f"softening must be positive, got {softening}")
+        coupling, softening = _point_mass_constants(grid, coupling, softening)
         values = _point_mass_at(grid, source_position, coupling, softening,
                                 np.ix_(*grid.axes()))
         values.flags.writeable = False
@@ -132,6 +121,22 @@ class Potential:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+
+def _point_mass_constants(grid: Grid, coupling: float,
+                          softening: float | None) -> tuple[float, float]:
+    """(coupling, softening) of a point mass on ``grid``. ``coupling`` is the
+    mass product of source and light particle (G = 1), finite and >= 0; zero
+    switches the interaction off. ``softening`` is finite and > 0, and None
+    means twice the largest grid spacing, the only natural cutoff scale the
+    grid provides."""
+    coupling = float(coupling)
+    if not (coupling >= 0 and np.isfinite(coupling)):
+        raise DomainError(f"coupling must be non-negative, got {coupling}")
+    softening = 2.0 * max(grid.spacing) if softening is None else float(softening)
+    if not (softening > 0 and np.isfinite(softening)):
+        raise DomainError(f"softening must be positive, got {softening}")
+    return coupling, softening
 
 
 def _point_mass_at(grid: Grid, source, coupling: float, softening: float,
@@ -324,9 +329,12 @@ def stream_branches(states, potentials, config: EvolutionConfig, consume) -> lis
             raise GridMismatch("stacked branches must share one grid")
         phase_per_step = config.dt * potential.max_abs()
         if phase_per_step > PHASE_PER_STEP_BOUND:
+            frame, level = sys._getframe(1), 2  # warn at the first caller outside the package
+            while frame and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+                frame, level = frame.f_back, level + 1
             warnings.warn(f"potential phase per step {phase_per_step:.3f} exceeds"
                           f" {PHASE_PER_STEP_BOUND:.3f}; reduce dt or the coupling",
-                          StabilityWarning, stacklevel=4)
+                          StabilityWarning, stacklevel=level)
     n_steps = int(round(config.t_end / config.dt))
     snapshot_steps = [k for k in range(1, n_steps + 1) if k % config.snapshot_stride == 0 or k == n_steps]
     blowups = [None] * len(states)

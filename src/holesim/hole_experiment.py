@@ -32,8 +32,8 @@ from .diffeo import (
 from .diffeo import pushforward_potential, pushforward_wavefunction  # noqa: F401
 from .errors import (ConfigError, DomainError, HolesimError, InsufficientDisplacement,
                      SupportViolation)
-from .evolve import (STACK_BYTES, EvolutionConfig, Potential, _snapshot_norm,  # noqa: F401
-                     evolve, stream_branches)
+from .evolve import (STACK_BYTES, EvolutionConfig, Potential, _point_mass_constants,  # noqa: F401
+                     _snapshot_norm, evolve, stream_branches)
 from .grid import (SAMPLE_CHUNK_BYTES, Grid, Region, WaveFunction, _as_tuple, _inner,  # noqa: F401
                    gaussian_packet, inner_product, sample_point_bytes)
 from .observable import DecoherenceObservable, theta_time_series  # noqa: F401
@@ -115,8 +115,7 @@ class HoleExperimentConfig:
         for width, L in zip(self.support.widths(), self.grid.extent):
             if width > L:
                 raise DomainError(f"support width {width} exceeds extent {L}")
-        if self.coupling < 0:
-            raise DomainError(f"coupling must be non-negative, got {self.coupling}")
+        _point_mass_constants(self.grid, self.coupling, self.softening)  # the potentials' rule, at load
 
     def initial_packet(self) -> WaveFunction:
         return gaussian_packet(self.grid, self.packet_center, self.packet_width,

@@ -137,11 +137,17 @@ def theta_time_series(left: Trajectory, right: Trajectory) -> tuple[np.ndarray, 
     return np.asarray(left.times, dtype=float), thetas
 
 
-def density_matrix(theta: DecoherenceObservable | complex) -> TwoLevelDensityMatrix:
-    """Reduced source-particle state for a given theta."""
+def _theta_value(theta: DecoherenceObservable | complex) -> complex:
+    """theta as a complex number, refused if |theta| exceeds 1 by over 1e-12."""
     value = theta.theta if isinstance(theta, DecoherenceObservable) else complex(theta)
     if abs(value) > 1.0 + 1e-12:
-        raise DomainError(f"|theta| = {abs(value)} > 1; no valid density matrix")
+        raise DomainError(f"|theta| = {abs(value)} > 1")
+    return value
+
+
+def density_matrix(theta: DecoherenceObservable | complex) -> TwoLevelDensityMatrix:
+    """Reduced source-particle state for a given theta."""
+    value = _theta_value(theta)
     return TwoLevelDensityMatrix(
         0.5 * np.array([[1.0, np.conj(value)], [value, 1.0]], dtype=complex)
     )
@@ -176,11 +182,7 @@ def interference_pattern(theta: DecoherenceObservable | complex,
     |theta| and the fringe offset equals arg theta; any phase-linear
     screen produces this form.
     """
-    value = theta.theta if isinstance(theta, DecoherenceObservable) else complex(theta)
-    if abs(value) > 1.0 + 1e-12:
-        raise DomainError(f"|theta| = {abs(value)} > 1")
-    if wavenumber <= 0:
-        raise DomainError(f"wavenumber must be positive, got {wavenumber}")
+    value = _theta_value(theta)
     x = np.asarray(screen_positions, dtype=float)
     intensities = 0.5 * (1.0 + abs(value) * np.cos(wavenumber * x + np.angle(value)))
     return FringePattern(x, intensities, wavenumber)

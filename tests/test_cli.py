@@ -2,6 +2,7 @@
 contracts, and byte determinism."""
 
 import dataclasses
+import datetime
 import importlib
 import json
 import re
@@ -77,10 +78,23 @@ def test_fractional_snapshot_stride_is_rejected(tmp_path):
 @pytest.mark.parametrize("sections, message", [
     ({"grid": {"points": 1024.9}}, "grid: points per axis must be whole numbers, got 1024.9"),
     ({"evolution": {"dt": -0.02}}, "evolution: dt must be positive and finite, got -0.02"),
-], ids=["fractional_points", "negative_dt"])
+    ({"grid": {"extent": -40.0}}, "grid: extent must be positive and finite, got -40.0"),
+    ({"evolution": {"t_end": -1.0}}, "evolution: t_end must be non-negative, got -1.0"),
+    ({"grid": {"points": [64, 64]}, "packet": {"center": [0.0, 0.0, 0.0]}},
+     "packet: expected 2 components, got 3"),
+    ({"packet": {"width": 0.0}}, "packet: width must be positive, got 0.0"),
+    ({"support": {"lower": 5.0, "upper": -5.0}},
+     "support: region needs upper > lower, got [5.0, -5.0]"),
+    ({"potentials": {"softening": -1.0}},
+     "experiment config: softening must be positive, got -1.0"),
+    ({"potentials": {"softening": 0.0}}, "experiment config: softening must be positive, got 0.0"),
+], ids=["fractional_points", "negative_dt", "negative_extent", "negative_t_end",
+        "packet_center_components", "zero_packet_width", "inverted_support",
+        "negative_softening", "zero_softening"])
 def test_out_of_domain_run_numbers_fail_validate(tmp_path, capsys, sections, message):
-    """A fractional point count is refused, not truncated, and time steps
-    forward only: each under its own section, with the config exit code."""
+    """A fractional point count is refused, not truncated, time steps
+    forward only, and every number the run would refuse is refused at load:
+    each under its own section, with the config exit code."""
     path = write_config(tmp_path, "run.yaml", {"experiment": "baseline", **sections})
     assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert f"config error: {message}" in capsys.readouterr().err
@@ -481,9 +495,17 @@ def test_check_harmonic_run_holds_two_tensors(tmp_path):
     assert traced_peak(run) < 20 * 2**20
 
 
-def grid_field_text(data: str, kind: str = "metric") -> str:
+def grid_field_text(data: str, kind: str = "metric", **header) -> str:
+    """A 2x2 metric grid field's text; ``header`` replaces entries, and an
+    entry given as None is left out."""
+    entries = {"kind": kind, "axes": "2", "shape": "2 2", "spacing": "0.25 0.25",
+               "components": "3", **header}
     return ("# holesim grid-field v1\n"
-            f"kind: {kind}\naxes: 2\nshape: 2 2\nspacing: 0.25 0.25\ncomponents: 3\ndata:\n" + data)
+            + "".join(f"{key}: {value}\n" for key, value in entries.items() if value is not None)
+            + "data:\n" + data)
+
+
+MINKOWSKI_ROWS = "-1.0 0.0 1.0\n" * 4
 
 
 @pytest.mark.parametrize("text, message", [
@@ -496,7 +518,11 @@ def grid_field_text(data: str, kind: str = "metric") -> str:
     (b"# holesim grid-field v1\nkind: m\xe9tric\n",
      "cannot read grid field: 'utf-8' codec can't decode byte 0xe9 in position 31:"
      " invalid continuation byte"),
-], ids=["ragged_row", "bad_token", "malformed_header", "latin1_header"])
+    (grid_field_text(MINKOWSKI_ROWS, components=None),
+     "missing header entries ['components'] or data section"),
+    (grid_field_text(MINKOWSKI_ROWS, shape="3 3 3"), "shape/spacing do not match axes=2"),
+], ids=["ragged_row", "bad_token", "malformed_header", "latin1_header", "no_components",
+        "shape_of_other_axes"])
 def test_grid_field_parse_messages(tmp_path, text, message):
     """A malformed grid field's message, loadtxt's row and column included."""
     path = tmp_path / "bad.gridfield"
@@ -1058,11 +1084,14 @@ def test_unresolved_packet_is_a_config_error(tmp_path, capsys, sections, message
      "non-finite value at config.diffeo.center"),
     ({"experiment": "baseline", "grid": {"points": float("inf")}},
      "non-finite value at config.grid.points"),
+    ({"experiment": "baseline", "packet": {"momentum": datetime.date(2024, 1, 1)}},
+     "non-serializable value of type date at config.packet.momentum"),
 ], ids=["sweep_inf_coupling", "sweep_nan_displacement", "nan_shift", "nan_bump_peak",
-        "nan_bump_center", "inf_points"])
+        "nan_bump_center", "inf_points", "yaml_date"])
 def test_non_finite_numbers_fail_validate(tmp_path, capsys, sections, message):
     """The echoed config goes into result.json, which refuses non-finite
-    numbers: validate refuses them first, with the config exit code."""
+    numbers and values JSON cannot hold, such as a YAML date: validate
+    refuses them first, with the config exit code."""
     path = write_config(tmp_path, "nonfinite.yaml", sections)
     assert main(["validate", "--config", str(path)]) == ConfigError.exit_code
     assert f"config error: {message}" in capsys.readouterr().err
@@ -1180,10 +1209,36 @@ def latin1_past_64_kib(tmp_path):
             f"{metric_path}: cannot read grid field: 'utf-8' codec can't decode byte 0xe9")
 
 
-@pytest.mark.parametrize("case", [one_sided_bump, short_metric_file, latin1_metric_file,
-                                  empty_metric_data, latin1_past_64_kib],
-                         ids=["one_sided_bump", "short_metric_file", "latin1_metric_file",
-                              "empty_metric_data", "latin1_past_64_kib"])
+def hole_diffeo(diffeo, message):
+    """A case of a hole run whose diffeo section holds ``diffeo``."""
+    return lambda tmp_path: ({"experiment": "hole", "diffeo": diffeo}, message)
+
+
+def metric_text(text, message):
+    """A case of a check-harmonic run of a metric file that holds ``text``."""
+    def case(tmp_path):
+        metric_path = tmp_path / "metric.gridfield"
+        metric_path.write_text(text)
+        return ({"experiment": "check-harmonic", "harmonic": {"metric_file": str(metric_path)}},
+                f"{metric_path}: {message}")
+    return case
+
+
+@pytest.mark.parametrize("case", [
+    one_sided_bump, short_metric_file, latin1_metric_file, empty_metric_data, latin1_past_64_kib,
+    hole_diffeo({"t0": 1.6, "t1": 0.8}, "diffeo: ramp needs t0 < t1, got [1.6, 0.8]"),
+    hole_diffeo({"t0": -1.0, "t1": 0.5},
+                "experiment config: diffeo onset t0 must be >= 0, got -1.0"),
+    hole_diffeo({"kind": "spiral"}, "diffeo: unknown kind 'spiral'"),
+    hole_diffeo({"kind": "bump_displacement", "radius": 0.0, "two_sided": True},
+                "diffeo: radius must be positive, got 0.0"),
+    metric_text(grid_field_text(MINKOWSKI_ROWS, kind="residual"),
+                "expected kind 'metric', got 'residual'"),
+    metric_text(grid_field_text("-1.0 0.0 0.0 1.0\n" * 4, components="4"),
+                "4 components per point, expected 3"),
+], ids=["one_sided_bump", "short_metric_file", "latin1_metric_file", "empty_metric_data",
+        "latin1_past_64_kib", "inverted_ramp", "negative_onset", "unknown_diffeo_kind",
+        "zero_bump_radius", "residual_kind", "four_components"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, case):
     """validate and run refuse each config at load, with one message, the
     config exit code and no warning, before anything is computed or written."""
@@ -1196,6 +1251,43 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert f"config error: {message}" in err
         assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("- experiment\n- hole\n", "config root must be a mapping, got list"),
+    (None, "cannot read config {path}: [Errno 2] No such file or directory"),
+    ("experiment: [hole\n", "config parse error in {path}: while parsing a flow sequence"),
+], ids=["list_root", "missing_file", "yaml_parse_error"])
+def test_unloadable_config_files_fail_validate(tmp_path, capsys, text, message):
+    """A config file that cannot be read, parsed or taken as a mapping fails
+    validate and run alike, with the config exit code."""
+    path = tmp_path / "config.yaml"
+    if text is not None:
+        path.write_text(text)
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == ConfigError.exit_code
+        assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    ({"shape": "3 3"}, "-1.0 0.0 1.0\n" * 8 + "nan 0.0 1.0\n", "non-finite metric components"),
+    ({"shape": "3 3", "spacing": "1.0 -1.0"}, "-1.0 0.0 1.0\n" * 9,
+     "spacings must be positive, got (1.0, -1.0)"),
+    ({}, MINKOWSKI_ROWS, "need at least 3 samples per axis for interior points"),
+], ids=["nan_component", "negative_spacing", "two_samples_per_axis"])
+def test_metric_content_refusals_fail_validate(tmp_path, capsys, header, rows, message):
+    """A metric file that parses but holds no metric fails validate and run
+    alike with the metric's DomainError: the check-harmonic reader builds
+    the metric at load."""
+    metric_path = tmp_path / "metric.gridfield"
+    metric_path.write_text(grid_field_text(rows, **header))
+    path = write_config(tmp_path, "harmonic.yaml", {
+        "experiment": "check-harmonic", "output_dir": str(tmp_path / "out"),
+        "harmonic": {"metric_file": str(metric_path)}})
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == DomainError.exit_code
+        assert capsys.readouterr().err == f"DomainError: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

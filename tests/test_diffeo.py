@@ -8,6 +8,7 @@ from holesim import (
     Grid,
     GridMismatch,
     NonInvertibleDiffeo,
+    NormViolation,
     NumericalBlowup,
     Potential,
     gaussian_packet,
@@ -117,6 +118,11 @@ def test_bump_too_steep_rejected():
     # |peak| * max|B'| / radius >= 1
     with pytest.raises(NonInvertibleDiffeo):
         make_bump_displacement(0.0, 2.0, 1.0, **RAMP)
+
+
+def test_displacement_at_is_a_translation_query():
+    with pytest.raises(DomainError, match="translation ramps only"):
+        standard_bump().displacement_at(1.0)
 
 
 def test_bump_jacobian_positive_on_support():
@@ -274,6 +280,8 @@ def test_pushforward_dim_mismatch(grid1024):
     phi = make_translation_ramp((1.0, 1.0), **RAMP)
     with pytest.raises(DomainError):
         pushforward_wavefunction(psi, phi, 1.0)
+    with pytest.raises(DomainError, match="map dim 2 does not match grid dim 1"):
+        pushforward_potential(Potential.point_mass(grid1024, 0.0, 0.1), phi, 1.0)
 
 
 def test_2d_pushforward_translation_and_joint_invariance():
@@ -437,9 +445,12 @@ def test_plan_is_bit_equal_to_a_pushforward_per_state(case, rng):
 
 
 def test_plan_rejects_a_state_on_another_grid(grid256, grid1024):
+    """A plan pushes unit-norm states of its own grid only."""
     plan = PushforwardPlan(make_translation_ramp(1.3, **RAMP), 1.0, grid1024)
     with pytest.raises(GridMismatch):
         plan.pushed(gaussian_packet(grid256, 0.0, 1.0).amplitudes)
+    with pytest.raises(NormViolation, match="input norm drift 1.000e-03; normalize first"):
+        plan.pushed(1.001 * gaussian_packet(grid1024, 0.0, 1.0).amplitudes)
 
 
 def test_plan_beyond_its_table_budget_rebuilds_the_rest(monkeypatch):

@@ -20,11 +20,13 @@ from holesim import (
     StabilityWarning,
     Trajectory,
     WaveFunction,
+    default_config,
     energy_expectation,
     evolve,
     evolve_branches,
     gaussian_packet,
     norm,
+    sweep,
 )
 from oracles import dense_propagator, free_gaussian_width, measured_width
 
@@ -59,6 +61,8 @@ def test_point_mass_rejects_negative_coupling():
 def test_tabulated_requires_matching_shape():
     with pytest.raises(GridMismatch):
         Potential.tabulated(ORACLE_GRID, np.zeros(32))
+    with pytest.raises(NumericalBlowup, match="non-finite tabulated"):
+        Potential.tabulated(ORACLE_GRID, np.full(64, np.nan))
 
 
 def test_free_step_preserves_norm_and_center(grid1024):
@@ -205,7 +209,9 @@ def test_step_grid_mismatch(grid256):
 
 
 def test_stability_warning_on_large_phase(grid256):
-    """The warning names the line that called either entry point."""
+    """The warning names the line outside the package that called an entry
+    point, however deep in the package the stream starts: a sweep's
+    warnings name the sweep's caller, as a lone evolve's do."""
     psi0 = gaussian_packet(grid256, 0.0, 1.0)
     strong = Potential.point_mass(grid256, 0.0, 50.0, softening=0.5)
     config = EvolutionConfig(dt=0.05, t_end=0.1, mass=1.0)
@@ -213,7 +219,10 @@ def test_stability_warning_on_large_phase(grid256):
         evolve(psi0, strong, config)
     with pytest.warns(StabilityWarning) as stacked:
         evolve_branches([psi0], [strong], config)
+    with pytest.warns(StabilityWarning) as swept:
+        sweep(default_config(), "coupling", [50.0])
     assert lone[0].filename == stacked[0].filename == __file__
+    assert [w.filename for w in swept] == [__file__] * 2  # one per branch
 
 
 def test_config_validation():
@@ -236,6 +245,10 @@ def test_trajectory_invariants(grid256):
     drifted = WaveFunction(grid256, 1.01 * psi.amplitudes)
     with pytest.raises(NormViolation):
         Trajectory((0.0, 1.0), (psi, drifted))
+    with pytest.raises(DomainError, match="non-empty"):
+        Trajectory((), ())
+    with pytest.raises(GridMismatch, match="share one grid"):
+        Trajectory((0.0, 1.0), (psi, gaussian_packet(Grid(128, 40.0), 0.0, 1.0)))
 
 
 def test_nearest_index_snapping_and_range(grid256):

@@ -66,16 +66,24 @@ def test_static_gaussian_overlap(grid256, packet_pair):
 def test_theta_magnitude_guard():
     with pytest.raises(NormViolation):
         DecoherenceObservable(1.0 + 1e-8 + 0.0j)
+    with pytest.raises(NormViolation, match="theta is not finite"):
+        DecoherenceObservable(complex(np.nan, 0.0))
     # within slack: accepted
     DecoherenceObservable(1.0 + 5e-10 + 0.0j)
 
 
 def test_compute_theta_refuses_misaligned_times(grid256):
+    """Out of one trajectory's range, or at nearest snapshots of different
+    times, no theta is read; nor is a series of misaligned snapshots."""
     psi = gaussian_packet(grid256, 0.0, 1.0)
     left = Trajectory((0.0, 1.0), (psi, psi))
     right = Trajectory((0.0, 1.5), (psi, psi))
     with pytest.raises(DomainError):
         compute_theta(left, right, 1.2)
+    with pytest.raises(DomainError, match="snapshot times differ: 1.0 vs 1.5"):
+        compute_theta(left, right, 0.9)
+    with pytest.raises(DomainError, match="not snapshot-aligned"):
+        theta_time_series(left, right)
 
 
 def test_density_matrix_full_decoherence():
